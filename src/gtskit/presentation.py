@@ -326,22 +326,10 @@ def _enumerate_subsets(S: SetExpr) -> list[SetExpr]:
 
 
 def points_of(S: SetExpr) -> list:
-    """All points of a finite set, for finite-enumerable carriers."""
-    c = S.carrier
-    if isinstance(c, FiniteEnum):
-        return list(S.form)
-    if isinstance(c, (NatFC, QLine)):
-        if not S.is_finite_pointset():
-            raise NonFiniteCarrier("set has infinitely many points")
-        return S.finite_points()
-    if isinstance(c, Product):
-        out = []
-        for L, R in S.form:
-            for x in points_of(L):
-                for y in points_of(R):
-                    out.append((x, y))
-        return out
-    raise UnsupportedCarrier(c.describe())
+    """All points of a finite set, in canonical order."""
+    if not S.is_finite_pointset():
+        raise NonFiniteCarrier("set has infinitely many points")
+    return S.finite_points()
 
 
 def from_points(c: Carrier, pts) -> SetExpr:
