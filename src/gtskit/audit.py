@@ -190,7 +190,7 @@ def random_admissible_family(X: GtsPresentation, rng: random.Random,
                              tries: int = 8) -> FamilyExpr:
     for attempt in range(tries):
         F = random_family(X, rng, allow_streams=attempt < tries // 2)
-        if is_admissible(X, F).admissible:
+        if is_admissible(X, F).yes:
             return F
     # finite open families are admissible under every shipped policy
     return FamilyExpr(X.carrier, (random_open(X, rng),))
@@ -207,7 +207,7 @@ def _check_binary_ops(X, rng, rep):
 
 def _check_finite_admissible(X, rng, rep):
     F = FamilyExpr(X.carrier, tuple(random_open(X, rng) for _ in range(rng.randint(1, 4))))
-    ok = is_admissible(X, F).admissible
+    ok = is_admissible(X, F).yes
     rep.record("finite_families_admissible", ok, "finite open family not admissible", (F,))
 
 
@@ -221,7 +221,7 @@ def _check_stability(X, rng, rep):
     F = random_admissible_family(X, rng)
     V = random_open(X, rng)
     G = clip_family(F, V)
-    ok = is_admissible(X, G).admissible
+    ok = is_admissible(X, G).yes
     rep.record("stability", ok, "clipped admissible family not admissible", (F, V))
 
 
@@ -229,7 +229,7 @@ def _check_transitivity(X, rng, rep):
     F = random_admissible_family(X, rng)
     if F.streams:
         F = FamilyExpr(X.carrier, F.finite_part or (family_union(F),))
-        if not is_admissible(X, F).admissible:
+        if not is_admissible(X, F).yes:
             return
     parts = []
     for U in F.finite_part:
@@ -240,7 +240,7 @@ def _check_transitivity(X, rng, rep):
     big = FamilyExpr(X.carrier, ())
     for G in parts:
         big = union_families(big, G)
-    ok = is_admissible(X, big).admissible
+    ok = is_admissible(X, big).yes
     rep.record("transitivity", ok, "union of member covers not admissible", (F, big))
 
 
@@ -248,7 +248,7 @@ def _admissible_cover_of(X, U, rng) -> FamilyExpr | None:
     """An admissible family with union exactly U."""
     V = sx.intersect(random_open(X, rng), U)
     G = FamilyExpr(X.carrier, (U, V) if not V.is_empty() else (U,))
-    return G if is_admissible(X, G).admissible else None
+    return G if is_admissible(X, G).yes else None
 
 
 def _check_saturation(X, rng, rep):
@@ -259,7 +259,7 @@ def _check_saturation(X, rng, rep):
     if not refines(F, G):
         rep.record("saturation", False, "coarsening construction failed refinement", (F, G))
         return
-    ok = is_admissible(X, G).admissible
+    ok = is_admissible(X, G).yes
     rep.record("saturation", ok, "coarsening of admissible family not admissible", (F, G))
 
 
@@ -327,7 +327,7 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
         ok = is_open(X, sx.union(A, B)) and is_open(X, sx.intersect(A, B))
         rep.record("binary_ops_open", ok, "union or intersection not open", (A, B))
     families = [FamilyExpr(X.carrier, c) for c in _all_subfamilies(opens, min(len(opens), 4))]
-    adm_flags = [is_admissible(X, F).admissible for F in families]
+    adm_flags = [is_admissible(X, F).yes for F in families]
     admissible = [F for F, ok in zip(families, adm_flags) if ok]
     unions = {id(F): family_union(F) for F in families}
     # refinement requires equal unions, so only same-union pairs can matter
@@ -342,7 +342,7 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
         rep.record("admissible_union_open", is_open(X, unions[id(F)]),
                    "union of admissible family not open", (F,))
         for V in opens:
-            rep.record("stability", is_admissible(X, clip_family(F, V)).admissible,
+            rep.record("stability", is_admissible(X, clip_family(F, V)).yes,
                        "clipped family not admissible", (F, V))
         for G in by_union[unions[id(F)]]:
             if refines(F, G):
@@ -365,7 +365,7 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
         big = FamilyExpr(X.carrier, ())
         for G in pieces:
             big = union_families(big, G)
-        rep.record("transitivity", is_admissible(X, big).admissible,
+        rep.record("transitivity", is_admissible(X, big).yes,
                    "union of member covers not admissible", (F, big))
     # regularity: all subsets W of the support when enumerable, else
     # weakly open candidates built from the opens
@@ -391,14 +391,14 @@ def recheck(X: GtsPresentation, v: Violation) -> bool:
         A, B = raw
         return not (is_open(X, sx.union(A, B)) and is_open(X, sx.intersect(A, B)))
     if v.axiom == "finite_families_admissible":
-        return not is_admissible(X, raw[0]).admissible
+        return not is_admissible(X, raw[0]).yes
     if v.axiom == "admissible_union_open":
         return not is_open(X, family_union(raw[0]))
     if v.axiom == "stability":
         F, V = raw
-        return not is_admissible(X, clip_family(F, V)).admissible
+        return not is_admissible(X, clip_family(F, V)).yes
     if v.axiom in ("transitivity", "saturation"):
-        return not is_admissible(X, raw[1]).admissible
+        return not is_admissible(X, raw[1]).yes
     if v.axiom == "regularity":
         F, W = raw
         return not is_open(X, sx.intersect(W, family_union(F)))

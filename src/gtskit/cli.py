@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .audit import audit_axioms
@@ -40,8 +41,16 @@ class BadReference(GtsError):
     pass
 
 
-COMMANDS = ("audit", "check-family", "smallness", "construct", "map",
-            "classify", "site", "layers")
+class MissingNames(GtsError):
+    pass
+
+
+# each command with the fewest names it reads
+COMMANDS = {"audit": 1, "check-family": 2, "smallness": 2, "construct": 1,
+            "map": 1, "classify": 1, "site": 1, "layers": 1}
+# each construction with the fewest space or set names it reads
+CONSTRUCTIONS = {"sub": 2, "product": 0, "sum": 0, "smallify": 1,
+                 "topologize": 1, "localize": 1}
 
 
 def _ref(doc: Document, name: str, kind: str):
@@ -51,15 +60,23 @@ def _ref(doc: Document, name: str, kind: str):
     return table[name]
 
 
-def _flagdict(flags: dict) -> dict:
+def _verdict(v, **keys) -> dict:
+    """A verdict's fields under one command's key names, in keyword order.
+
+    Fields without a key are left out, and so are an empty reason and a
+    missing witness.
+    """
     out = {}
-    for k, v in flags.items():
-        out[k] = {"status": v.status}
-        if v.witness is not None:
-            out[k]["witness"] = _show(v.witness)
-        if v.note:
-            out[k]["note"] = v.note
+    for name, key in keys.items():
+        value = getattr(v, name)
+        if value is not None and value != "":
+            out[key] = _show(value) if name == "witness" else value
     return out
+
+
+def _flags(rep) -> dict:
+    return {k: _verdict(v, status="status", witness="witness", reason="note")
+            for k, v in rep.flags.items()}
 
 
 def _show(obj) -> str:
@@ -75,6 +92,11 @@ def _show(obj) -> str:
 def run_command(cmd: str, args: list, doc: Document,
                 budget: int = 200, seed: int = 0):
     """Dispatch one command; returns (report dict, exit code)."""
+    want = COMMANDS.get(cmd, 0)
+    if cmd == "construct" and args:
+        want = 1 + CONSTRUCTIONS.get(args[0], 0)
+    if len(args) < want:
+        raise MissingNames("missing name arguments")
     if cmd == "audit":
         X = _ref(doc, args[0], "spaces")
         rep = audit_axioms(X, budget=budget, seed=seed)
@@ -93,49 +115,36 @@ def run_command(cmd: str, args: list, doc: Document,
     if cmd == "check-family":
         X = _ref(doc, args[0], "spaces")
         F = _ref(doc, args[1], "families")
-        v = is_admissible(X, F)
-        report = {"command": "check-family", "space": args[0],
-                  "family": args[1],
-                  "admissible": "Yes" if v.admissible else "No",
-                  "reason": v.reason}
-        if v.offending is not None:
-            report["offending"] = _show(v.offending)
-        return report, 0
+        return {"command": "check-family", "space": args[0], "family": args[1],
+                **_verdict(is_admissible(X, F), status="admissible",
+                           reason="reason", witness="offending")}, 0
 
     if cmd == "smallness":
         X = _ref(doc, args[0], "spaces")
         S = _ref(doc, args[1], "sets")
-        v = smallness(X, S)
-        report = {"command": "smallness", "space": args[0], "set": args[1],
-                  "status": v.status, "reason": v.reason}
-        if v.witness is not None:
-            report["witness"] = _show(v.witness)
-        return report, 0
+        return {"command": "smallness", "space": args[0], "set": args[1],
+                **_verdict(smallness(X, S), status="status",
+                           reason="reason", witness="witness")}, 0
 
     if cmd == "construct":
         return _construct(args, doc)
 
     if cmd == "map":
         f = _ref(doc, args[0], "maps")
-        v = check_strict_continuity(f)
-        report = {"command": "map", "map": args[0], "strictly_continuous":
-                  v.status, "rationale": v.rationale}
-        if v.witness is not None:
-            report["witness"] = _show(v.witness)
-        return report, 0
+        return {"command": "map", "map": args[0],
+                **_verdict(check_strict_continuity(f), status="strictly_continuous",
+                           reason="rationale", witness="witness")}, 0
 
     if cmd == "classify":
         name = args[0]
         kind, obj = doc.lookup(name)
         if kind == "maps":
-            cls = classify_map(obj)
-            return {"command": "classify", "map": name,
-                    "flags": _flagdict(cls.flags)}, 0
-        if kind == "spaces":
+            rep = classify_map(obj)
+        elif kind == "spaces":
             rep = separation_report(obj)
-            return {"command": "classify", "space": name,
-                    "flags": _flagdict(rep.flags)}, 0
-        raise BadReference(name + " is neither a map nor a space")
+        else:
+            raise BadReference(name + " is neither a map nor a space")
+        return {"command": "classify", kind[:-1]: name, "flags": _flags(rep)}, 0
 
     if cmd == "site":
         name = args[0]
@@ -148,15 +157,14 @@ def run_command(cmd: str, args: list, doc: Document,
         sub = is_subcanonical(st.pair())
         report = {"command": "site", "site": name,
                   "objects": len(st.category.objects),
-                  "axioms": _flagdict(rep.flags),
-                  "subcanonical": {"status": sub.status}}
-        code = 0 if rep.ok(*rep.flags) and sub.yes() else 1
+                  "axioms": _flags(rep),
+                  "subcanonical": _verdict(sub, status="status")}
+        code = 0 if rep.ok() and sub.yes else 1
         if len(args) > 1:
             F = _ref(doc, args[1], "presheaves")
-            v = is_sheaf(st.pair(), F)
-            report["sheaf"] = {"presheaf": args[1], "status": v.status}
-            if v.witness is not None:
-                report["sheaf"]["witness"] = _show(v.witness)
+            report["sheaf"] = {"presheaf": args[1],
+                               **_verdict(is_sheaf(st.pair(), F),
+                                          status="status", witness="witness")}
         return report, code
 
     if cmd == "layers":
@@ -165,8 +173,7 @@ def run_command(cmd: str, args: list, doc: Document,
             rep = validate_exhaustion(X, X.policy.exhaustion)
         else:
             rep = validate_locally_small(X)
-        return {"command": "layers", "space": args[0],
-                "flags": _flagdict(rep.flags)}, 0
+        return {"command": "layers", "space": args[0], "flags": _flags(rep)}, 0
 
     raise UnknownCommand(cmd)
 
@@ -249,13 +256,15 @@ def main(argv=None) -> int:
         doc = parse_document(text)
         report, code = run_command(ns.command, ns.names, doc,
                                    budget=ns.budget, seed=ns.seed)
-    except (GtsError, IndexError) as e:
-        if isinstance(e, IndexError):
-            print("error: missing name arguments", file=sys.stderr)
-        else:
-            print("error: %s" % e, file=sys.stderr)
+    except GtsError as e:
+        print("error: %s" % e, file=sys.stderr)
         return 2
-    print(emit_report(report, ns.format))
+    try:
+        print(emit_report(report, ns.format))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; keep the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -11,6 +11,7 @@ from .errors import (
     IncompatibleTraces,
     NonSmallFactor,
     OverlapNotOpen,
+    PreconditionUnmet,
     UnsupportedPresentation,
     UnsupportedSubset,
 )
@@ -51,11 +52,11 @@ def subspace(X: GtsPresentation, Y: SetExpr) -> GtsPresentation:
     open_in_X = is_open(X, support)
     small = smallness(X, support)
     layered = isinstance(X.policy, (LocallyEssFin, PiecewiseEssFin))
-    if not (open_in_X or small.is_small() or layered):
+    if not (open_in_X or small.status == "Small" or layered):
         raise UnsupportedSubset(
             "subset is neither open nor small, and the policy carries no layers"
         )
-    if small.is_small():
+    if small.status == "Small":
         policy = EssFin()
     elif isinstance(X.policy, LocallyEssFin):
         policy = LocallyEssFin(clip_family(X.policy.base, support))
@@ -83,7 +84,7 @@ def _is_small_space(X: GtsPresentation) -> bool:
 def product(Xs: list) -> tuple:
     """Finite product of small spaces; returns (space, projections)."""
     if not Xs:
-        raise ValueError("product needs at least one factor")
+        raise PreconditionUnmet("product needs at least one factor")
     for X in Xs:
         if not _is_small_space(X):
             raise NonSmallFactor(X.name or X.carrier.describe())
@@ -113,7 +114,7 @@ def product(Xs: list) -> tuple:
 def glue(pieces: list) -> GtsPresentation:
     """The admissible union of open-overlapping pieces on a shared carrier."""
     if not pieces:
-        raise ValueError("glue needs at least one piece")
+        raise PreconditionUnmet("glue needs at least one piece")
     carrier = pieces[0].carrier
     for P in pieces:
         if P.carrier != carrier:
@@ -153,7 +154,7 @@ def _check_trace_agreement(A: GtsPresentation, B: GtsPresentation, O: SetExpr):
 def direct_sum(Xs: list) -> GtsPresentation:
     """Glue pairwise disjoint pieces; summands come out open and closed."""
     if not Xs:
-        raise ValueError("direct sum needs at least one summand")
+        raise PreconditionUnmet("direct sum needs at least one summand")
     if all(isinstance(X.carrier, FiniteEnum) for X in Xs) and (
         len({X.carrier for X in Xs}) != 1
         or any(
@@ -168,7 +169,7 @@ def direct_sum(Xs: list) -> GtsPresentation:
             raise CarrierMismatch("summands on different carriers; tag them first")
         for B in Xs[i + 1:]:
             if not sx.intersect(A.support, B.support).is_empty():
-                raise ValueError("summand supports must be pairwise disjoint")
+                raise PreconditionUnmet("summand supports must be pairwise disjoint")
     out = glue(Xs)
     return GtsPresentation(carrier, out.opens, out.policy, out.support,
                            name="sum(%s)" % ",".join(X.name or "?" for X in Xs))

@@ -20,6 +20,7 @@ from .streams import (
     merge_stream,
     set_endpoints,
 )
+from .verdict import Verdict
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,6 @@ class FamilyExpr:
         for s in self.streams:
             if s.carrier != self.carrier:
                 raise CarrierMismatch("stream on the wrong carrier")
-
-    def is_finite(self) -> bool:
-        return not self.streams
 
     def sample_members(self, stages: int = 3) -> list[SetExpr]:
         out = list(self.finite_part)
@@ -124,13 +122,6 @@ class WitnessMember:
     set: SetExpr
 
 
-@dataclass(frozen=True)
-class EssFinResult:
-    yes: bool
-    witness: tuple[WitnessMember, ...] = ()
-    reason: str = ""
-
-
 def _endpoint_pool(sets: list[SetExpr], streams: list[Stream]) -> set[Fraction]:
     pool: set[Fraction] = set()
     for S in sets:
@@ -171,7 +162,7 @@ def _coverage_at(streams: list[Stream], stage: int, base: SetExpr) -> SetExpr:
     return cov
 
 
-def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> EssFinResult:
+def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> Verdict:
     """Does a finite subfamily of F cover K n union(F)?"""
     if K.carrier != F.carrier:
         raise CarrierMismatch("K on the wrong carrier")
@@ -186,7 +177,7 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> EssFinResult:
             witness.append(WitnessMember("finite", i, None, m))
             residual = sx.minus(residual, m)
     if residual.is_empty():
-        return EssFinResult(True, tuple(witness), "covered by finite part")
+        return Verdict("Yes", "covered by finite part", tuple(witness))
 
     monotone = [s for s in F.streams if s.monotone]
     pointwise = [s for s in F.streams if not s.monotone]
@@ -204,7 +195,7 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> EssFinResult:
         cap = large_stage(monotone, [residual] + list(F.finite_part))
         leftover = lambda n: sx.minus(residual, _coverage_at(monotone, n, sx.empty(F.carrier)))
         if not absorbable(leftover(cap)):
-            return EssFinResult(False, (), "residual approaches a stream limit")
+            return Verdict("No", "residual approaches a stream limit")
         lo, hi = 1, cap  # smallest sufficient shared stage, by bisection
         while lo < hi:
             mid = (lo + hi) // 2
@@ -220,8 +211,8 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> EssFinResult:
         residual = leftover(stage)
     elif not absorbable(residual):
         if pointwise:
-            return EssFinResult(False, (), "infinite residual against pointwise streams")
-        return EssFinResult(False, (), "residual not covered by any finite subfamily")
+            return Verdict("No", "infinite residual against pointwise streams")
+        return Verdict("No", "residual not covered by any finite subfamily")
 
     if not residual.is_empty():
         for j, s in enumerate(F.streams):
@@ -234,8 +225,8 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> EssFinResult:
                     witness.append(WitnessMember(s.render(), j, idx, s.member(idx)))
             residual = sx.minus(residual, s.union())
         if not residual.is_empty():
-            return EssFinResult(False, (), "residual outside all members")
-    return EssFinResult(True, tuple(witness), "finite subfamily covers the target")
+            return Verdict("No", "residual outside all members")
+    return Verdict("Yes", "finite subfamily covers the target", tuple(witness))
 
 
 # -- refinement -----------------------------------------------------------

@@ -38,26 +38,22 @@ from .presentation import (
 )
 from . import setexpr as sx
 from .setexpr import SetExpr
-
-
-@dataclass(frozen=True)
-class Flag:
-    status: str  # "Yes", "No", "Unknown"
-    witness: object = None
-    note: str = ""
-
-    def yes(self) -> bool:
-        return self.status == "Yes"
+from .verdict import Verdict
 
 
 @dataclass
 class LayerReport:
+    """Named verdicts about one space, map or site, with free-form notes."""
+
     flags: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
+    def __getitem__(self, name):
+        return self.flags[name]
+
     def ok(self, *names) -> bool:
         names = names or tuple(self.flags)
-        return all(self.flags[n].yes() for n in names)
+        return all(self.flags[n].yes for n in names)
 
 
 # -- weak topology --------------------------------------------------------
@@ -143,24 +139,24 @@ def validate_locally_small(X: GtsPresentation, base: FamilyExpr = None) -> Layer
     try:
         check_members_open(X, base)
     except NonOpenMember as e:
-        rep.flags["locally_small"] = Flag("No", e.member, "base member not open")
+        rep.flags["locally_small"] = Verdict("No", "base member not open", e.member)
         _fill_unknown(rep)
         return rep
     bad = _non_small_member(X, base)
     if bad is not None:
-        rep.flags["locally_small"] = Flag("No", bad, "base member not small")
+        rep.flags["locally_small"] = Verdict("No", "base member not small", bad)
         _fill_unknown(rep)
         return rep
     if family_union(base) != X.support:
-        rep.flags["locally_small"] = Flag("No", base, "base does not cover the space")
+        rep.flags["locally_small"] = Verdict("No", "base does not cover the space", base)
         _fill_unknown(rep)
         return rep
-    if not is_admissible(X, base).admissible:
-        rep.flags["locally_small"] = Flag("No", base, "base not admissible")
+    if not is_admissible(X, base).yes:
+        rep.flags["locally_small"] = Verdict("No", "base not admissible", base)
         _fill_unknown(rep)
         return rep
-    rep.flags["locally_small"] = Flag("Yes")
-    rep.flags["lindelof"] = Flag("Yes", note="presentable bases are countable")
+    rep.flags["locally_small"] = Verdict("Yes")
+    rep.flags["lindelof"] = Verdict("Yes", "presentable bases are countable")
     rep.flags["paracompact"] = _paracompact_flag(X, base, rep)
     rep.flags["closure_property"] = _closure_property_flag(X)
     from .props import separation_report
@@ -170,7 +166,7 @@ def validate_locally_small(X: GtsPresentation, base: FamilyExpr = None) -> Layer
 
 def _fill_unknown(rep: LayerReport):
     for k in ("paracompact", "lindelof", "closure_property", "strongly_T1"):
-        rep.flags.setdefault(k, Flag("Unknown"))
+        rep.flags.setdefault(k, Verdict("Unknown"))
 
 
 def _non_small_member(X: GtsPresentation, base: FamilyExpr):
@@ -192,29 +188,29 @@ def _pairwise_disjoint(sets) -> bool:
     return True
 
 
-def _paracompact_flag(X: GtsPresentation, base: FamilyExpr, rep: LayerReport) -> Flag:
+def _paracompact_flag(X: GtsPresentation, base: FamilyExpr, rep: LayerReport) -> Verdict:
     fin = list(base.finite_part)
     if not base.streams:
         if _pairwise_disjoint(fin):
-            return Flag("Yes", note="disjoint bases are locally finite")
+            return Verdict("Yes", "disjoint bases are locally finite")
         # locally finite: every member meets only finitely many members,
         # which for a finite base is automatic
-        return Flag("Yes", note="finite bases are locally finite")
+        return Verdict("Yes", "finite bases are locally finite")
     pointwise = [s for s in base.streams if not s.monotone]
     monotone = [s for s in base.streams if s.monotone]
     if not monotone:
         probes = fin + [s.member(s.n0 + k) for s in pointwise for k in range(3)]
         if _pairwise_disjoint(probes):
-            return Flag("Yes", note="pairwise disjoint base is locally finite")
-        return Flag("Unknown")
+            return Verdict("Yes", "pairwise disjoint base is locally finite")
+        return Verdict("Unknown")
     if isinstance(X.carrier, QLine) and len(monotone) == 1 and not fin and not pointwise:
         ok, witness = _annuli_refinement_ok(X, monotone[0])
         if ok:
             rep.notes.append(
                 "nested chain refined by the disjoint-annuli witness " + witness
             )
-            return Flag("Yes", note="locally finite refinement witness verified")
-    return Flag("Unknown")
+            return Verdict("Yes", "locally finite refinement witness verified")
+    return Verdict("Unknown")
 
 
 def _annuli_refinement_ok(X: GtsPresentation, chain, depth: int = 6):
@@ -247,18 +243,17 @@ def _annuli_refinement_ok(X: GtsPresentation, chain, depth: int = 6):
     return True, "{(-n-1,-n+1) u (n-1,n+1) : n >= 0}"
 
 
-def _closure_property_flag(X: GtsPresentation) -> Flag:
+def _closure_property_flag(X: GtsPresentation) -> Verdict:
     op = X.opens
     if isinstance(op, (AllSets, FiniteOrWhole)):
-        return Flag("Yes", note="discrete generated topology: closure is identity")
+        return Verdict("Yes", "discrete generated topology: closure is identity")
     if isinstance(op, AllCanonicalOpen):
-        return Flag(
-            "Yes",
-            note="interval closure adds finitely many endpoints to a small set",
+        return Verdict(
+            "Yes", "interval closure adds finitely many endpoints to a small set"
         )
     if isinstance(op, (ExplicitList, GluedOpens)):
-        return Flag("Yes", note="finite or summand-wise closures stay small")
-    return Flag("Unknown")
+        return Verdict("Yes", "finite or summand-wise closures stay small")
+    return Verdict("Unknown")
 
 
 # -- exhaustions ----------------------------------------------------------
@@ -283,22 +278,22 @@ def validate_exhaustion(X: GtsPresentation, E: Exhaustion = None,
 def _validate_chain(X, E, rep, probe):
     s = E.chain
     ok_cover = sx.is_subset(X.support, s.union())
-    rep.flags["W1"] = Flag("Yes" if ok_cover else "No", None if ok_cover else s.union(),
-                           "pieces must exhaust the space")
+    rep.flags["W1"] = Verdict("Yes" if ok_cover else "No", "pieces must exhaust the space",
+                              None if ok_cover else s.union())
     mono = all(
         sx.is_subset(s.member(n), s.member(n + 1))
         for n in range(s.n0, s.n0 + probe)
     )
-    rep.flags["W2"] = Flag("Yes" if mono and s.monotone else "No",
-                           note="monotone generator" if mono else "")
-    rep.flags["W3"] = Flag("Yes", note="chain indices have finite histories")
+    rep.flags["W2"] = Verdict("Yes" if mono and s.monotone else "No",
+                              "monotone generator" if mono else "")
+    rep.flags["W3"] = Verdict("Yes", "chain indices have finite histories")
     meets = all(
         sx.intersect(s.member(a), s.member(b)) == s.member(min(a, b))
         for a in range(s.n0, s.n0 + probe)
         for b in range(s.n0, s.n0 + probe)
     )
-    rep.flags["W4"] = Flag("Yes" if meets else "No")
-    rep.flags["W5"] = Flag("Yes", note="the larger index bounds both")
+    rep.flags["W4"] = Verdict("Yes" if meets else "No")
+    rep.flags["W5"] = Verdict("Yes", "the larger index bounds both")
     bad = None
     for n in range(s.n0, s.n0 + probe):
         P = sx.intersect(s.member(n), X.support)
@@ -307,7 +302,7 @@ def _validate_chain(X, E, rep, probe):
         if not (closed and small):
             bad = P
             break
-    rep.flags["pieces_closed_small"] = Flag("Yes" if bad is None else "No", bad)
+    rep.flags["pieces_closed_small"] = Verdict("Yes" if bad is None else "No", witness=bad)
 
 
 def _validate_poset(X, E, rep):
@@ -316,14 +311,14 @@ def _validate_poset(X, E, rep):
     union = sx.empty(X.carrier)
     for P in pieces.values():
         union = sx.union(union, P)
-    rep.flags["W1"] = Flag("Yes" if union == X.support else "No", union)
+    rep.flags["W1"] = Verdict("Yes" if union == X.support else "No", witness=union)
     bad = next(
         ((a, b) for a in poset.elements for b in poset.elements
          if poset.leq(a, b) and not sx.is_subset(pieces[a], pieces[b])),
         None,
     )
-    rep.flags["W2"] = Flag("Yes" if bad is None else "No", bad)
-    rep.flags["W3"] = Flag("Yes", note="finite index posets have finite histories")
+    rep.flags["W2"] = Verdict("Yes" if bad is None else "No", witness=bad)
+    rep.flags["W3"] = Verdict("Yes", "finite index posets have finite histories")
     missing = None
     for a in poset.elements:
         for b in poset.elements:
@@ -333,20 +328,20 @@ def _validate_poset(X, E, rep):
                 break
         if missing:
             break
-    rep.flags["W4"] = Flag("Yes" if missing is None else "No", missing)
+    rep.flags["W4"] = Verdict("Yes" if missing is None else "No", witness=missing)
     unbounded = next(
         ((a, b) for a in poset.elements for b in poset.elements
          if not poset.upper_bounds(a, b)),
         None,
     )
-    rep.flags["W5"] = Flag("Yes" if unbounded is None else "No", unbounded)
+    rep.flags["W5"] = Verdict("Yes" if unbounded is None else "No", witness=unbounded)
     bad = None
     for P in pieces.values():
         if not is_open(X, sx.minus(X.support, P)) or \
                 smallness(X, P).status == "NotSmall":
             bad = P
             break
-    rep.flags["pieces_closed_small"] = Flag("Yes" if bad is None else "No", bad)
+    rep.flags["pieces_closed_small"] = Verdict("Yes" if bad is None else "No", witness=bad)
 
 
 def index_function(E: Exhaustion, x, search_cap: int = 4096):
@@ -376,22 +371,14 @@ def index_function(E: Exhaustion, x, search_cap: int = 4096):
 
 # -- subset classification ------------------------------------------------
 
-@dataclass(frozen=True)
-class SubsetClassification:
-    flags: dict
-
-    def __getitem__(self, k):
-        return self.flags[k]
-
-
-def _constructible_flag(X: GtsPresentation, S: SetExpr) -> Flag:
+def _constructible_flag(X: GtsPresentation, S: SetExpr) -> Verdict:
     op = X.opens
     if isinstance(op, (AllSets, FiniteOrWhole)):
-        return Flag("Yes", note="every representable set is a boolean combination")
+        return Verdict("Yes", "every representable set is a boolean combination")
     if isinstance(op, AllCanonicalOpen):
-        return Flag("Yes", note="rational intervals are boolean combinations of opens")
+        return Verdict("Yes", "rational intervals are boolean combinations of opens")
     if isinstance(op, TraceOpens) and isinstance(op.parent.opens, AllCanonicalOpen):
-        return Flag("Yes", note="traces of boolean combinations")
+        return Verdict("Yes", "traces of boolean combinations")
     if isinstance(op, ExplicitList):
         algebra = set(op.sets)
         while True:
@@ -407,32 +394,32 @@ def _constructible_flag(X: GtsPresentation, S: SetExpr) -> Flag:
             if not fresh:
                 break
             algebra |= fresh
-        return Flag("Yes" if S in algebra else "No")
-    return Flag("Unknown")
+        return Verdict("Yes" if S in algebra else "No")
+    return Verdict("Unknown")
 
 
-def classify_subset(X: GtsPresentation, S: SetExpr) -> SubsetClassification:
+def classify_subset(X: GtsPresentation, S: SetExpr) -> LayerReport:
     if S.carrier != X.carrier:
         raise CarrierMismatch("set on the wrong carrier")
     S = sx.intersect(S, X.support)
     flags = {}
-    flags["open"] = Flag("Yes" if is_open(X, S) else "No")
+    flags["open"] = Verdict("Yes" if is_open(X, S) else "No")
     comp = sx.minus(X.support, S)
-    flags["closed"] = Flag("Yes" if is_open(X, comp) else "No")
+    flags["closed"] = Verdict("Yes" if is_open(X, comp) else "No")
     try:
         wo = weakly_open(X, S)
         wc = weakly_open(X, comp)
-        flags["weakly_open"] = Flag("Yes" if wo else "No")
-        flags["weakly_closed"] = Flag("Yes" if wc else "No")
+        flags["weakly_open"] = Verdict("Yes" if wo else "No")
+        flags["weakly_closed"] = Verdict("Yes" if wc else "No")
     except UnsupportedCarrier:
-        flags["weakly_open"] = flags["weakly_closed"] = Flag("Unknown")
+        flags["weakly_open"] = flags["weakly_closed"] = Verdict("Unknown")
     try:
         closure = weak_closure(X, S)
         rim = sx.minus(closure, S)
         locally_closed = weakly_open(X, sx.minus(X.support, rim))
-        flags["locally_closed"] = Flag("Yes" if locally_closed else "No", rim)
+        flags["locally_closed"] = Verdict("Yes" if locally_closed else "No", witness=rim)
     except UnsupportedCarrier:
-        flags["locally_closed"] = Flag("Unknown")
+        flags["locally_closed"] = Verdict("Unknown")
     flags["constructible"] = _constructible_flag(X, S)
     if isinstance(X.policy, LocallyEssFin):
         flags["locally_constructible"] = _piecewise_constructible(
@@ -442,15 +429,15 @@ def classify_subset(X: GtsPresentation, S: SetExpr) -> SubsetClassification:
         exh = X.policy.exhaustion
         pieces = [exh.piece(i) for i in exh.indices(6)]
         flags["piecewise_constructible"] = _piecewise_constructible(X, S, pieces)
-    return SubsetClassification(flags)
+    return LayerReport(flags)
 
 
-def _piecewise_constructible(X, S, pieces) -> Flag:
+def _piecewise_constructible(X, S, pieces) -> Verdict:
     for P in pieces:
         f = _constructible_flag(X, sx.intersect(S, P))
         if f.status != "Yes":
-            return Flag(f.status, P)
-    return Flag("Yes")
+            return Verdict(f.status, witness=P)
+    return Verdict("Yes")
 
 
 # -- the piece-capture theorem --------------------------------------------
@@ -466,7 +453,7 @@ def piece_capture(f, exhaustion: Exhaustion = None, search_cap: int = 4096):
     if not rep.ok("W1", "W2", "W3", "W4", "W5"):
         raise PreconditionUnmet("exhaustion conditions not established")
     from .props import separation_report
-    if not separation_report(X).flags["strongly_T1"].yes():
+    if not separation_report(X).flags["strongly_T1"].yes:
         raise PreconditionUnmet("codomain not certified strongly T1")
     if smallness(f.domain, f.domain.support).status != "Small":
         raise PreconditionUnmet("domain not certified small")

@@ -27,6 +27,7 @@ from .presentation import (
 from . import setexpr as sx
 from .setexpr import Interval, NEG_INF, POS_INF, SetExpr, normalize_intervals
 from .streams import Stream
+from .verdict import Verdict
 
 
 # -- rules ----------------------------------------------------------------
@@ -335,11 +336,6 @@ def identity_map(X: GtsPresentation, Y: GtsPresentation = None, name: str = "") 
     return SpaceMap(X, Y if Y is not None else X, Identity(), name)
 
 
-def compose_apply(f: SpaceMap, g: SpaceMap):
-    """Pointwise composite f after g, as a python function."""
-    return lambda x: f.apply(g.apply(x))
-
-
 # -- stream transport -----------------------------------------------------
 
 class PreimageStream(Stream):
@@ -406,22 +402,7 @@ def preimage_family(m: SpaceMap, F: FamilyExpr) -> FamilyExpr:
     return FamilyExpr(m.domain.carrier, fin, streams)
 
 
-def image_family(m: SpaceMap, F: FamilyExpr) -> FamilyExpr:
-    if F.carrier != m.domain.carrier:
-        raise CarrierMismatch("family on the wrong carrier")
-    if F.streams:
-        raise UnsupportedPresentation("image families support finite parts only")
-    return FamilyExpr(m.codomain.carrier, tuple(m.image(A) for A in F.finite_part))
-
-
 # -- strict continuity ----------------------------------------------------
-
-@dataclass(frozen=True)
-class ContinuityVerdict:
-    status: str  # "Yes", "No", "Checked"
-    rationale: str
-    witness: FamilyExpr | None = None
-
 
 def preimages_of_opens_open(f: SpaceMap) -> bool | None:
     """Exact where the codomain opens are enumerable or structure decides it.
@@ -460,7 +441,7 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
 
 
 def check_strict_continuity(f: SpaceMap, probes: list[FamilyExpr] = (),
-                            mode: str = "auto") -> ContinuityVerdict:
+                            mode: str = "auto") -> Verdict:
     """Do admissible codomain families pull back to admissible families?"""
     if mode == "auto":
         v = _auto_continuity(f)
@@ -469,59 +450,59 @@ def check_strict_continuity(f: SpaceMap, probes: list[FamilyExpr] = (),
     checked = 0
     for F in probes:
         ver = is_admissible(f.codomain, F)
-        if not ver.admissible:
+        if not ver.yes:
             raise NonAdmissibleProbe(ver.reason)
         pre = preimage_family(f, F)
-        if not is_admissible(f.domain, pre).admissible:
-            return ContinuityVerdict("No", "a probe family pulls back inadmissibly", F)
+        if not is_admissible(f.domain, pre).yes:
+            return Verdict("No", "a probe family pulls back inadmissibly", F)
         checked += 1
     if mode == "auto" and not probes:
         for F in _default_probes(f.codomain):
-            if not is_admissible(f.codomain, F).admissible:
+            if not is_admissible(f.codomain, F).yes:
                 continue
             pre = preimage_family(f, F)
-            if not is_admissible(f.domain, pre).admissible:
-                return ContinuityVerdict("No", "a library family pulls back inadmissibly", F)
+            if not is_admissible(f.domain, pre).yes:
+                return Verdict("No", "a library family pulls back inadmissibly", F)
             checked += 1
-    return ContinuityVerdict("Checked", "%d probe families verified" % checked)
+    return Verdict("Checked", "%d probe families verified" % checked)
 
 
-def _auto_continuity(f: SpaceMap) -> ContinuityVerdict | None:
+def _auto_continuity(f: SpaceMap) -> Verdict | None:
     if _one_point(f.codomain):
-        return ContinuityVerdict("Yes", "one-point codomain")
+        return Verdict("Yes", "one-point codomain")
     pol = f.codomain.policy
     if isinstance(pol, (EssFin,)) or _finite_space(f.codomain):
         # codomain covers are essentially finite, so openness of preimages
         # of opens is the whole question
         ok = preimages_of_opens_open(f)
         if ok is True:
-            return ContinuityVerdict(
+            return Verdict(
                 "Yes", "essentially finite codomain covers and open preimages"
             )
         if ok is False:
-            return ContinuityVerdict("No", "some open has a non-open preimage")
+            return Verdict("No", "some open has a non-open preimage")
         return None
     if isinstance(pol, (All, EssCountable)):
         # the codomain admits every open family, so look for one whose
         # preimage the domain policy rejects
         for F in _default_probes(f.codomain):
-            if not is_admissible(f.codomain, F).admissible:
+            if not is_admissible(f.codomain, F).yes:
                 continue
             try:
                 pre = preimage_family(f, F)
             except UnsupportedPresentation:
                 continue
             ver = is_admissible(f.domain, pre)
-            if not ver.admissible:
-                return ContinuityVerdict("No", "admissible codomain family pulls back inadmissibly", F)
+            if not ver.yes:
+                return Verdict("No", "admissible codomain family pulls back inadmissibly", F)
         if isinstance(f.domain.policy, (All,)):
             ok = preimages_of_opens_open(f)
             if ok is True:
-                return ContinuityVerdict(
+                return Verdict(
                     "Yes", "every open family is admissible on both sides"
                 )
             if ok is False:
-                return ContinuityVerdict("No", "some open has a non-open preimage")
+                return Verdict("No", "some open has a non-open preimage")
         return None
     return None
 

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .exhaustions import Exhaustion
 from .families import (
-    EssFinResult,
     FamilyExpr,
     essentially_finite_on,
     family_union,
@@ -30,6 +29,7 @@ from .families import (
 from . import setexpr as sx
 from .setexpr import NEG_INF, POS_INF, SetExpr
 from .streams import GrowBalls, ShrinkIntervals, Singletons, Stream
+from .verdict import Verdict
 
 
 # -- opens descriptions ---------------------------------------------------
@@ -382,14 +382,6 @@ def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:
 
 # -- admissibility --------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    reason: str
-    detail: EssFinResult | None = None
-    offending: object = None
-
-
 def check_members_open(X: GtsPresentation, F: FamilyExpr, probe_stages: int = 3):
     """Raise NonOpenMember if some member of F is not open in X."""
     for m in F.finite_part:
@@ -419,26 +411,24 @@ def check_members_open(X: GtsPresentation, F: FamilyExpr, probe_stages: int = 3)
                 raise NonOpenMember(m)
 
 
-def is_admissible(X: GtsPresentation, F: FamilyExpr) -> AdmissibilityVerdict:
+def is_admissible(X: GtsPresentation, F: FamilyExpr) -> Verdict:
     """Is F an admissible cover of its union under X's policy?"""
     if F.carrier != X.carrier:
         raise CarrierMismatch("family on the wrong carrier")
     try:
         check_members_open(X, F)
     except NonOpenMember as e:
-        return AdmissibilityVerdict(False, "a member is not open", offending=e.member)
+        return Verdict("No", "a member is not open", e.member)
     pol = X.policy
     if isinstance(pol, All):
-        return AdmissibilityVerdict(True, "every open family is admissible")
+        return Verdict("Yes", "every open family is admissible")
     if isinstance(pol, EssCountable):
-        return AdmissibilityVerdict(
-            True, "every presentable family is countable"
-        )
+        return Verdict("Yes", "every presentable family is countable")
     if isinstance(pol, EssFin):
         r = essentially_finite_on(F, family_union(F))
         if r.yes:
-            return AdmissibilityVerdict(True, "essentially finite", r)
-        return AdmissibilityVerdict(False, "no finite subfamily covers the union", r)
+            return Verdict("Yes", "essentially finite", detail=r)
+        return Verdict("No", "no finite subfamily covers the union", detail=r)
     if isinstance(pol, LocallyEssFin):
         return _locally_essfin_verdict(F, pol.base)
     if isinstance(pol, PiecewiseEssFin):
@@ -446,39 +436,31 @@ def is_admissible(X: GtsPresentation, F: FamilyExpr) -> AdmissibilityVerdict:
     raise UnsupportedPresentation("unknown coverage policy")
 
 
-def _locally_essfin_verdict(F: FamilyExpr, base: FamilyExpr) -> AdmissibilityVerdict:
+def _locally_essfin_verdict(F: FamilyExpr, base: FamilyExpr) -> Verdict:
     for B in base.finite_part:
         r = essentially_finite_on(F, B)
         if not r.yes:
-            return AdmissibilityVerdict(
-                False, "not essentially finite on a base member", r, B
-            )
+            return Verdict("No", "not essentially finite on a base member", B, r)
     for s in base.streams:
         for K in _stream_probes(s, F):
             r = essentially_finite_on(F, K)
             if not r.yes:
-                return AdmissibilityVerdict(
-                    False, "not essentially finite on a base member", r, K
-                )
-    return AdmissibilityVerdict(True, "essentially finite on every base member")
+                return Verdict("No", "not essentially finite on a base member", K, r)
+    return Verdict("Yes", "essentially finite on every base member")
 
 
-def _piecewise_essfin_verdict(F: FamilyExpr, exh: Exhaustion) -> AdmissibilityVerdict:
+def _piecewise_essfin_verdict(F: FamilyExpr, exh: Exhaustion) -> Verdict:
     if exh.is_chain():
         for K in _stream_probes(exh.chain, F):
             r = essentially_finite_on(F, K)
             if not r.yes:
-                return AdmissibilityVerdict(
-                    False, "not essentially finite on a piece", r, K
-                )
-        return AdmissibilityVerdict(True, "essentially finite on every piece")
+                return Verdict("No", "not essentially finite on a piece", K, r)
+        return Verdict("Yes", "essentially finite on every piece")
     for i, K in exh.pieces:
         r = essentially_finite_on(F, K)
         if not r.yes:
-            return AdmissibilityVerdict(
-                False, "not essentially finite on a piece", r, (i, K)
-            )
-    return AdmissibilityVerdict(True, "essentially finite on every piece")
+            return Verdict("No", "not essentially finite on a piece", (i, K), r)
+    return Verdict("Yes", "essentially finite on every piece")
 
 
 def _stream_probes(s: Stream, F: FamilyExpr) -> list[SetExpr]:
@@ -499,31 +481,21 @@ def _stream_probes(s: Stream, F: FamilyExpr) -> list[SetExpr]:
 
 # -- smallness ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmallnessVerdict:
-    status: str  # "Small", "NotSmall", "Unknown"
-    reason: str
-    witness: FamilyExpr | None = None  # admissible family with no finite refinement
-
-    def is_small(self) -> bool:
-        return self.status == "Small"
-
-
-def smallness(X: GtsPresentation, K: SetExpr) -> SmallnessVerdict:
+def smallness(X: GtsPresentation, K: SetExpr) -> Verdict:
     """Is K a small subset: does every admissible cover restrict finitely?"""
     if K.carrier != X.carrier:
         raise CarrierMismatch("set on the wrong carrier")
     K = sx.intersect(K, X.support)
     pol = X.policy
     if isinstance(pol, EssFin):
-        return SmallnessVerdict("Small", "every admissible cover is essentially finite")
+        return Verdict("Small", "every admissible cover is essentially finite")
     if K.is_empty() or K.is_finite_pointset():
-        return SmallnessVerdict("Small", "finite point sets are small")
+        return Verdict("Small", "finite point sets are small")
     if isinstance(pol, LocallyEssFin):
         r = essentially_finite_on(pol.base, K)
         if r.yes and sx.is_subset(K, family_union(pol.base)):
-            return SmallnessVerdict("Small", "covered by finitely many base members")
-        return SmallnessVerdict(
+            return Verdict("Small", "covered by finitely many base members")
+        return Verdict(
             "NotSmall", "the base itself admits no finite refinement over K", pol.base
         )
     if isinstance(pol, PiecewiseEssFin):
@@ -531,35 +503,35 @@ def smallness(X: GtsPresentation, K: SetExpr) -> SmallnessVerdict:
         if exh.is_chain():
             stage = large_stage([exh.chain], [K])
             if sx.is_subset(K, exh.chain.member(stage)):
-                return SmallnessVerdict("Small", "contained in an exhaustion piece")
+                return Verdict("Small", "contained in an exhaustion piece")
         else:
             for _, P in exh.pieces:
                 if sx.is_subset(K, P):
-                    return SmallnessVerdict("Small", "contained in an exhaustion piece")
-        return SmallnessVerdict("Unknown", "not contained in any exhaustion piece")
+                    return Verdict("Small", "contained in an exhaustion piece")
+        return Verdict("Unknown", "not contained in any exhaustion piece")
     if isinstance(pol, All):
         return _smallness_under_all(X, K)
     if isinstance(pol, EssCountable):
-        return SmallnessVerdict("Unknown", "no finite-refinement criterion applies")
+        return Verdict("Unknown", "no finite-refinement criterion applies")
     raise UnsupportedPresentation("unknown coverage policy")
 
 
-def _smallness_under_all(X: GtsPresentation, K: SetExpr) -> SmallnessVerdict:
+def _smallness_under_all(X: GtsPresentation, K: SetExpr) -> Verdict:
     c = X.carrier
     if isinstance(c, FiniteEnum):
-        return SmallnessVerdict("Small", "finite carrier")
+        return Verdict("Small", "finite carrier")
     if isinstance(c, NatFC) and isinstance(X.opens, (AllSets, FiniteOrWhole)):
         # K is infinite here; the singleton family never refines finitely
         W = FamilyExpr(c, (), (Singletons(),))
-        return SmallnessVerdict(
+        return Verdict(
             "NotSmall", "singleton cover admits no finite refinement over K", W
         )
     if isinstance(c, QLine) and isinstance(X.opens, (AllCanonicalOpen, AllSets)):
         return _qline_not_small_witness(K)
-    return SmallnessVerdict("Unknown", "no witness procedure for this presentation")
+    return Verdict("Unknown", "no witness procedure for this presentation")
 
 
-def _qline_not_small_witness(K: SetExpr) -> SmallnessVerdict:
+def _qline_not_small_witness(K: SetExpr) -> Verdict:
     for iv in K.form:
         if iv.is_point():
             continue
@@ -569,14 +541,14 @@ def _qline_not_small_witness(K: SetExpr) -> SmallnessVerdict:
             # first member (a, b - 1/n0) must be nonempty: n0 > 1/(b - a)
             n0 = max(2, int(1 / (b - a)) + 1)
             W = FamilyExpr(QLine(), (), (ShrinkIntervals(a, b, 0, 1, n0),))
-            return SmallnessVerdict(
+            return Verdict(
                 "NotSmall",
                 "an interval creep toward %s never refines finitely over K" % sx.rq(b),
                 W,
             )
         # right-unbounded piece: bounded balls never capture it
         W = FamilyExpr(QLine(), (), (GrowBalls(1),))
-        return SmallnessVerdict(
+        return Verdict(
             "NotSmall", "the ball cover admits no finite refinement over K", W
         )
-    return SmallnessVerdict("Small", "finite point sets are small")
+    return Verdict("Small", "finite point sets are small")

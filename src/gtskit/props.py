@@ -9,10 +9,9 @@ from itertools import combinations
 from .carriers import FiniteEnum, NatFC, Product, QLine
 from .errors import NonOpenMember, UnsupportedCarrier, UnsupportedPresentation
 from .families import FamilyExpr, family_union
-from .layers import Flag, LayerReport, weak_closure, weakly_open
+from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
     Composite,
-    ContinuityVerdict,
     FiniteTable,
     Identity,
     NatPerm,
@@ -46,6 +45,7 @@ from .presentation import (
 )
 from . import setexpr as sx
 from .setexpr import SetExpr
+from .verdict import Verdict
 
 
 # -- components -----------------------------------------------------------
@@ -53,7 +53,7 @@ from .setexpr import SetExpr
 @dataclass(frozen=True)
 class ComponentsReport:
     parts: tuple
-    acc: Flag  # is the component family open and admissible
+    acc: Verdict  # is the component family open and admissible
 
 
 def components(X: GtsPresentation) -> ComponentsReport:
@@ -68,8 +68,8 @@ def components(X: GtsPresentation) -> ComponentsReport:
             sx.SetExpr(X.carrier, (iv,), _normalized=True) for iv in X.support.form
         )
         fam = FamilyExpr(X.carrier, parts)
-        ok = all(is_open(X, P) for P in parts) and is_admissible(X, fam).admissible
-        return ComponentsReport(parts, Flag("Yes" if ok else "No"))
+        ok = all(is_open(X, P) for P in parts) and is_admissible(X, fam).yes
+        return ComponentsReport(parts, Verdict("Yes" if ok else "No"))
     if isinstance(op, GluedOpens):
         supports = [P.support for P in op.pieces]
         disjoint = all(
@@ -81,8 +81,8 @@ def components(X: GtsPresentation) -> ComponentsReport:
             for P in op.pieces:
                 parts.extend(components(P).parts)
             fam = FamilyExpr(X.carrier, tuple(parts))
-            ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).admissible
-            return ComponentsReport(tuple(parts), Flag("Yes" if ok else "No"))
+            ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).yes
+            return ComponentsReport(tuple(parts), Verdict("Yes" if ok else "No"))
     raise UnsupportedPresentation("no component procedure for this presentation")
 
 
@@ -120,8 +120,8 @@ def _finite_components(X: GtsPresentation) -> ComponentsReport:
             parts.append(from_points(X.carrier, part[x]))
     parts = tuple(sorted(parts, key=sx.sort_key))
     fam = FamilyExpr(X.carrier, parts)
-    acc_ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).admissible
-    return ComponentsReport(parts, Flag("Yes" if acc_ok else "No"))
+    acc_ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).yes
+    return ComponentsReport(parts, Verdict("Yes" if acc_ok else "No"))
 
 
 def quasi_components(X: GtsPresentation) -> tuple:
@@ -156,15 +156,15 @@ def separation_report(X: GtsPresentation, budget: int = 0) -> LayerReport:
         _finite_separation(X, rep)
     elif isinstance(X.carrier, QLine) and isinstance(X.opens, AllCanonicalOpen):
         for name in SEPARATION_FLAGS:
-            rep.flags[name] = Flag("Yes", note="interval gap separation")
+            rep.flags[name] = Verdict("Yes", "interval gap separation")
     elif isinstance(X.carrier, NatFC) and isinstance(X.opens, AllSets):
         for name in SEPARATION_FLAGS:
-            rep.flags[name] = Flag("Yes", note="every subset is open")
+            rep.flags[name] = Verdict("Yes", "every subset is open")
     elif isinstance(X.carrier, NatFC) and isinstance(X.opens, FiniteOrWhole):
         _finite_or_whole_separation(X, rep)
     else:
         for name in SEPARATION_FLAGS:
-            rep.flags[name] = Flag("Unknown")
+            rep.flags[name] = Verdict("Unknown")
     _enforce_implications(rep)
     return rep
 
@@ -172,16 +172,16 @@ def separation_report(X: GtsPresentation, budget: int = 0) -> LayerReport:
 def _finite_or_whole_separation(X, rep):
     x = sx.nat_finite([0])
     cof = sx.nat_cofinite([0])
-    rep.flags["weakly_T1"] = Flag("Yes", note="singletons are open")
-    rep.flags["strongly_T1"] = Flag("No", cof, "cofinite complements are not open")
-    rep.flags["weakly_hausdorff"] = Flag("Yes", note="disjoint singletons are open")
-    rep.flags["strongly_hausdorff"] = Flag("No", cof)
+    rep.flags["weakly_T1"] = Verdict("Yes", "singletons are open")
+    rep.flags["strongly_T1"] = Verdict("No", "cofinite complements are not open", cof)
+    rep.flags["weakly_hausdorff"] = Verdict("Yes", "disjoint singletons are open")
+    rep.flags["strongly_hausdorff"] = Verdict("No", witness=cof)
     # the only infinite open set is the whole space, so no open set can
     # contain a closed cofinite set while avoiding a point
-    rep.flags["weakly_regular"] = Flag("No", (x, cof))
-    rep.flags["strongly_regular"] = Flag("No", (x, cof))
-    rep.flags["weakly_normal"] = Flag("No", (x, cof))
-    rep.flags["strongly_normal"] = Flag("No", (x, cof))
+    rep.flags["weakly_regular"] = Verdict("No", witness=(x, cof))
+    rep.flags["strongly_regular"] = Verdict("No", witness=(x, cof))
+    rep.flags["weakly_normal"] = Verdict("No", witness=(x, cof))
+    rep.flags["strongly_normal"] = Verdict("No", witness=(x, cof))
 
 
 def _finite_separation(X, rep):
@@ -205,38 +205,38 @@ def _finite_separation(X, rep):
             sx.contains(O, x) and not sx.contains(O, y) for O in opens)),
         None,
     )
-    rep.flags["weakly_T1"] = Flag("Yes" if w_t1 is None else "No", w_t1)
+    rep.flags["weakly_T1"] = Verdict("Yes" if w_t1 is None else "No", witness=w_t1)
     s_t1 = next((x for x in pts
                  if not is_open(X, sx.minus(X.support, singles[x]))), None)
-    rep.flags["strongly_T1"] = Flag("Yes" if s_t1 is None else "No", s_t1)
+    rep.flags["strongly_T1"] = Verdict("Yes" if s_t1 is None else "No", witness=s_t1)
     wh = next(
         ((x, y) for x, y in combinations(pts, 2)
          if not separated(singles[x], singles[y])),
         None,
     )
-    rep.flags["weakly_hausdorff"] = Flag("Yes" if wh is None else "No", wh)
+    rep.flags["weakly_hausdorff"] = Verdict("Yes" if wh is None else "No", witness=wh)
     wr = next(
         ((x, F) for x in pts for F in targets
          if not sx.contains(F, x) and not F.is_empty()
          and not separated(singles[x], F)),
         None,
     )
-    rep.flags["weakly_regular"] = Flag("Yes" if wr is None else "No", wr)
+    rep.flags["weakly_regular"] = Verdict("Yes" if wr is None else "No", witness=wr)
     wn = next(
         ((F, G) for F in targets for G in targets
          if sx.intersect(F, G).is_empty() and not F.is_empty()
          and not G.is_empty() and not separated(F, G)),
         None,
     )
-    rep.flags["weakly_normal"] = Flag("Yes" if wn is None else "No", wn)
+    rep.flags["weakly_normal"] = Verdict("Yes" if wn is None else "No", witness=wn)
     for strong, weak in (("strongly_hausdorff", "weakly_hausdorff"),
                          ("strongly_regular", "weakly_regular"),
                          ("strongly_normal", "weakly_normal")):
-        if rep.flags[weak].yes() and rep.flags["strongly_T1"].yes():
-            rep.flags[strong] = Flag("Yes")
+        if rep.flags[weak].yes and rep.flags["strongly_T1"].yes:
+            rep.flags[strong] = Verdict("Yes")
         else:
-            bad = rep.flags[weak] if not rep.flags[weak].yes() else rep.flags["strongly_T1"]
-            rep.flags[strong] = Flag("No", bad.witness)
+            bad = rep.flags[weak] if not rep.flags[weak].yes else rep.flags["strongly_T1"]
+            rep.flags[strong] = Verdict("No", witness=bad.witness)
 
 
 def _enforce_implications(rep: LayerReport):
@@ -247,20 +247,20 @@ def _enforce_implications(rep: LayerReport):
         ("strongly_normal", "weakly_normal"),
     )
     for strong, weak in pairs:
-        if rep.flags[strong].yes() and not (
-            rep.flags[weak].yes() and rep.flags["strongly_T1"].yes()
+        if rep.flags[strong].yes and not (
+            rep.flags[weak].yes and rep.flags["strongly_T1"].yes
         ):
-            rep.flags[strong] = Flag("Unknown", note="implication guard")
-    if rep.flags["strongly_T1"].yes() and rep.flags["weakly_T1"].status == "No":
-        rep.flags["weakly_T1"] = Flag("Yes", note="closed singletons separate points")
+            rep.flags[strong] = Verdict("Unknown", "implication guard")
+    if rep.flags["strongly_T1"].yes and rep.flags["weakly_T1"].status == "No":
+        rep.flags["weakly_T1"] = Verdict("Yes", "closed singletons separate points")
 
 
 # -- density and bases ----------------------------------------------------
 
-def is_dense(X: GtsPresentation, S: SetExpr) -> Flag:
+def is_dense(X: GtsPresentation, S: SetExpr) -> Verdict:
     closure = weak_closure(X, S)
     if closure == X.support:
-        return Flag("Yes")
+        return Verdict("Yes")
     rest = sx.minus(X.support, closure)
     witness = rest
     if isinstance(X.opens, AllCanonicalOpen):
@@ -270,12 +270,7 @@ def is_dense(X: GtsPresentation, S: SetExpr) -> Flag:
             if not O.is_empty() and sx.is_subset(O, rest):
                 witness = O
                 break
-    return Flag("No", witness, "an open set misses the closure")
-
-
-def is_separable(X: GtsPresentation) -> Flag:
-    """All shipped carriers have countably many representable points."""
-    return Flag("Yes", note="the representable points are countable and dense")
+    return Verdict("No", "an open set misses the closure", witness)
 
 
 def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
@@ -290,15 +285,14 @@ def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
 CANONICAL_INTERVAL_BASIS = "canonical-intervals"
 
 
-def is_basis(X: GtsPresentation, B, budget: int = 64) -> Flag:
+def is_basis(X: GtsPresentation, B, budget: int = 64) -> Verdict:
     """Is every open an admissible union of members of B?"""
     if B == CANONICAL_INTERVAL_BASIS:
         if isinstance(X.opens, AllCanonicalOpen):
-            return Flag(
-                "Yes",
-                note="every open is a finite, hence admissible, union of open intervals",
+            return Verdict(
+                "Yes", "every open is a finite, hence admissible, union of open intervals"
             )
-        return Flag("Unknown")
+        return Verdict("Unknown")
     check_members_open(X, B)
     union_all = family_union(B)
     exact = True
@@ -310,17 +304,17 @@ def is_basis(X: GtsPresentation, B, budget: int = 64) -> Flag:
     members = B.sample_members(4)
     for O in opens:
         if not sx.is_subset(O, union_all):
-            return Flag("No", O, "open set not covered by the basis")
+            return Verdict("No", "open set not covered by the basis", O)
         hull = sx.empty(X.carrier)
         for m in members:
             if sx.is_subset(m, O):
                 hull = sx.union(hull, m)
         if hull != O:
             if exact or not _stream_coverable(B, O):
-                return Flag("No", O, "open set is not a union of basis members")
+                return Verdict("No", "open set is not a union of basis members", O)
     if exact:
-        return Flag("Yes", note="checked on every open set")
-    return Flag("Checked", note="budgeted sample of opens verified")
+        return Verdict("Yes", "checked on every open set")
+    return Verdict("Checked", "budgeted sample of opens verified")
 
 
 def _stream_coverable(B: FamilyExpr, O: SetExpr) -> bool:
@@ -337,15 +331,7 @@ def _stream_coverable(B: FamilyExpr, O: SetExpr) -> bool:
 
 # -- map classification ---------------------------------------------------
 
-@dataclass(frozen=True)
-class MapClassification:
-    flags: dict
-
-    def __getitem__(self, k):
-        return self.flags[k]
-
-
-def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Flag:
+def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Verdict:
     """Does the image of every open (or closed) set stay open (closed)?"""
     try:
         opens = enumerate_opens(f.domain)
@@ -362,23 +348,23 @@ def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Flag:
         ok = is_open(f.codomain, sx.minus(f.codomain.support, img)) if closed \
             else is_open(f.codomain, img)
         if not ok:
-            return Flag("No", S)
-    return Flag("Yes" if exact else "Checked")
+            return Verdict("No", witness=S)
+    return Verdict("Yes" if exact else "Checked")
 
 
-def _structural_image_flag(f: SpaceMap, closed: bool) -> Flag | None:
+def _structural_image_flag(f: SpaceMap, closed: bool) -> Verdict | None:
     r = f.rule
     dop, cop = f.domain.opens, f.codomain.opens
     if isinstance(r, (Identity, NatShift, NatPerm)) and isinstance(cop, AllSets):
-        return Flag("Yes", note="every codomain subset is open and closed")
+        return Verdict("Yes", "every codomain subset is open and closed")
     if isinstance(r, PiecewiseAffine) and isinstance(cop, AllCanonicalOpen) \
             and isinstance(dop, AllCanonicalOpen):
         if len(r.pieces) == 1 and r.pieces[0][1] != 0:
-            return Flag("Yes", note="a global affine bijection preserves interval shape")
+            return Verdict("Yes", "a global affine bijection preserves interval shape")
         return None
     if isinstance(r, Projection) and not closed:
         if isinstance(cop, (AllSets, AllCanonicalOpen)):
-            return Flag("Yes", note="images of product opens are unions of factor opens")
+            return Verdict("Yes", "images of product opens are unions of factor opens")
     return None
 
 
@@ -425,51 +411,48 @@ def _is_bijective(f: SpaceMap) -> bool | None:
 
 
 def classify_map(f: SpaceMap, budget: int = 64,
-                 covering: FamilyExpr = None) -> MapClassification:
+                 covering: FamilyExpr = None) -> LayerReport:
     flags = {}
-    cont = check_strict_continuity(f)
-    flags["strictly_continuous"] = Flag(
-        cont.status, cont.witness, cont.rationale
-    )
+    flags["strictly_continuous"] = check_strict_continuity(f)
     flags["open_map"] = _image_preserves(f, closed=False, budget=budget, seed=19)
     flags["closed_map"] = _image_preserves(f, closed=True, budget=budget, seed=23)
     flags["strict_homeo"] = _strict_homeo_flag(f, flags["strictly_continuous"])
     flags["local_strict_homeo"] = _local_strict_homeo_flag(f, covering)
-    if flags["strict_homeo"].yes():
+    if flags["strict_homeo"].yes:
         # a strict homeomorphism transports opens and closeds both ways
         if flags["open_map"].status == "Checked":
-            flags["open_map"] = Flag("Yes", note="strict homeomorphism")
+            flags["open_map"] = Verdict("Yes", "strict homeomorphism")
         if flags["closed_map"].status == "Checked":
-            flags["closed_map"] = Flag("Yes", note="strict homeomorphism")
-    return MapClassification(flags)
+            flags["closed_map"] = Verdict("Yes", "strict homeomorphism")
+    return LayerReport(flags)
 
 
-def _strict_homeo_flag(f: SpaceMap, cont: Flag) -> Flag:
+def _strict_homeo_flag(f: SpaceMap, cont: Verdict) -> Verdict:
     if cont.status == "No":
-        return Flag("No", cont.witness, "not strictly continuous")
+        return Verdict("No", "not strictly continuous", cont.witness)
     inv = _inverse_map(f)
     if inv is None:
         bij = _is_bijective(f)
         if bij is False:
-            return Flag("No", None, "not a bijection")
-        return Flag("Unknown", note="no computable inverse")
+            return Verdict("No", "not a bijection")
+        return Verdict("Unknown", "no computable inverse")
     back = check_strict_continuity(inv)
     if back.status == "No":
-        return Flag("No", back.witness, "inverse not strictly continuous")
+        return Verdict("No", "inverse not strictly continuous", back.witness)
     if cont.status == "Yes" and back.status == "Yes":
-        return Flag("Yes")
-    return Flag("Unknown", note="continuity only probe-checked")
+        return Verdict("Yes")
+    return Verdict("Unknown", "continuity only probe-checked")
 
 
-def _local_strict_homeo_flag(f: SpaceMap, covering: FamilyExpr) -> Flag:
+def _local_strict_homeo_flag(f: SpaceMap, covering: FamilyExpr) -> Verdict:
     if covering is None:
-        full = _strict_homeo_flag(f, Flag(check_strict_continuity(f).status))
-        if full.yes():
-            return Flag("Yes", note="the whole space works as the covering")
-        return Flag("Unknown", note="no witness covering supplied")
+        full = _strict_homeo_flag(f, check_strict_continuity(f))
+        if full.yes:
+            return Verdict("Yes", "the whole space works as the covering")
+        return Verdict("Unknown", "no witness covering supplied")
     ver = is_admissible(f.domain, covering)
-    if not ver.admissible:
-        raise NonOpenMember(ver.offending)
+    if not ver.yes:
+        raise NonOpenMember(ver.witness)
     from .constructions import subspace
     for U in covering.finite_part:
         dom = subspace(f.domain, U)
@@ -477,8 +460,8 @@ def _local_strict_homeo_flag(f: SpaceMap, covering: FamilyExpr) -> Flag:
         try:
             restricted = SpaceMap(dom, cod, f.rule, name=f.name + "|")
         except Exception:
-            return Flag("Unknown", U, "restriction not representable")
-        piece = _strict_homeo_flag(restricted, Flag(check_strict_continuity(restricted).status))
-        if not piece.yes():
-            return Flag(piece.status, U, "restriction fails")
-    return Flag("Yes", note="every covering member restricts to a strict homeomorphism")
+            return Verdict("Unknown", "restriction not representable", U)
+        piece = _strict_homeo_flag(restricted, check_strict_continuity(restricted))
+        if not piece.yes:
+            return Verdict(piece.status, "restriction fails", U)
+    return Verdict("Yes", "every covering member restricts to a strict homeomorphism")

@@ -406,44 +406,10 @@ def minus(a: SetExpr, b: SetExpr) -> SetExpr:
     return intersect(a, complement(b))
 
 
-def apply_boolean(op: str, a: SetExpr, b: SetExpr | None = None) -> SetExpr:
-    """Dispatch on one of {union, intersect, complement, minus}."""
-    if op == "complement":
-        if b is not None:
-            raise ValueError("complement is unary")
-        return complement(a)
-    if b is None:
-        raise ValueError(f"{op} needs two operands")
-    return {"union": union, "intersect": intersect, "minus": minus}[op](a, b)
-
-
 # -- comparisons ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Comparison:
-    relation: str  # Equal | ProperSubset | ProperSuperset | Disjoint | Overlapping
-    a_empty: bool
-    b_empty: bool
-
 
 def is_subset(a: SetExpr, b: SetExpr) -> bool:
     return minus(a, b).is_empty()
-
-
-def compare(a: SetExpr, b: SetExpr) -> Comparison:
-    _check_same_carrier(a, b)
-    ae, be = a.is_empty(), b.is_empty()
-    if a == b:
-        rel = "Equal"
-    elif is_subset(a, b):
-        rel = "ProperSubset"
-    elif is_subset(b, a):
-        rel = "ProperSuperset"
-    elif intersect(a, b).is_empty():
-        rel = "Disjoint"
-    else:
-        rel = "Overlapping"
-    return Comparison(rel, ae, be)
 
 
 # -- membership -----------------------------------------------------------

@@ -7,9 +7,10 @@ from itertools import combinations, product as iproduct
 
 from .carriers import FiniteEnum
 from .errors import NonFiniteCarrier, NonPosetCategory
-from .layers import Flag, LayerReport
+from .layers import LayerReport
 from .presentation import GtsPresentation, enumerate_opens, points_of
 from . import setexpr as sx
+from .verdict import Verdict
 
 
 # -- categories -----------------------------------------------------------
@@ -211,7 +212,7 @@ def check_grothendieck_topology(C: FiniteCategory, J: TopologyAssignment) -> Lay
 
     ident = next((obj for obj in C.objects
                   if maximal_sieve(C, obj) not in J.at(obj)), None)
-    rep.flags["identity"] = Flag("Yes" if ident is None else "No", ident)
+    rep.flags["identity"] = Verdict("Yes" if ident is None else "No", witness=ident)
 
     stab = None
     for obj in C.objects:
@@ -220,7 +221,7 @@ def check_grothendieck_topology(C: FiniteCategory, J: TopologyAssignment) -> Lay
                 if pullback_sieve(C, f, S) not in J.at(f.dom):
                     stab = (obj, S.render(), f.name)
                     break
-    rep.flags["stability"] = Flag("Yes" if stab is None else "No", stab)
+    rep.flags["stability"] = Verdict("Yes" if stab is None else "No", witness=stab)
 
     trans = None
     for obj in C.objects:
@@ -233,7 +234,7 @@ def check_grothendieck_topology(C: FiniteCategory, J: TopologyAssignment) -> Lay
                        for fn in S.names):
                     trans = (obj, S.render(), R.render())
                     break
-    rep.flags["transitivity"] = Flag("Yes" if trans is None else "No", trans)
+    rep.flags["transitivity"] = Verdict("Yes" if trans is None else "No", witness=trans)
 
     sat = None
     for obj in C.objects:
@@ -241,7 +242,7 @@ def check_grothendieck_topology(C: FiniteCategory, J: TopologyAssignment) -> Lay
             for R in all_sieves(C, obj):
                 if S.names <= R.names and R not in J.at(obj):
                     sat = (obj, S.render(), R.render())
-    rep.flags["saturation"] = Flag("Yes" if sat is None else "No", sat)
+    rep.flags["saturation"] = Verdict("Yes" if sat is None else "No", witness=sat)
 
     inter = None
     for obj in C.objects:
@@ -250,7 +251,7 @@ def check_grothendieck_topology(C: FiniteCategory, J: TopologyAssignment) -> Lay
                 meet = Sieve(obj, S.names & R.names)
                 if meet not in J.at(obj):
                     inter = (obj, S.render(), R.render())
-    rep.flags["intersection"] = Flag("Yes" if inter is None else "No", inter)
+    rep.flags["intersection"] = Verdict("Yes" if inter is None else "No", witness=inter)
     return rep
 
 
@@ -339,7 +340,7 @@ def _matching_families(C: FiniteCategory, F: Presheaf, S: Sieve) -> list:
     return fams
 
 
-def is_sheaf(site, F: Presheaf) -> Flag:
+def is_sheaf(site, F: Presheaf) -> Verdict:
     C, J = site
     _require_poset(C)
     for obj in C.objects:
@@ -355,12 +356,13 @@ def is_sheaf(site, F: Presheaf) -> Flag:
                 n = len(hits.get(key, []))
                 if n != 1:
                     why = "no amalgamation" if n == 0 else "multiple amalgamations"
-                    return Flag("No", (obj, S.render(), key), why)
+                    return Verdict("No", why, (obj, S.render(), key))
             extra = sum(len(v) for k, v in hits.items()
                         if k not in {tuple(sorted(f.items())) for f in fams})
             if extra:
-                return Flag("No", (obj, S.render()), "section restricts to a non-family")
-    return Flag("Yes")
+                return Verdict("No", "section restricts to a non-family",
+                               (obj, S.render()))
+    return Verdict("Yes")
 
 
 def representable_presheaf(C: FiniteCategory, obj: str) -> Presheaf:
@@ -373,14 +375,14 @@ def representable_presheaf(C: FiniteCategory, obj: str) -> Presheaf:
     return Presheaf(C, values, restrict)
 
 
-def is_subcanonical(site) -> Flag:
+def is_subcanonical(site) -> Verdict:
     C, J = site
     _require_poset(C)
     for obj in C.objects:
         verdict = is_sheaf(site, representable_presheaf(C, obj))
-        if not verdict.yes():
-            return Flag("No", (obj, verdict.witness), verdict.note)
-    return Flag("Yes")
+        if not verdict.yes:
+            return Verdict("No", verdict.reason, obj, verdict)
+    return Verdict("Yes")
 
 
 # -- from finite spaces to sites -----------------------------------------

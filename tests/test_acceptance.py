@@ -148,7 +148,7 @@ def test_criterion_02_top_line_smallness():
 def test_criterion_03_weakly_discrete_example():
     X = lib.weakly_discrete_nat()
     rep = separation_report(X)
-    assert rep.flags["weakly_T1"].yes()
+    assert rep.flags["weakly_T1"].yes
     assert rep.flags["strongly_T1"].status == "No"
     T = topologize(X)
     assert isinstance(T.opens, AllSets) and isinstance(T.policy, All)
@@ -160,9 +160,9 @@ def test_criterion_04_identity_not_strict_homeo():
     f = SpaceMap(lib.topological_discrete_nat(), lib.discrete_small_nat(),
                  Identity())
     cls = classify_map(f)
-    assert cls["strictly_continuous"].yes()
-    assert cls["open_map"].yes()
-    assert cls["closed_map"].yes()
+    assert cls["strictly_continuous"].yes
+    assert cls["open_map"].yes
+    assert cls["closed_map"].yes
     assert cls["strict_homeo"].status == "No"
     wit = cls["strict_homeo"].witness
     assert isinstance(wit.streams[0], Singletons)
@@ -348,8 +348,8 @@ def test_criterion_09_direct_sum():
 def test_criterion_10_locally_small_layer():
     X = lib.qline_localized()
     rep = validate_locally_small(X)
-    assert rep.flags["locally_small"].yes()
-    assert rep.flags["lindelof"].yes()
+    assert rep.flags["locally_small"].yes
+    assert rep.flags["lindelof"].yes
     rng = random.Random(10)
     for _ in range(100):
         a = Fraction(rng.randint(-40, 40), rng.randint(1, 7))
@@ -387,8 +387,8 @@ def test_criterion_12_sites_and_sheaves():
         for T in mask_topologies(n):
             st = gts_to_site(mask_space("p", n, T))
             rep = check_grothendieck_topology(st.category, st.topology)
-            assert all(f.yes() for f in rep.flags.values()), sorted(T)
-            assert is_subcanonical(st.pair()).yes(), sorted(T)
+            assert all(f.yes for f in rep.flags.values()), sorted(T)
+            assert is_subcanonical(st.pair()).yes, sorted(T)
     # discrete Grothendieck topology on the 2-point meet-poset
     C = poset_category(("0", "1"), lambda a, b: a <= b)
     v = is_subcanonical((C, discrete_topology(C)))
@@ -399,7 +399,7 @@ def test_criterion_12_sites_and_sheaves():
         sx.atoms(c, ["a"]), sx.atoms(c, ["a", "b"]), sx.whole(c)))
     st = gts_to_site(chain)
     F = function_presheaf(st)
-    assert is_sheaf(st.pair(), F).yes()
+    assert is_sheaf(st.pair(), F).yes
     broken = dict(F.restrict)
     tab = dict(broken["{a}->{a,b,c}"])
     vals = list(F.at("{a}"))

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -138,7 +141,7 @@ def test_json_reports_deterministic():
     assert parsed["seed"] == 3
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     good = tmp_path / "doc.gts"
     good.write_text(SAMPLE)
     assert cli.main(["check-family", str(good), "RSalg", "V"]) == 0
@@ -149,6 +152,34 @@ def test_main_exit_codes(tmp_path, capsys):
     assert cli.main(["audit", str(missing), "X"]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+    spaces = str(CORPUS / "spaces.gts")
+    for names in (["sum", "NatSmall", "NatTop"], ["sum"], ["product"]):
+        assert cli.main(["construct", spaces] + names) == 2
+    err = capsys.readouterr().err
+    assert "summand supports must be pairwise disjoint" in err
+    assert "needs at least one" in err
+    for argv in (["check-family", str(good), "RSalg"], ["construct", spaces],
+                 ["construct", spaces, "sub", "NatSmall"]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: missing name arguments\n"
+    # a reader that goes away before the report is written sees no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(CORPUS.parent.parent / "src")] + sys.path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gtskit.cli", "audit", spaces, "Chain3"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == ""
+
+    # an IndexError inside a command is a bug, not a missing name
+    def broken(*args, **kw):
+        raise IndexError("a bug inside the command")
+
+    monkeypatch.setattr(cli, "audit_axioms", broken)
+    with pytest.raises(IndexError):
+        cli.main(["audit", str(good), "RSalg"])
 
 
 def test_audit_violation_exit_code():

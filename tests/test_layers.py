@@ -62,16 +62,16 @@ def test_weak_closure_weakly_discrete():
 
 def test_localized_line_locally_small():
     rep = validate_locally_small(lib.qline_localized())
-    assert rep.flags["locally_small"].yes()
-    assert rep.flags["lindelof"].yes()
-    assert rep.flags["paracompact"].yes()
+    assert rep.flags["locally_small"].yes
+    assert rep.flags["lindelof"].yes
+    assert rep.flags["paracompact"].yes
 
 
 def test_nat_top_with_singleton_base():
     X = lib.topological_discrete_nat()
     base = FamilyExpr(X.carrier, (), (Singletons(),))
     rep = validate_locally_small(X, base=base)
-    assert rep.flags["locally_small"].yes()
+    assert rep.flags["locally_small"].yes
 
 
 def test_non_small_base_member_rejected():
@@ -103,7 +103,7 @@ def test_chain_exhaustion_passes():
     X = lib.chain_exhausted_nat()
     rep = validate_exhaustion(X, X.policy.exhaustion)
     assert rep.ok("W1", "W2", "W3", "W4", "W5")
-    assert rep.flags["pieces_closed_small"].yes()
+    assert rep.flags["pieces_closed_small"].yes
 
 
 def test_index_function_matches_brute_force():
@@ -132,27 +132,27 @@ def test_half_open_interval_is_locally_closed():
     cl = classify_subset(X, sx.interval(0, 1, False, True))
     assert cl.flags["open"].status == "No"
     assert cl.flags["closed"].status == "No"
-    assert cl.flags["locally_closed"].yes()
-    assert cl.flags["constructible"].yes()
+    assert cl.flags["locally_closed"].yes
+    assert cl.flags["constructible"].yes
 
 
 def test_open_interval_flags():
     X = lib.rational_interval_line()
     cl = classify_subset(X, sx.interval(0, 1))
-    assert cl.flags["open"].yes()
-    assert cl.flags["weakly_open"].yes()
+    assert cl.flags["open"].yes
+    assert cl.flags["weakly_open"].yes
     assert cl.flags["closed"].status == "No"
 
 
 def test_weakly_discrete_classification():
     X = lib.weakly_discrete_nat()
     cl = classify_subset(X, sx.nat_finite([0]))
-    assert cl.flags["open"].yes()
+    assert cl.flags["open"].yes
     assert cl.flags["closed"].status == "No"
-    assert cl.flags["weakly_closed"].yes()
+    assert cl.flags["weakly_closed"].yes
     co = classify_subset(X, sx.nat_cofinite([0]))
     assert co.flags["open"].status == "No"
-    assert co.flags["closed"].yes()
+    assert co.flags["closed"].yes
 
 
 # -- piece capture --------------------------------------------------------

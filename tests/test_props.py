@@ -83,22 +83,22 @@ def test_separation_matches_oracle_on_all_3_point_topologies():
         X = generate_finite_gts(c, opens)
         rep = separation_report(X)
         want = oracle_separation(X)
-        got = {k: rep.flags[k].yes() for k in SEPARATION_FLAGS}
+        got = {k: rep.flags[k].yes for k in SEPARATION_FLAGS}
         assert got == want, [sx.render(S) for S in opens]
 
 
 def test_weakly_discrete_nat_flags():
     rep = separation_report(lib.weakly_discrete_nat())
-    assert rep.flags["weakly_T1"].yes()
+    assert rep.flags["weakly_T1"].yes
     assert rep.flags["strongly_T1"].status == "No"
-    assert rep.flags["weakly_hausdorff"].yes()
+    assert rep.flags["weakly_hausdorff"].yes
     assert rep.flags["weakly_regular"].status == "No"
     assert rep.flags["strongly_normal"].status == "No"
 
 
 def test_line_fully_separated():
     rep = separation_report(lib.rational_interval_line())
-    assert all(rep.flags[k].yes() for k in SEPARATION_FLAGS)
+    assert all(rep.flags[k].yes for k in SEPARATION_FLAGS)
 
 
 def test_strong_implies_weak_everywhere():
@@ -107,9 +107,9 @@ def test_strong_implies_weak_everywhere():
         for strong, weak in (("strongly_hausdorff", "weakly_hausdorff"),
                              ("strongly_regular", "weakly_regular"),
                              ("strongly_normal", "weakly_normal")):
-            if rep.flags[strong].yes():
-                assert rep.flags[weak].yes()
-                assert rep.flags["strongly_T1"].yes()
+            if rep.flags[strong].yes:
+                assert rep.flags[weak].yes
+                assert rep.flags["strongly_T1"].yes
 
 
 # -- components -----------------------------------------------------------
@@ -122,7 +122,7 @@ def test_components_discrete_and_indiscrete():
 
 def test_components_acc_flag():
     cr = components(lib.discrete_pair())
-    assert cr.acc.yes()
+    assert cr.acc.yes
 
 
 def test_quasi_components_refine_to_components_on_small_examples():
@@ -145,7 +145,7 @@ def test_line_subspace_components_are_intervals():
 
 def test_dense_and_non_dense():
     X = lib.rational_interval_line()
-    assert is_dense(X, sx.whole(X.carrier)).yes()
+    assert is_dense(X, sx.whole(X.carrier)).yes
     v = is_dense(X, sx.interval(0, 1))
     assert v.status == "No"
     # the witness open avoids the closure
@@ -153,14 +153,14 @@ def test_dense_and_non_dense():
 
 
 def test_interval_basis_of_the_small_line():
-    assert is_basis(lib.rational_interval_line(), CANONICAL_INTERVAL_BASIS).yes()
+    assert is_basis(lib.rational_interval_line(), CANONICAL_INTERVAL_BASIS).yes
 
 
 def test_singleton_basis_of_discrete_pair():
     D = lib.discrete_pair()
     B = FamilyExpr(D.carrier, (sx.atoms(D.carrier, ["a"]),
                                sx.atoms(D.carrier, ["b"])))
-    assert is_basis(D, B).yes()
+    assert is_basis(D, B).yes
     whole_only = FamilyExpr(D.carrier, (sx.whole(D.carrier),))
     assert is_basis(D, whole_only).status == "No"
 
@@ -171,9 +171,9 @@ def test_identity_discrete_directions():
     f = SpaceMap(lib.topological_discrete_nat(), lib.discrete_small_nat(),
                  Identity())
     cls = classify_map(f)
-    assert cls["strictly_continuous"].yes()
-    assert cls["open_map"].yes()
-    assert cls["closed_map"].yes()
+    assert cls["strictly_continuous"].yes
+    assert cls["open_map"].yes
+    assert cls["closed_map"].yes
     assert cls["strict_homeo"].status == "No"
     assert isinstance(cls["strict_homeo"].witness.streams[0], Singletons)
 
@@ -183,7 +183,7 @@ def test_affine_strict_homeo():
     f = SpaceMap(L, L, PiecewiseAffine(
         ((sx.whole(L.carrier), Fraction(2), Fraction(1)),)))
     cls = classify_map(f)
-    assert all(cls[k].yes() for k in
+    assert all(cls[k].yes for k in
                ("strictly_continuous", "open_map", "closed_map",
                 "strict_homeo", "local_strict_homeo"))
 
@@ -191,7 +191,7 @@ def test_affine_strict_homeo():
 def test_permutation_strict_homeo():
     N = lib.discrete_small_nat()
     f = SpaceMap(N, N, NatPerm(((0, 2), (2, 0))))
-    assert classify_map(f)["strict_homeo"].yes()
+    assert classify_map(f)["strict_homeo"].yes
 
 
 def test_collapse_not_homeo():

@@ -107,7 +107,7 @@ def test_poset_pullback_is_intersection_of_generators():
 def test_indiscrete_assignment_passes():
     C = two_chain()
     rep = check_grothendieck_topology(C, indiscrete_topology(C))
-    assert all(f.yes() for f in rep.flags.values())
+    assert all(f.yes for f in rep.flags.values())
 
 
 def test_missing_maximal_sieve_fails_identity():
@@ -123,14 +123,14 @@ def test_missing_maximal_sieve_fails_identity():
 def test_discrete_topology_passes_axioms():
     C = two_chain()
     rep = check_grothendieck_topology(C, discrete_topology(C))
-    assert all(f.yes() for f in rep.flags.values())
+    assert all(f.yes for f in rep.flags.values())
 
 
 def test_gts_sites_pass_axioms_and_derived_conditions():
     for name in ("sierpinski", "discrete_pair", "indiscrete_pair"):
         st = gts_to_site(lib.shipped()[name])
         rep = check_grothendieck_topology(st.category, st.topology)
-        assert all(f.yes() for f in rep.flags.values()), name
+        assert all(f.yes for f in rep.flags.values()), name
 
 
 def test_gts_to_site_object_counts():
@@ -154,7 +154,7 @@ def test_gts_to_site_rejects_infinite_carriers():
 
 def test_function_presheaf_is_sheaf():
     st = gts_to_site(chain3_space())
-    assert is_sheaf(st.pair(), function_presheaf(st)).yes()
+    assert is_sheaf(st.pair(), function_presheaf(st)).yes
 
 
 def test_doctored_presheaf_rejected_with_covering():
@@ -193,7 +193,7 @@ def test_empty_covering_forces_singleton_sections():
         {"0": ("x",), "1": ("x",)},
         {m.name: {"x": "x"} for m in C.morphisms},
     )
-    assert is_sheaf((C, J), one_val).yes()
+    assert is_sheaf((C, J), one_val).yes
 
 
 def test_presheaf_functoriality_enforced():
@@ -223,13 +223,13 @@ def test_non_poset_category_rejected_for_sheaves():
 def test_one_object_category_subcanonical():
     C = poset_category(("only",), lambda a, b: True)
     J = indiscrete_topology(C)
-    assert is_subcanonical((C, J)).yes()
+    assert is_subcanonical((C, J)).yes
 
 
 def test_gts_sites_subcanonical():
     for name in ("sierpinski", "discrete_pair", "indiscrete_pair"):
         st = gts_to_site(lib.shipped()[name])
-        assert is_subcanonical(st.pair()).yes(), name
+        assert is_subcanonical(st.pair()).yes, name
 
 
 def test_discrete_topology_not_subcanonical():
@@ -242,4 +242,4 @@ def test_representables_are_sheaves_on_gts_sites():
     st = gts_to_site(chain3_space())
     for obj in st.category.objects:
         F = representable_presheaf(st.category, obj)
-        assert is_sheaf(st.pair(), F).yes(), obj
+        assert is_sheaf(st.pair(), F).yes, obj
