@@ -20,17 +20,15 @@ from .dsl import Document, parse_document
 from .errors import GtsError
 from .families import FamilyExpr
 from .layers import validate_exhaustion, validate_locally_small
-from .maps import SpaceMap, check_strict_continuity
+from .maps import check_strict_continuity
 from .presentation import (
-    GtsPresentation,
-    LocallyEssFin,
     PiecewiseEssFin,
     is_admissible,
     smallness,
 )
 from .props import classify_map, separation_report
 from . import setexpr as sx
-from .sites import Site, check_grothendieck_topology, is_sheaf, is_subcanonical
+from .sites import check_grothendieck_topology, is_sheaf, is_subcanonical
 
 
 class UnknownCommand(GtsError):

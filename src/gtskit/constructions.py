@@ -16,13 +16,12 @@ from .errors import (
     UnsupportedSubset,
 )
 from .exhaustions import Exhaustion
-from .families import FamilyExpr, clip_family, family_union
+from .families import FamilyExpr, clip_family
 from .maps import Composite, Projection, SpaceMap, identity_map
 from .presentation import (
     All,
     AllCanonicalOpen,
     AllSets,
-    EssCountable,
     EssFin,
     ExplicitList,
     FiniteOrWhole,

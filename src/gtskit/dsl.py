@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .carriers import FiniteEnum, NatFC, QLine
 from .errors import GtsError
-from .exhaustions import Exhaustion, nat_chain
+from .exhaustions import Exhaustion
 from .families import FamilyExpr
 from .maps import (
     Const,
@@ -38,7 +38,7 @@ from .presentation import (
 )
 from . import setexpr as sx
 from .setexpr import NEG_INF, POS_INF, SetExpr
-from .sites import Site, function_presheaf, gts_to_site
+from .sites import function_presheaf, gts_to_site
 from .streams import GrowBalls, InitialSegments, ShrinkIntervals, Singletons
 
 

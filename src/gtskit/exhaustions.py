@@ -6,7 +6,7 @@ chain schema (N, <=) whose pieces come from a monotone stream generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .setexpr import SetExpr
 from .streams import InitialSegments, Stream

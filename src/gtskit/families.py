@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
+from .carriers import Carrier
 from .errors import CarrierMismatch
 from . import setexpr as sx
 from .setexpr import NEG_INF, POS_INF, SetExpr
@@ -14,7 +14,6 @@ from .streams import (
     GrowBalls,
     InitialSegments,
     ShrinkIntervals,
-    Singletons,
     Stream,
     clip_stream,
     merge_stream,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .carriers import FiniteEnum, NatFC, Product, QLine
+from .carriers import Product, QLine
 from .errors import (
     CarrierMismatch,
     NoInfimum,
@@ -16,12 +16,10 @@ from .errors import (
     UnsupportedCarrier,
 )
 from .exhaustions import Exhaustion
-from .families import FamilyExpr, essentially_finite_on, family_union
+from .families import FamilyExpr, family_union
 from .presentation import (
-    All,
     AllCanonicalOpen,
     AllSets,
-    EssFin,
     ExplicitList,
     FiniteOrWhole,
     GluedOpens,

@@ -12,7 +12,7 @@ from .errors import (
     UnrepresentablePoint,
     UnsupportedPresentation,
 )
-from .families import FamilyExpr, essentially_finite_on, family_union
+from .families import FamilyExpr
 from .presentation import (
     All,
     EssCountable,

@@ -39,9 +39,11 @@ class ExplicitList:
     """A finite list of open sets, closed under union and intersection."""
 
     sets: tuple[SetExpr, ...]
+    lookup: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(dict.fromkeys(self.sets)))
+        object.__setattr__(self, "lookup", frozenset(self.sets))
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def _validate_presentation(X: GtsPresentation):
                 raise CarrierMismatch("open set on the wrong carrier")
             if not sx.is_subset(S, X.support):
                 raise ValueError("open set escapes the support")
-        listed = set(op.sets)
+        listed = op.lookup
         if sx.empty(X.carrier) not in listed or X.support not in listed:
             raise ValueError("opens must include the empty set and the support")
         for A, B in combinations(op.sets, 2):
@@ -207,7 +209,7 @@ def is_open(X: GtsPresentation, S: SetExpr) -> bool:
         return False
     op = X.opens
     if isinstance(op, ExplicitList):
-        return S in set(op.sets)
+        return S in op.lookup
     if isinstance(op, AllCanonicalOpen):
         return all(iv.lo_open and iv.hi_open for iv in S.form)
     if isinstance(op, FiniteOrWhole):
@@ -265,33 +267,40 @@ def _product_is_open(op: ProductOpens, S: SetExpr) -> bool:
     return True
 
 
+def _require_interior(P: GtsPresentation):
+    """Raise unless _covered_by_interior has a procedure for P's opens."""
+    pop = P.opens
+    if isinstance(pop, ExplicitList) and not isinstance(P.carrier, FiniteEnum):
+        raise UnsupportedPresentation("listed opens need a finite carrier here")
+    if not isinstance(pop, (AllSets, FiniteOrWhole, AllCanonicalOpen, ExplicitList)):
+        raise UnsupportedPresentation("no interior procedure for this factor")
+
+
 def _covered_by_interior(P: GtsPresentation, C: SetExpr, D: SetExpr) -> bool:
     """Does every point of C have a P-open neighborhood inside D?"""
+    _require_interior(P)
     pop = P.opens
     if isinstance(pop, (AllSets, FiniteOrWhole)):
         # singletons are open, so containment suffices
         return sx.is_subset(C, D)
     if isinstance(pop, AllCanonicalOpen):
         return sx.is_subset(C, sx.interval_interior(D))
-    if isinstance(pop, ExplicitList):
-        if not isinstance(P.carrier, FiniteEnum):
-            raise UnsupportedPresentation("listed opens need a finite carrier here")
-        for x in C.finite_points():
-            hull = sx.empty(P.carrier)
-            for O in pop.sets:
-                if sx.contains(O, x) and sx.is_subset(O, D):
-                    hull = sx.union(hull, O)
-            if not sx.contains(hull, x):
-                return False
-        return True
-    raise UnsupportedPresentation("no interior procedure for this factor")
+    # listed opens on a finite carrier: a hull of listed neighbourhoods
+    for x in C.finite_points():
+        hull = sx.empty(P.carrier)
+        for O in pop.sets:
+            if sx.contains(O, x) and sx.is_subset(O, D):
+                hull = sx.union(hull, O)
+        if not sx.contains(hull, x):
+            return False
+    return True
 
 
 def enumerate_opens(X: GtsPresentation) -> list[SetExpr]:
     """All opens of a finitely-enumerable presentation, sorted canonically."""
     op = X.opens
     if isinstance(op, ExplicitList):
-        out = set(op.sets)
+        out = op.lookup
     elif isinstance(op, AllSets) and isinstance(X.carrier, FiniteEnum):
         names = X.support.form
         out = {
@@ -307,13 +316,54 @@ def enumerate_opens(X: GtsPresentation) -> list[SetExpr]:
             if is_open(X, S):
                 out.add(S)
     elif isinstance(op, ProductOpens):
-        out = set()
-        for S in _enumerate_subsets(X.support):
-            if is_open(X, S):
-                out.add(S)
+        out = _product_opens(X)
     else:
         raise NonFiniteCarrier("presentation has infinitely many opens")
     return sorted(out, key=sx.sort_key)
+
+
+def _product_opens(X: GtsPresentation) -> list[SetExpr]:
+    """The product opens: every union of boxes U x V of factor opens.
+
+    Each box becomes a bitmask over the grid of support points, the masks
+    are closed under union, and each mask becomes a set once.  Unions of open
+    boxes are exactly the sets _product_is_open accepts, since the factor
+    opens are closed under finite unions and intersections.
+    """
+    op = X.opens
+    if not points_of(X.support):
+        return [sx.empty(X.carrier)]
+    _require_interior(op.left)
+    lpts, rpts = points_of(op.left.support), points_of(op.right.support)
+    lbit = {x: 1 << i for i, x in enumerate(lpts)}
+    rbit = {y: 1 << j for j, y in enumerate(rpts)}
+    n = len(rpts)
+    rows = {sum(rbit[y] for y in points_of(V)) for V in _factor_opens(op.right)}
+    cols = {sum(lbit[x] for x in points_of(U)) for U in _factor_opens(op.left)}
+    boxes = {
+        sum(v << (i * n) for i in range(len(lpts)) if u >> i & 1)
+        for u in cols
+        for v in rows
+    }
+    masks = {0}
+    for b in boxes:
+        masks |= {m | b for m in masks}
+    grid = [(x, y) for x in lpts for y in rpts]
+    return [
+        from_points(X.carrier, [p for k, p in enumerate(grid) if m >> k & 1])
+        for m in masks
+    ]
+
+
+def _factor_opens(P: GtsPresentation) -> list[SetExpr]:
+    """The opens of a product factor with finite support, as is_open decides."""
+    pop = P.opens
+    if isinstance(pop, ExplicitList):
+        return list(pop.sets)
+    if isinstance(pop, (AllSets, FiniteOrWhole)):
+        # every subset of a finite support is open
+        return _enumerate_subsets(P.support)
+    return [S for S in _enumerate_subsets(P.support) if is_open(P, S)]
 
 
 def _enumerate_subsets(S: SetExpr) -> list[SetExpr]:
@@ -345,10 +395,13 @@ def from_points(c: Carrier, pts) -> SetExpr:
             out = sx.union(out, sx.qpoint(x))
         return out
     if isinstance(c, Product):
-        out = sx.empty(c)
+        fibers: dict = {}
         for x, y in pts:
-            out = sx.union(out, sx.box(from_points(c.left, [x]), from_points(c.right, [y])))
-        return out
+            fibers.setdefault(x, []).append(y)
+        return sx.boxes(c, [
+            (from_points(c.left, [x]), from_points(c.right, ys))
+            for x, ys in fibers.items()
+        ])
     raise UnsupportedCarrier(c.describe())
 
 

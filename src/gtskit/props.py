@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .carriers import FiniteEnum, NatFC, Product, QLine
-from .errors import NonOpenMember, UnsupportedCarrier, UnsupportedPresentation
+from .carriers import FiniteEnum, NatFC, QLine
+from .errors import NonOpenMember, UnsupportedPresentation
 from .families import FamilyExpr, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
-    Composite,
     FiniteTable,
     Identity,
     NatPerm,
@@ -20,21 +19,13 @@ from .maps import (
     Projection,
     SpaceMap,
     check_strict_continuity,
-    identity_map,
 )
 from .presentation import (
-    All,
     AllCanonicalOpen,
     AllSets,
-    EssCountable,
-    EssFin,
-    ExplicitList,
     FiniteOrWhole,
     GluedOpens,
     GtsPresentation,
-    LocallyEssFin,
-    PiecewiseEssFin,
-    ProductOpens,
     TraceOpens,
     check_members_open,
     enumerate_opens,
@@ -318,7 +309,6 @@ def is_basis(X: GtsPresentation, B, budget: int = 64) -> Verdict:
 
 
 def _stream_coverable(B: FamilyExpr, O: SetExpr) -> bool:
-    from .families import essentially_finite_on
     from .families import clip_family
     clipped = clip_family(B, O)
     inside = FamilyExpr(

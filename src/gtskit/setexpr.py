@@ -7,8 +7,12 @@ so set equality, inclusion and emptiness reduce to structural comparison:
 * ``NatFC``      -- a finite set of naturals plus a complemented flag;
 * ``QLine``      -- a sorted tuple of maximal, pairwise disjoint, non-adjacent
   intervals with endpoints in Q u {-inf, +inf} (degenerate points allowed);
-* ``Product``    -- a union of boxes normalized so the left components are
-  pairwise disjoint and the right components pairwise distinct.
+* ``Product``    -- a tuple of boxes ``(cell, fiber)`` sorted by the rendered
+  cell: the fiber of a left point is the set of right points paired with it,
+  and each box pairs one non-empty fiber with all left points sharing it.
+  So the cells are pairwise disjoint and the fibers pairwise distinct.  A
+  ``FiniteEnum`` left carrier is canonicalized atom by atom; any other left
+  carrier by a sweep over the cells of the boxes' left parts.
 
 All decision procedures consult only rational endpoint/element arithmetic.
 """
@@ -248,6 +252,37 @@ def _normalize_boxes(carrier: Product, boxes) -> tuple:
             raise CarrierMismatch("box components on the wrong carrier")
     if not boxes:
         return ()
+    if isinstance(carrier.left, FiniteEnum):
+        fibers = _fibers_by_atom(carrier.left, boxes)
+    else:
+        fibers = _fibers_by_cell(carrier, boxes)
+    out = [(cell, fiber) for fiber, cell in fibers.items()]
+    out.sort(key=lambda b: sort_key(b[0]))
+    return tuple(out)
+
+
+def _fibers_by_atom(left: FiniteEnum, boxes) -> dict:
+    """Map each fiber to the left atoms whose fiber it is, one atom at a time."""
+    atoms_of: dict[SetExpr, list] = {}
+    for x in left.elements:
+        fiber = None
+        for l, r in boxes:
+            if x in l.form:
+                fiber = r if fiber is None else union(fiber, r)
+        if fiber is not None:
+            atoms_of.setdefault(fiber, []).append(x)
+    return {
+        fiber: SetExpr(left, frozenset(xs), _normalized=True)
+        for fiber, xs in atoms_of.items()
+    }
+
+
+def _fibers_by_cell(carrier: Product, boxes) -> dict:
+    """Map each fiber to its left cell, sweeping the 2^n cells of n boxes.
+
+    Used for every left carrier that is not a ``FiniteEnum``; on ``QLine`` and
+    ``NatFC``, whose points cannot be listed, it is the only way.
+    """
     # pre-merge to keep the cell decomposition small
     merged: dict[SetExpr, SetExpr] = {}
     for l, r in boxes:
@@ -277,9 +312,7 @@ def _normalize_boxes(carrier: Product, boxes) -> tuple:
             fibers[fiber] = union(fibers[fiber], cell)
         else:
             fibers[fiber] = cell
-    out = [(cell, fiber) for fiber, cell in fibers.items()]
-    out.sort(key=lambda b: sort_key(b[0]))
-    return tuple(out)
+    return fibers
 
 
 # -- constructors ---------------------------------------------------------

@@ -10,7 +10,7 @@ critical endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .carriers import NatFC, QLine

@@ -1,10 +1,13 @@
-"""Shared strategies for drawing carriers, sets, and families."""
+"""Shared strategies for drawing sets, and a catalog of small finite spaces."""
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import strategies as st
 
-from gtskit.carriers import FiniteEnum, NatFC, QLine
+from gtskit.carriers import FiniteEnum, Product, QLine
+from gtskit.constructions import smallify
+from gtskit.presentation import from_points, generate_finite_gts
 from gtskit import setexpr as sx
 
 rationals = st.fractions(
@@ -57,18 +60,93 @@ def enum_sets(draw, carrier=ENUM3):
     return sx.atoms(carrier, picked)
 
 
-any_sets = st.one_of(qline_sets(), nat_sets(), enum_sets())
+ENUM2 = FiniteEnum(("x", "y"))
+ENUM3_ENUM2 = Product(ENUM3, ENUM2)
+ENUM3_QLINE = Product(ENUM3, QLine())
+QLINE_ENUM2 = Product(QLine(), ENUM2)
+
+
+@st.composite
+def product_sets(draw, carrier, left, right):
+    """A union of up to 3 drawn boxes on ``carrier``."""
+    n = draw(st.integers(min_value=0, max_value=3))
+    return sx.boxes(carrier, [(draw(left), draw(right)) for _ in range(n)])
+
+
+# the last carrier has an infinite left factor, so it keeps the cell sweep
+SETS = {
+    "q": qline_sets(),
+    "n": nat_sets(),
+    "e": enum_sets(),
+    "ee": product_sets(ENUM3_ENUM2, enum_sets(), enum_sets(ENUM2)),
+    "eq": product_sets(ENUM3_QLINE, enum_sets(), qline_sets()),
+    "qe": product_sets(QLINE_ENUM2, qline_sets(), enum_sets(ENUM2)),
+}
+
+any_sets = st.one_of(*SETS.values())
 
 
 @st.composite
 def same_carrier_pairs(draw):
-    kind = draw(st.sampled_from(("q", "n", "e")))
-    s = {"q": qline_sets, "n": nat_sets, "e": enum_sets}[kind]
-    return draw(s()), draw(s())
+    s = SETS[draw(st.sampled_from(sorted(SETS)))]
+    return draw(s), draw(s)
 
 
 @st.composite
 def same_carrier_triples(draw):
-    kind = draw(st.sampled_from(("q", "n", "e")))
-    s = {"q": qline_sets, "n": nat_sets, "e": enum_sets}[kind]
-    return draw(s()), draw(s()), draw(s())
+    s = SETS[draw(st.sampled_from(sorted(SETS)))]
+    return draw(s), draw(s), draw(s)
+
+
+# -- finite spaces as bitmask topologies ----------------------------------
+
+def mask_topologies(n):
+    """All labeled topologies on {0..n-1} as frozensets of bitmasks."""
+    full = (1 << n) - 1
+    inner = list(range(1, full))
+    found = []
+    for bits in range(1 << len(inner)):
+        T = {0, full}
+        b, i = bits, 0
+        while b:
+            if b & 1:
+                T.add(inner[i])
+            b >>= 1
+            i += 1
+        if all((a | c) in T and (a & c) in T for a in T for c in T):
+            found.append(frozenset(T))
+    return found
+
+
+def canon_topology(T, n):
+    """Least relabeling of a mask topology; keys homeomorphism classes."""
+    best = None
+    for p in permutations(range(n)):
+        img = tuple(sorted(
+            sum(1 << p[i] for i in range(n) if m >> i & 1) for m in T))
+        if best is None or img < best:
+            best = img
+    return best
+
+
+def mask_space(prefix, n, T):
+    atoms = tuple(prefix + str(i) for i in range(n))
+    c = FiniteEnum(atoms)
+    gens = tuple(
+        from_points(c, [atoms[i] for i in range(n) if m >> i & 1])
+        for m in sorted(T))
+    return generate_finite_gts(c, gens)
+
+
+def small_catalog(prefix, max_size):
+    """One small presentation per homeomorphism class, sizes 1..max_size."""
+    out = []
+    for n in range(1, max_size + 1):
+        seen = set()
+        for T in mask_topologies(n):
+            key = canon_topology(T, n)
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(smallify(mask_space(prefix, n, T)))
+    return out

@@ -6,7 +6,7 @@ Each test is independent and finishes well inside a minute.
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, product as iproduct
 
 from gtskit.audit import audit_axioms, random_admissible_family
 from gtskit.carriers import FiniteEnum
@@ -28,7 +28,6 @@ from gtskit.presentation import (
     All,
     AllSets,
     enumerate_opens,
-    from_points,
     generate_finite_gts,
     is_admissible,
     is_open,
@@ -49,6 +48,8 @@ from gtskit.sites import (
 from gtskit import setexpr as sx
 from gtskit.streams import ShrinkIntervals, Singletons
 
+from conftest import canon_topology, mask_space, mask_topologies, small_catalog
+
 import pathlib
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
@@ -56,60 +57,6 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
 def _line(n, desc):
     print("criterion %d: PASS - %s" % (n, desc))
-
-
-# -- oracles --------------------------------------------------------------
-
-def mask_topologies(n):
-    """All labeled topologies on {0..n-1} as frozensets of bitmasks."""
-    full = (1 << n) - 1
-    inner = list(range(1, full))
-    found = []
-    for bits in range(1 << len(inner)):
-        T = {0, full}
-        b, i = bits, 0
-        while b:
-            if b & 1:
-                T.add(inner[i])
-            b >>= 1
-            i += 1
-        if all((a | c) in T and (a & c) in T for a in T for c in T):
-            found.append(frozenset(T))
-    return found
-
-
-def canon_topology(T, n):
-    """Least relabeling of a mask topology; keys homeomorphism classes."""
-    best = None
-    for p in permutations(range(n)):
-        img = tuple(sorted(
-            sum(1 << p[i] for i in range(n) if m >> i & 1) for m in T))
-        if best is None or img < best:
-            best = img
-    return best
-
-
-def mask_space(prefix, n, T):
-    atoms = tuple(prefix + str(i) for i in range(n))
-    c = FiniteEnum(atoms)
-    gens = tuple(
-        from_points(c, [atoms[i] for i in range(n) if m >> i & 1])
-        for m in sorted(T))
-    return generate_finite_gts(c, gens)
-
-
-def small_catalog(prefix, max_size):
-    """One small presentation per homeomorphism class, sizes 1..max_size."""
-    out = []
-    for n in range(1, max_size + 1):
-        seen = set()
-        for T in mask_topologies(n):
-            key = canon_topology(T, n)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(smallify(mask_space(prefix, n, T)))
-    return out
 
 
 # -- criteria -------------------------------------------------------------

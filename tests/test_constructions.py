@@ -27,13 +27,17 @@ from gtskit.presentation import (
     AllSets,
     EssFin,
     GtsPresentation,
+    _enumerate_subsets,
     enumerate_opens,
     is_admissible,
     is_open,
+    points_of,
     smallness,
 )
 from gtskit import setexpr as sx
 from gtskit.streams import ShrinkIntervals
+
+from conftest import small_catalog
 
 
 # -- subspaces ------------------------------------------------------------
@@ -87,6 +91,36 @@ def test_finite_product_opens_count():
     assert len(enumerate_opens(P)) == 16
     assert len(projs) == 2
     assert audit_axioms(P, budget=40, seed=0).ok()
+
+
+def test_product_opens_are_the_union_closure_of_open_boxes():
+    # criterion 7 only checks the projections of the opens it is given, so
+    # compare every open of the 169 catalog products with a bitmask closure
+    lefts, rights = small_catalog("a", 3), small_catalog("b", 3)
+    for A in lefts:
+        apts = points_of(A.support)
+        for B in rights:
+            bpts = points_of(B.support)
+            P, _ = product([A, B])
+            opens = enumerate_opens(P)
+            assert len(set(opens)) == len(opens)
+
+            def grid(S):
+                return sum(1 << (apts.index(x) * len(bpts) + bpts.index(y))
+                           for x, y in points_of(S))
+
+            rows = [sum(1 << bpts.index(y) for y in points_of(V))
+                    for V in enumerate_opens(B)]
+            cols = [[apts.index(x) for x in points_of(U)] for U in enumerate_opens(A)]
+            closure = {0}
+            for u in cols:
+                for v in rows:
+                    b = sum(v << (i * len(bpts)) for i in u)
+                    closure |= {m | b for m in closure}
+            assert sorted(grid(O) for O in opens) == sorted(closure)
+            if len(apts) * len(bpts) <= 6:
+                brute = [S for S in _enumerate_subsets(P.support) if is_open(P, S)]
+                assert sorted(brute, key=sx.sort_key) == opens
 
 
 def test_product_unit_law():

@@ -1,0 +1,35 @@
+"""Every name a gtskit module imports is read somewhere in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gtskit"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements in ``source`` that are never read."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                bound[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                bound[a.asname or a.name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted("%s (line %d)" % (name, line)
+                  for name, line in bound.items() if name not in read)
+
+
+def test_scanner_flags_only_unread_names():
+    src = "import os\nfrom a import b, c as d\nfrom __future__ import x\nd()\n"
+    assert unused_imports(src) == ["b (line 2)", "os (line 1)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

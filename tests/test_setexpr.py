@@ -2,12 +2,21 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.errors import CarrierMismatch, UnrepresentablePoint
+from gtskit.presentation import from_points
 from gtskit import setexpr as sx
 
-from conftest import any_sets, qline_sets, same_carrier_pairs, same_carrier_triples
+from conftest import (
+    ENUM3_ENUM2,
+    QLINE_ENUM2,
+    any_sets,
+    qline_sets,
+    same_carrier_pairs,
+    same_carrier_triples,
+)
 
 
 def iv(lo, hi, lo_open=True, hi_open=True):
@@ -169,3 +178,32 @@ def test_contains_respects_ops(pair):
             (sx.contains(a, x) or sx.contains(b, x))
         assert sx.contains(sx.intersect(a, b), x) == \
             (sx.contains(a, x) and sx.contains(b, x))
+
+
+def _point_boxes(carrier, points):
+    return [(from_points(carrier.left, [x]), from_points(carrier.right, [y]))
+            for x, y in points]
+
+
+GRIDS = {
+    ENUM3_ENUM2: [(x, y) for x in "abc" for y in "xy"],
+    QLINE_ENUM2: [(Fraction(x), y) for x in (0, Fraction(1, 2), 1, 2) for y in "xy"],
+}
+
+
+@given(st.sampled_from(sorted(GRIDS, key=repr)).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(st.sampled_from(GRIDS[c]), unique=True),
+                        st.randoms(use_true_random=False))))
+@settings(max_examples=60)
+def test_product_canonical_form_ignores_build_order(drawn):
+    carrier, points, rng = drawn
+    built = sx.boxes(carrier, _point_boxes(carrier, points))
+    shuffled = list(points)
+    rng.shuffle(shuffled)
+    boxes = _point_boxes(carrier, points)
+    rng.shuffle(boxes)
+    for other in (from_points(carrier, shuffled), sx.boxes(carrier, boxes)):
+        assert other == built
+        assert hash(other) == hash(built)
+        assert sx.render(other) == sx.render(built)
+    assert sorted(built.finite_points()) == sorted(points)
