@@ -116,7 +116,7 @@ def random_open(X: GtsPresentation, rng: random.Random) -> SetExpr:
             return sx.whole(c)
         return sx.nat_finite(rng.sample(range(24), rng.randint(0, 5)))
     if isinstance(op, AllSets):
-        return _random_set(c, rng)
+        return sx.intersect(_random_set(c, rng), X.support)
     if isinstance(op, ProductOpens):
         out = sx.empty(c)
         for _ in range(rng.randint(0, 2)):
@@ -182,10 +182,10 @@ def random_family(X: GtsPresentation, rng: random.Random,
     return FamilyExpr(X.carrier, fin, tuple(streams))
 
 
-def random_admissible_family(X: GtsPresentation, rng: random.Random,
-                             tries: int = 8) -> FamilyExpr:
-    for attempt in range(tries):
-        F = random_family(X, rng, allow_streams=attempt < tries // 2)
+def random_admissible_family(X: GtsPresentation, rng: random.Random) -> FamilyExpr:
+    """Up to eight draws, the first four with streams, then one open."""
+    for attempt in range(8):
+        F = random_family(X, rng, allow_streams=attempt < 4)
         if is_admissible(X, F).yes:
             return F
     # finite open families are admissible under every shipped policy

@@ -224,7 +224,7 @@ def topologize(X: GtsPresentation):
         def weakly_open(S: SetExpr) -> bool:
             if S.carrier != c:
                 raise CarrierMismatch("set on the wrong carrier")
-            return all(iv.lo_open and iv.hi_open for iv in S.form)
+            return sx.all_intervals_open(S)
         return weakly_open
     if isinstance(c, NatFC) and isinstance(X.opens, (FiniteOrWhole, AllSets)):
         name = X.name + "_top" if X.name else ""
@@ -248,12 +248,11 @@ def topologize(X: GtsPresentation):
     )
 
 
-def localize(X: GtsPresentation, balls: GrowBalls = None) -> GtsPresentation:
-    """The admissible union of a growing ball cover of a small line space."""
+def localize(X: GtsPresentation) -> GtsPresentation:
+    """The admissible union of the unit-step growing balls on a small line space."""
     if not isinstance(X.carrier, QLine):
         raise UnsupportedPresentation("localization is provided on the line")
-    if balls is None:
-        balls = GrowBalls(1)
+    balls = GrowBalls(1)
     for n in range(balls.n0, balls.n0 + 3):
         if not is_open(X, balls.member(n)):
             raise BallNotOpen(sx.render(balls.member(n)))

@@ -243,7 +243,7 @@ class _SetAst:
                 raise ValidationError("interval literal outside the line")
             out = sx.empty(carrier)
             for lo, lo_open, hi, hi_open in self.parts:
-                out = sx.union(out, sx.interval(lo, hi, lo_open, hi_open, carrier))
+                out = sx.union(out, sx.interval(lo, hi, lo_open, hi_open))
             return out
         if self.kind == "cobrace":
             if not isinstance(carrier, NatFC):

@@ -19,10 +19,6 @@ class NonOpenMember(GtsError):
         self.member = member
 
 
-class NonAdmissibleProbe(GtsError):
-    pass
-
-
 class PolicyMismatch(GtsError):
     pass
 

@@ -67,5 +67,5 @@ class Exhaustion:
         return "pieces{%s | %s}" % (body, rel)
 
 
-def nat_chain(n0: int = 0) -> Exhaustion:
-    return Exhaustion(chain=InitialSegments(max(n0, 0)))
+def nat_chain() -> Exhaustion:
+    return Exhaustion(chain=InitialSegments(0))

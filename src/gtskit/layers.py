@@ -67,7 +67,7 @@ def weakly_open(X: GtsPresentation, S: SetExpr) -> bool:
         # singletons are open, so every subset is a union of opens
         return True
     if isinstance(op, AllCanonicalOpen):
-        return all(iv.lo_open and iv.hi_open for iv in S.form)
+        return sx.all_intervals_open(S)
     if isinstance(op, ExplicitList):
         hull = sx.empty(X.carrier)
         for O in op.sets:
@@ -211,13 +211,14 @@ def _paracompact_flag(X: GtsPresentation, base: FamilyExpr, rep: LayerReport) ->
     return Verdict("Unknown")
 
 
-def _annuli_refinement_ok(X: GtsPresentation, chain, depth: int = 6):
+def _annuli_refinement_ok(X: GtsPresentation, chain):
     """Refine a nested interval chain by two-sided annuli.
 
     The witness family {(-n-1,-n+1), (n-1,n+1) : n >= 0} is locally finite
     (members two steps apart are disjoint) and locally essentially finite
-    over the chain; both facts are brute-forced out to the given depth.
+    over the chain; both facts are brute-forced out to depth 6.
     """
+    depth = 6
     def annulus(n):
         left = sx.interval(-n - 1, -n + 1)
         right = sx.interval(n - 1, n + 1)
@@ -256,16 +257,11 @@ def _closure_property_flag(X: GtsPresentation) -> Verdict:
 
 # -- exhaustions ----------------------------------------------------------
 
-def validate_exhaustion(X: GtsPresentation, E: Exhaustion = None,
-                        chain_probe: int = 8) -> LayerReport:
+def validate_exhaustion(X: GtsPresentation, E: Exhaustion) -> LayerReport:
     """Check the directed-family conditions and closed/small pieces."""
     rep = LayerReport()
-    if E is None:
-        if not isinstance(X.policy, PiecewiseEssFin):
-            raise PolicyMismatch("no exhaustion to validate")
-        E = X.policy.exhaustion
     if E.is_chain():
-        _validate_chain(X, E, rep, chain_probe)
+        _validate_chain(X, E, rep)
     else:
         _validate_poset(X, E, rep)
     if isinstance(X.policy, PiecewiseEssFin) and X.policy.exhaustion == E:
@@ -273,7 +269,8 @@ def validate_exhaustion(X: GtsPresentation, E: Exhaustion = None,
     return rep
 
 
-def _validate_chain(X, E, rep, probe):
+def _validate_chain(X, E, rep):
+    probe = 8
     s = E.chain
     ok_cover = sx.is_subset(X.support, s.union())
     rep.flags["W1"] = Verdict("Yes" if ok_cover else "No", "pieces must exhaust the space",
@@ -342,13 +339,13 @@ def _validate_poset(X, E, rep):
     rep.flags["pieces_closed_small"] = Verdict("Yes" if bad is None else "No", witness=bad)
 
 
-def index_function(E: Exhaustion, x, search_cap: int = 4096):
-    """The least index whose piece contains x."""
+def index_function(E: Exhaustion, x):
+    """The least index whose piece contains x, searched over 4096 chain stages."""
     if E.is_chain():
         s = E.chain
         if not sx.contains(s.union(), x):
             raise PointNotCovered(x)
-        for n in range(s.n0, s.n0 + search_cap):
+        for n in range(s.n0, s.n0 + 4096):
             if sx.contains(s.member(n), x):
                 return n
         raise PointNotCovered(x)
@@ -440,13 +437,12 @@ def _piecewise_constructible(X, S, pieces) -> Verdict:
 
 # -- the piece-capture theorem --------------------------------------------
 
-def piece_capture(f, exhaustion: Exhaustion = None, search_cap: int = 4096):
-    """The image of a small domain lands in one piece of the exhaustion."""
+def piece_capture(f, exhaustion: Exhaustion):
+    """The image of a small domain lands in one piece of the exhaustion.
+
+    A chain exhaustion is searched over its first 4096 stages.
+    """
     X = f.codomain
-    if exhaustion is None:
-        if not isinstance(X.policy, PiecewiseEssFin):
-            raise PreconditionUnmet("codomain carries no exhaustion")
-        exhaustion = X.policy.exhaustion
     rep = validate_exhaustion(X, exhaustion)
     if not rep.ok("W1", "W2", "W3", "W4", "W5"):
         raise PreconditionUnmet("exhaustion conditions not established")
@@ -458,7 +454,7 @@ def piece_capture(f, exhaustion: Exhaustion = None, search_cap: int = 4096):
     image = f.image(f.domain.support)
     if exhaustion.is_chain():
         s = exhaustion.chain
-        for n in range(s.n0, s.n0 + search_cap):
+        for n in range(s.n0, s.n0 + 4096):
             if sx.is_subset(image, s.member(n)):
                 return n
         raise TheoremViolation(

@@ -67,9 +67,9 @@ def chain_exhausted_nat() -> GtsPresentation:
     )
 
 
-def point_space(atom: str = "p") -> GtsPresentation:
-    c = FiniteEnum((atom,))
-    return GtsPresentation(c, AllSets(), All(), name="point_" + atom)
+def point_space() -> GtsPresentation:
+    c = FiniteEnum(("p",))
+    return GtsPresentation(c, AllSets(), All(), name="point_p")
 
 
 def sierpinski() -> GtsPresentation:

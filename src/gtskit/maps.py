@@ -8,7 +8,7 @@ from fractions import Fraction
 from .carriers import FiniteEnum, NatFC, Product, QLine
 from .errors import (
     CarrierMismatch,
-    NonAdmissibleProbe,
+    NonFiniteCarrier,
     UnrepresentablePoint,
     UnsupportedPresentation,
 )
@@ -332,8 +332,8 @@ def _pairing_image(m: SpaceMap, r: Pairing, S: SetExpr) -> SetExpr:
     return from_points(cc, [m.apply(x) for x in pts])
 
 
-def identity_map(X: GtsPresentation, Y: GtsPresentation = None, name: str = "") -> SpaceMap:
-    return SpaceMap(X, Y if Y is not None else X, Identity(), name)
+def identity_map(X: GtsPresentation, name: str = "") -> SpaceMap:
+    return SpaceMap(X, X, Identity(), name)
 
 
 # -- stream transport -----------------------------------------------------
@@ -414,7 +414,7 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
             if not is_open(f.domain, f.preimage(O)):
                 return False
         return True
-    except Exception:
+    except (NonFiniteCarrier, UnsupportedPresentation):
         pass
     dop = f.domain.opens
     cop = f.codomain.opens
@@ -440,38 +440,28 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
     return None
 
 
-def check_strict_continuity(f: SpaceMap, probes: list[FamilyExpr] = (),
-                            mode: str = "auto") -> Verdict:
+def check_strict_continuity(f: SpaceMap) -> Verdict:
     """Do admissible codomain families pull back to admissible families?"""
-    if mode == "auto":
-        v = _auto_continuity(f)
-        if v is not None:
-            return v
+    v = _auto_continuity(f)
+    if v is not None:
+        return v
     checked = 0
-    for F in probes:
-        ver = is_admissible(f.codomain, F)
-        if not ver.yes:
-            raise NonAdmissibleProbe(ver.reason)
+    for F in _default_probes(f.codomain):
+        if not is_admissible(f.codomain, F).yes:
+            continue
         pre = preimage_family(f, F)
         if not is_admissible(f.domain, pre).yes:
-            return Verdict("No", "a probe family pulls back inadmissibly", F)
+            return Verdict("No", "a library family pulls back inadmissibly", F)
         checked += 1
-    if mode == "auto" and not probes:
-        for F in _default_probes(f.codomain):
-            if not is_admissible(f.codomain, F).yes:
-                continue
-            pre = preimage_family(f, F)
-            if not is_admissible(f.domain, pre).yes:
-                return Verdict("No", "a library family pulls back inadmissibly", F)
-            checked += 1
     return Verdict("Checked", "%d probe families verified" % checked)
 
 
 def _auto_continuity(f: SpaceMap) -> Verdict | None:
-    if _one_point(f.codomain):
+    support = f.codomain.support
+    if support.is_finite_pointset() and len(points_of(support)) == 1:
         return Verdict("Yes", "one-point codomain")
     pol = f.codomain.policy
-    if isinstance(pol, (EssFin,)) or _finite_space(f.codomain):
+    if isinstance(pol, (EssFin,)) or support.is_finite_pointset():
         # codomain covers are essentially finite, so openness of preimages
         # of opens is the whole question
         ok = preimages_of_opens_open(f)
@@ -507,23 +497,6 @@ def _auto_continuity(f: SpaceMap) -> Verdict | None:
     return None
 
 
-def _one_point(X: GtsPresentation) -> bool:
-    try:
-        return len(points_of(X.support)) == 1
-    except Exception:
-        return False
-
-
-def _finite_space(X: GtsPresentation) -> bool:
-    if isinstance(X.carrier, FiniteEnum):
-        return True
-    try:
-        points_of(X.support)
-        return True
-    except Exception:
-        return False
-
-
 def _default_probes(X: GtsPresentation) -> list[FamilyExpr]:
     """Library families likely to separate policies on the codomain."""
     from .streams import GrowBalls, Singletons, shrink
@@ -539,6 +512,6 @@ def _default_probes(X: GtsPresentation) -> list[FamilyExpr]:
         try:
             opens = enumerate_opens(X)
             out.append(FamilyExpr(c, tuple(opens)))
-        except Exception:
+        except (NonFiniteCarrier, UnsupportedPresentation):
             pass
     return out

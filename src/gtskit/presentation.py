@@ -211,7 +211,7 @@ def is_open(X: GtsPresentation, S: SetExpr) -> bool:
     if isinstance(op, ExplicitList):
         return S in op.lookup
     if isinstance(op, AllCanonicalOpen):
-        return all(iv.lo_open and iv.hi_open for iv in S.form)
+        return sx.all_intervals_open(S)
     if isinstance(op, FiniteOrWhole):
         return S.is_finite_pointset() or S.is_whole()
     if isinstance(op, AllSets):
@@ -435,13 +435,13 @@ def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:
 
 # -- admissibility --------------------------------------------------------
 
-def check_members_open(X: GtsPresentation, F: FamilyExpr, probe_stages: int = 3):
+def check_members_open(X: GtsPresentation, F: FamilyExpr):
     """Raise NonOpenMember if some member of F is not open in X."""
     for m in F.finite_part:
         if not is_open(X, m):
             raise NonOpenMember(m)
     for s in F.streams:
-        stages = list(range(s.n0, s.n0 + probe_stages))
+        stages = list(range(s.n0, s.n0 + 3))
         if s.monotone:
             stages.append(large_stage([s], list(F.finite_part)))
         # every member sits inside the stream union, so a union escaping the

@@ -6,8 +6,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .carriers import FiniteEnum, NatFC, QLine
-from .errors import NonOpenMember, UnsupportedPresentation
+from .carriers import NatFC, QLine
+from .errors import NonFiniteCarrier, UnsupportedPresentation
 from .families import FamilyExpr, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
@@ -49,7 +49,7 @@ class ComponentsReport:
 
 def components(X: GtsPresentation) -> ComponentsReport:
     op = X.opens
-    if isinstance(X.carrier, FiniteEnum) or _finite_points(X):
+    if X.support.is_finite_pointset():
         return _finite_components(X)
     if isinstance(X.carrier, QLine) and (
         isinstance(op, (AllCanonicalOpen,))
@@ -75,14 +75,6 @@ def components(X: GtsPresentation) -> ComponentsReport:
             ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).yes
             return ComponentsReport(tuple(parts), Verdict("Yes" if ok else "No"))
     raise UnsupportedPresentation("no component procedure for this presentation")
-
-
-def _finite_points(X: GtsPresentation) -> bool:
-    try:
-        points_of(X.support)
-        return True
-    except Exception:
-        return False
 
 
 def _finite_components(X: GtsPresentation) -> ComponentsReport:
@@ -116,7 +108,7 @@ def _finite_components(X: GtsPresentation) -> ComponentsReport:
 
 
 def quasi_components(X: GtsPresentation) -> tuple:
-    if not (isinstance(X.carrier, FiniteEnum) or _finite_points(X)):
+    if not X.support.is_finite_pointset():
         raise UnsupportedPresentation("quasi-components need a finite presentation")
     pts = points_of(X.support)
     opens = enumerate_opens(X)
@@ -141,9 +133,9 @@ SEPARATION_FLAGS = (
 )
 
 
-def separation_report(X: GtsPresentation, budget: int = 0) -> LayerReport:
+def separation_report(X: GtsPresentation) -> LayerReport:
     rep = LayerReport()
-    if isinstance(X.carrier, FiniteEnum) or _finite_points(X):
+    if X.support.is_finite_pointset():
         _finite_separation(X, rep)
     elif isinstance(X.carrier, QLine) and isinstance(X.opens, AllCanonicalOpen):
         for name in SEPARATION_FLAGS:
@@ -267,7 +259,7 @@ def is_dense(X: GtsPresentation, S: SetExpr) -> Verdict:
 def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
     try:
         return enumerate_opens(X)
-    except Exception:
+    except (NonFiniteCarrier, UnsupportedPresentation):
         from .audit import random_open
         rng = random.Random(seed)
         return [random_open(X, rng) for _ in range(budget)]
@@ -276,8 +268,11 @@ def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
 CANONICAL_INTERVAL_BASIS = "canonical-intervals"
 
 
-def is_basis(X: GtsPresentation, B, budget: int = 64) -> Verdict:
-    """Is every open an admissible union of members of B?"""
+def is_basis(X: GtsPresentation, B) -> Verdict:
+    """Is every open an admissible union of members of B?
+
+    Without an enumeration of the opens, 64 sampled opens are checked.
+    """
     if B == CANONICAL_INTERVAL_BASIS:
         if isinstance(X.opens, AllCanonicalOpen):
             return Verdict(
@@ -289,8 +284,8 @@ def is_basis(X: GtsPresentation, B, budget: int = 64) -> Verdict:
     exact = True
     try:
         opens = enumerate_opens(X)
-    except Exception:
-        opens = _some_opens(X, budget)
+    except (NonFiniteCarrier, UnsupportedPresentation):
+        opens = _some_opens(X, 64)
         exact = False
     members = B.sample_members(4)
     for O in opens:
@@ -326,7 +321,7 @@ def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Verdi
     try:
         opens = enumerate_opens(f.domain)
         exact = True
-    except Exception:
+    except (NonFiniteCarrier, UnsupportedPresentation):
         structural = _structural_image_flag(f, closed)
         if structural is not None:
             return structural
@@ -388,32 +383,33 @@ def _inverse_map(f: SpaceMap) -> SpaceMap | None:
 
 
 def _is_bijective(f: SpaceMap) -> bool | None:
-    try:
-        pts = points_of(f.domain.support)
-    except Exception:
+    if not f.domain.support.is_finite_pointset():
         return None
-    imgs = [f.apply(x) for x in pts]
-    try:
-        cod = points_of(f.codomain.support)
-    except Exception:
+    imgs = [f.apply(x) for x in points_of(f.domain.support)]
+    if not f.codomain.support.is_finite_pointset():
         return None
+    cod = points_of(f.codomain.support)
     return len(set(imgs)) == len(imgs) and set(imgs) == set(cod)
 
 
-def classify_map(f: SpaceMap, budget: int = 64,
-                 covering: FamilyExpr = None) -> LayerReport:
+def classify_map(f: SpaceMap) -> LayerReport:
+    """The map flags; open and closed maps sample 64 opens when not enumerable."""
     flags = {}
     flags["strictly_continuous"] = check_strict_continuity(f)
-    flags["open_map"] = _image_preserves(f, closed=False, budget=budget, seed=19)
-    flags["closed_map"] = _image_preserves(f, closed=True, budget=budget, seed=23)
+    flags["open_map"] = _image_preserves(f, closed=False, budget=64, seed=19)
+    flags["closed_map"] = _image_preserves(f, closed=True, budget=64, seed=23)
     flags["strict_homeo"] = _strict_homeo_flag(f, flags["strictly_continuous"])
-    flags["local_strict_homeo"] = _local_strict_homeo_flag(f, covering)
     if flags["strict_homeo"].yes:
+        flags["local_strict_homeo"] = Verdict(
+            "Yes", "the whole space works as the covering")
         # a strict homeomorphism transports opens and closeds both ways
         if flags["open_map"].status == "Checked":
             flags["open_map"] = Verdict("Yes", "strict homeomorphism")
         if flags["closed_map"].status == "Checked":
             flags["closed_map"] = Verdict("Yes", "strict homeomorphism")
+    else:
+        flags["local_strict_homeo"] = Verdict(
+            "Unknown", "no witness covering supplied")
     return LayerReport(flags)
 
 
@@ -432,26 +428,3 @@ def _strict_homeo_flag(f: SpaceMap, cont: Verdict) -> Verdict:
     if cont.status == "Yes" and back.status == "Yes":
         return Verdict("Yes")
     return Verdict("Unknown", "continuity only probe-checked")
-
-
-def _local_strict_homeo_flag(f: SpaceMap, covering: FamilyExpr) -> Verdict:
-    if covering is None:
-        full = _strict_homeo_flag(f, check_strict_continuity(f))
-        if full.yes:
-            return Verdict("Yes", "the whole space works as the covering")
-        return Verdict("Unknown", "no witness covering supplied")
-    ver = is_admissible(f.domain, covering)
-    if not ver.yes:
-        raise NonOpenMember(ver.witness)
-    from .constructions import subspace
-    for U in covering.finite_part:
-        dom = subspace(f.domain, U)
-        cod = subspace(f.codomain, f.image(U))
-        try:
-            restricted = SpaceMap(dom, cod, f.rule, name=f.name + "|")
-        except Exception:
-            return Verdict("Unknown", "restriction not representable", U)
-        piece = _strict_homeo_flag(restricted, check_strict_continuity(restricted))
-        if not piece.yes:
-            return Verdict(piece.status, "restriction fails", U)
-    return Verdict("Yes", "every covering member restricts to a strict homeomorphism")

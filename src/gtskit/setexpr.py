@@ -341,25 +341,25 @@ def atoms(carrier: FiniteEnum, names: Iterable[str]) -> SetExpr:
     return SetExpr(carrier, frozenset(names))
 
 
-def nat_finite(elems: Iterable[int], carrier: NatFC = NatFC()) -> SetExpr:
-    return SetExpr(carrier, (frozenset(elems), False))
+def nat_finite(elems: Iterable[int]) -> SetExpr:
+    return SetExpr(NatFC(), (frozenset(elems), False))
 
 
-def nat_cofinite(excluded: Iterable[int], carrier: NatFC = NatFC()) -> SetExpr:
-    return SetExpr(carrier, (frozenset(excluded), True))
+def nat_cofinite(excluded: Iterable[int]) -> SetExpr:
+    return SetExpr(NatFC(), (frozenset(excluded), True))
 
 
-def interval(lo, hi, lo_open=True, hi_open=True, carrier: QLine = QLine()) -> SetExpr:
+def interval(lo, hi, lo_open=True, hi_open=True) -> SetExpr:
     lo = lo if lo in (NEG_INF, POS_INF) else Fraction(lo)
     hi = hi if hi in (NEG_INF, POS_INF) else Fraction(hi)
     if lo > hi or (lo == hi and (lo_open or hi_open)):
-        return empty(carrier)
-    return SetExpr(carrier, (Interval(lo, hi, lo_open, hi_open),))
+        return empty(QLine())
+    return SetExpr(QLine(), (Interval(lo, hi, lo_open, hi_open),))
 
 
-def qpoint(x, carrier: QLine = QLine()) -> SetExpr:
+def qpoint(x) -> SetExpr:
     x = Fraction(x)
-    return SetExpr(carrier, (Interval(x, x, False, False),))
+    return SetExpr(QLine(), (Interval(x, x, False, False),))
 
 
 def boxes(carrier: Product, pairs: Iterable[tuple[SetExpr, SetExpr]]) -> SetExpr:
@@ -573,8 +573,8 @@ def _round_robin(streams: list[Iterator]) -> Iterator:
         streams = alive
 
 
-def enumerate_points(S: SetExpr, n: int, seed: int = 0) -> list:
-    """Up to ``n`` distinct representable points of ``S``, deterministic per seed."""
+def enumerate_points(S: SetExpr, n: int) -> list:
+    """Up to ``n`` distinct representable points of ``S``, deterministic."""
     if n < 0:
         raise ValueError("n must be >= 0")
     seen = []
@@ -588,7 +588,7 @@ def enumerate_points(S: SetExpr, n: int, seed: int = 0) -> list:
             break
     if len(seen) <= n:
         return seen
-    rng = random.Random(seed)
+    rng = random.Random(0)
     picked = rng.sample(range(len(seen)), n)
     return [seen[i] for i in sorted(picked)]
 
@@ -637,3 +637,10 @@ def interval_interior(S: SetExpr) -> SetExpr:
         if not iv.is_point()
     ]
     return SetExpr(S.carrier, normalize_intervals(opened), _normalized=True)
+
+
+def all_intervals_open(S: SetExpr) -> bool:
+    """Is every interval of a QLine set open at both ends?"""
+    if not isinstance(S.carrier, QLine):
+        raise CarrierMismatch("all_intervals_open only applies to the line")
+    return all(iv.lo_open and iv.hi_open for iv in S.form)

@@ -9,10 +9,13 @@ from gtskit.audit import (
     random_open,
     recheck,
 )
-from gtskit.carriers import FiniteEnum
+from gtskit.carriers import FiniteEnum, NatFC
+from gtskit.constructions import product
 from gtskit import library as lib
 from gtskit.presentation import (
     All,
+    AllSets,
+    EssFin,
     ExplicitList,
     GtsPresentation,
     is_admissible,
@@ -59,12 +62,27 @@ def test_corrupted_space_caught_and_rechecks():
         assert recheck(broken, v), v
 
 
+def nat_012():
+    """All subsets of {0, 1, 2} open inside the naturals: a proper support."""
+    return GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite([0, 1, 2]))
+
+
 def test_random_open_draws_opens():
     rng = random.Random(4)
-    for name in ("line_small", "nat_wd", "sierpinski"):
-        X = lib.shipped()[name]
+    spaces = [lib.shipped()[n] for n in ("line_small", "nat_wd", "sierpinski")]
+    for X in spaces + [nat_012()]:
         for _ in range(30):
             assert is_open(X, random_open(X, rng))
+
+
+def test_proper_support_audits_clean():
+    X = nat_012()
+    for budget in (30, 200, 500):
+        rep = audit_axioms(X, budget=budget, seed=1)
+        assert rep.ok(), (budget, rep.violations[:1])
+    P, _ = product([X, lib.discrete_small_pair()])
+    rep = audit_axioms(P, budget=60, seed=1)
+    assert rep.ok(), rep.violations[:1]
 
 
 def test_random_admissible_family_is_admissible():

@@ -6,7 +6,16 @@ import pytest
 from gtskit.carriers import FiniteEnum
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
-from gtskit.maps import Identity, NatPerm, PiecewiseAffine, SpaceMap
+import gtskit.maps
+import gtskit.props
+from gtskit.maps import (
+    FiniteTable,
+    Identity,
+    NatPerm,
+    PiecewiseAffine,
+    SpaceMap,
+    check_strict_continuity,
+)
 from gtskit.presentation import (
     All,
     GtsPresentation,
@@ -199,3 +208,21 @@ def test_collapse_not_homeo():
     f = SpaceMap(lib.sierpinski(), lib.point_space(), Const("p"))
     cls = classify_map(f)
     assert cls["strict_homeo"].status == "No"
+
+
+def test_enumeration_faults_are_not_fallbacks(monkeypatch):
+    def broken(X):
+        raise RuntimeError("enumeration bug")
+
+    f = SpaceMap(lib.sierpinski(), lib.discrete_pair(),
+                 FiniteTable((("a", "a"), ("b", "b"))))
+    with monkeypatch.context() as m:
+        m.setattr(gtskit.maps, "enumerate_opens", broken)
+        with pytest.raises(RuntimeError):
+            check_strict_continuity(f)
+        with pytest.raises(RuntimeError):
+            classify_map(f)
+    with monkeypatch.context() as m:
+        m.setattr(gtskit.props, "enumerate_opens", broken)
+        with pytest.raises(RuntimeError):
+            classify_map(f)
