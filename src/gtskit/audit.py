@@ -33,6 +33,7 @@ from .presentation import (
     GtsPresentation,
     ProductOpens,
     TraceOpens,
+    _enumerate_subsets,
     enumerate_opens,
     is_admissible,
     is_open,
@@ -365,7 +366,6 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
                    "union of member covers not admissible", (F, big))
     # regularity: all subsets W of the support when enumerable, else
     # weakly open candidates built from the opens
-    from .presentation import _enumerate_subsets
     try:
         subsets = _enumerate_subsets(X.support)
     except NonFiniteCarrier:

@@ -28,7 +28,12 @@ from .presentation import (
 )
 from .props import classify_map, separation_report
 from . import setexpr as sx
-from .sites import check_grothendieck_topology, is_sheaf, is_subcanonical
+from .sites import (
+    check_grothendieck_topology,
+    gts_to_site,
+    is_sheaf,
+    is_subcanonical,
+)
 
 
 class UnknownCommand(GtsError):
@@ -149,7 +154,6 @@ def run_command(cmd: str, args: list, doc: Document,
         if name in doc.sites:
             st = doc.sites[name]
         else:
-            from .sites import gts_to_site
             st = gts_to_site(_ref(doc, name, "spaces"))
         rep = check_grothendieck_topology(st.category, st.topology)
         sub = is_subcanonical(st.pair())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from .audit import random_open
 from .carriers import FiniteEnum, NatFC, Product, QLine
 from .errors import (
     BallNotOpen,
@@ -140,7 +141,6 @@ def _check_trace_agreement(A: GtsPresentation, B: GtsPresentation, O: SetExpr):
     """Probe that the two pieces induce the same opens on the overlap."""
     if type(A.opens) is type(B.opens) and not isinstance(A.opens, ExplicitList):
         return
-    from .audit import random_open
     rng = random.Random(11)
     for _ in range(16):
         SA = sx.intersect(random_open(A, rng), O)

@@ -192,6 +192,8 @@ def parse_document(text: str) -> Document:
                 if e.line:
                     raise
                 raise type(e)(str(e), t.line, t.col) from None
+            except ValueError as e:
+                raise ValidationError(str(e), t.line, t.col) from None
         else:
             raise ParseError(
                 t.line, t.col, "found %r" % (t.text or "end of input"),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import setexpr as sx
 from .setexpr import SetExpr
 from .streams import InitialSegments, Stream
 
@@ -61,7 +62,6 @@ class Exhaustion:
     def render(self) -> str:
         if self.is_chain():
             return "chain " + self.chain.render()
-        from . import setexpr as sx
         body = "; ".join(f"{i}: {sx.render(p)}" for i, p in self.pieces)
         rel = ",".join(f"{a}<={b}" for a, b in sorted(self.poset.relation))
         return "pieces{%s | %s}" % (body, rel)

@@ -15,6 +15,8 @@ from .errors import (
 from .families import FamilyExpr
 from .presentation import (
     All,
+    AllCanonicalOpen,
+    AllSets,
     EssCountable,
     EssFin,
     GtsPresentation,
@@ -26,7 +28,7 @@ from .presentation import (
 )
 from . import setexpr as sx
 from .setexpr import Interval, NEG_INF, POS_INF, SetExpr, normalize_intervals
-from .streams import Stream
+from .streams import GrowBalls, Singletons, Stream, set_endpoints, shrink
 from .verdict import Verdict
 
 
@@ -355,7 +357,6 @@ class PreimageStream(Stream):
         return self.map.preimage(self.base.union())
 
     def critical_endpoints(self) -> set:
-        from .streams import set_endpoints
         out = set_endpoints(self.union())
         r = self.map.rule
         if isinstance(r, PiecewiseAffine):
@@ -418,16 +419,11 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
         pass
     dop = f.domain.opens
     cop = f.codomain.opens
-    from .presentation import AllCanonicalOpen, AllSets, FiniteOrWhole
     if isinstance(dop, AllSets):
         return True
     r = f.rule
     if isinstance(r, Identity):
-        if type(dop) is type(cop):
-            return True
-        if isinstance(cop, FiniteOrWhole) and isinstance(dop, AllSets):
-            return True
-        return None
+        return True if dop == cop else None
     if isinstance(r, PiecewiseAffine) and isinstance(dop, AllCanonicalOpen) \
             and isinstance(cop, AllCanonicalOpen):
         # open pieces with nonzero slopes pull open intervals back to opens
@@ -499,7 +495,6 @@ def _auto_continuity(f: SpaceMap) -> Verdict | None:
 
 def _default_probes(X: GtsPresentation) -> list[FamilyExpr]:
     """Library families likely to separate policies on the codomain."""
-    from .streams import GrowBalls, Singletons, shrink
     c = X.carrier
     out = []
     if isinstance(c, QLine):

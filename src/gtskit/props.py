@@ -8,7 +8,8 @@ from itertools import combinations
 
 from .carriers import NatFC, QLine
 from .errors import NonFiniteCarrier, UnsupportedPresentation
-from .families import FamilyExpr, family_union
+from .audit import random_open
+from .families import FamilyExpr, clip_family, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
     FiniteTable,
@@ -260,7 +261,6 @@ def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
     try:
         return enumerate_opens(X)
     except (NonFiniteCarrier, UnsupportedPresentation):
-        from .audit import random_open
         rng = random.Random(seed)
         return [random_open(X, rng) for _ in range(budget)]
 
@@ -304,7 +304,6 @@ def is_basis(X: GtsPresentation, B) -> Verdict:
 
 
 def _stream_coverable(B: FamilyExpr, O: SetExpr) -> bool:
-    from .families import clip_family
     clipped = clip_family(B, O)
     inside = FamilyExpr(
         B.carrier,

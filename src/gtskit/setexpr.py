@@ -10,9 +10,9 @@ so set equality, inclusion and emptiness reduce to structural comparison:
 * ``Product``    -- a tuple of boxes ``(cell, fiber)`` sorted by the rendered
   cell: the fiber of a left point is the set of right points paired with it,
   and each box pairs one non-empty fiber with all left points sharing it.
-  So the cells are pairwise disjoint and the fibers pairwise distinct.  A
-  ``FiniteEnum`` left carrier is canonicalized atom by atom; any other left
-  carrier by a sweep over the cells of the boxes' left parts.
+  So the cells are pairwise disjoint and the fibers pairwise distinct.  On
+  every left carrier the form is built by adding boxes one at a time, each
+  splitting the cells it meets; the complement is read off the cells.
 
 All decision procedures consult only rational endpoint/element arithmetic.
 """
@@ -123,8 +123,6 @@ def _complement_intervals(ivs: tuple[Interval, ...]) -> tuple[Interval, ...]:
         cursor_open = not iv.hi_open
     if cursor < POS_INF:
         gaps.append(Interval(cursor, POS_INF, cursor_open, True))
-    elif cursor == POS_INF:
-        pass
     return tuple(gaps)
 
 
@@ -145,10 +143,7 @@ def _intersect_two(a: Interval, b: Interval) -> Interval | None:
         return None
     if lo == hi and (lo_open or hi_open):
         return None
-    try:
-        return Interval(lo, hi, lo_open, hi_open)
-    except ValueError:
-        return None
+    return Interval(lo, hi, lo_open, hi_open)
 
 
 class SetExpr:
@@ -180,14 +175,9 @@ class SetExpr:
 
     # -- queries ----------------------------------------------------------
     def is_empty(self) -> bool:
-        c = self.carrier
-        if isinstance(c, FiniteEnum):
-            return not self.form
-        if isinstance(c, NatFC):
+        if isinstance(self.carrier, NatFC):
             elems, co = self.form
             return not co and not elems
-        if isinstance(c, QLine):
-            return not self.form
         return not self.form
 
     def is_whole(self) -> bool:
@@ -246,73 +236,38 @@ def _canonicalize(carrier: Carrier, form):
 
 
 def _normalize_boxes(carrier: Product, boxes) -> tuple:
-    boxes = [(l, r) for l, r in boxes if not l.is_empty() and not r.is_empty()]
+    """Refine pairwise disjoint left cells box by box, then merge equal fibers.
+
+    A box (l, r) splits each cell it meets into the part inside l, whose
+    fiber gains r, and the part outside l; the part of l in no cell becomes a
+    cell with fiber r.
+    """
+    cells: list[tuple[SetExpr, SetExpr]] = []
     for l, r in boxes:
+        if l.is_empty() or r.is_empty():
+            continue
         if l.carrier != carrier.left or r.carrier != carrier.right:
             raise CarrierMismatch("box components on the wrong carrier")
-    if not boxes:
-        return ()
-    if isinstance(carrier.left, FiniteEnum):
-        fibers = _fibers_by_atom(carrier.left, boxes)
-    else:
-        fibers = _fibers_by_cell(carrier, boxes)
-    out = [(cell, fiber) for fiber, cell in fibers.items()]
+        rest = l
+        refined = []
+        for cell, fiber in cells:
+            inside = intersect(cell, l)
+            if inside.is_empty():
+                refined.append((cell, fiber))
+                continue
+            refined.append((inside, union(fiber, r)))
+            if inside != cell:
+                refined.append((minus(cell, l), fiber))
+            rest = minus(rest, inside)
+        if not rest.is_empty():
+            refined.append((rest, r))
+        cells = refined
+    cell_of: dict[SetExpr, SetExpr] = {}
+    for cell, fiber in cells:
+        cell_of[fiber] = union(cell_of[fiber], cell) if fiber in cell_of else cell
+    out = [(cell, fiber) for fiber, cell in cell_of.items()]
     out.sort(key=lambda b: sort_key(b[0]))
     return tuple(out)
-
-
-def _fibers_by_atom(left: FiniteEnum, boxes) -> dict:
-    """Map each fiber to the left atoms whose fiber it is, one atom at a time."""
-    atoms_of: dict[SetExpr, list] = {}
-    for x in left.elements:
-        fiber = None
-        for l, r in boxes:
-            if x in l.form:
-                fiber = r if fiber is None else union(fiber, r)
-        if fiber is not None:
-            atoms_of.setdefault(fiber, []).append(x)
-    return {
-        fiber: SetExpr(left, frozenset(xs), _normalized=True)
-        for fiber, xs in atoms_of.items()
-    }
-
-
-def _fibers_by_cell(carrier: Product, boxes) -> dict:
-    """Map each fiber to its left cell, sweeping the 2^n cells of n boxes.
-
-    Used for every left carrier that is not a ``FiniteEnum``; on ``QLine`` and
-    ``NatFC``, whose points cannot be listed, it is the only way.
-    """
-    # pre-merge to keep the cell decomposition small
-    merged: dict[SetExpr, SetExpr] = {}
-    for l, r in boxes:
-        if r in merged:
-            merged[r] = union(merged[r], l)
-        else:
-            merged[r] = l
-    boxes = [(l, r) for r, l in merged.items()]
-    n = len(boxes)
-    fibers: dict[SetExpr, SetExpr] = {}
-    for mask in range(1, 1 << n):
-        cell = whole(carrier.left)
-        for i in range(n):
-            li = boxes[i][0]
-            cell = intersect(cell, li if mask & (1 << i) else complement(li))
-            if cell.is_empty():
-                break
-        if cell.is_empty():
-            continue
-        fiber = empty(carrier.right)
-        for i in range(n):
-            if mask & (1 << i):
-                fiber = union(fiber, boxes[i][1])
-        if fiber.is_empty():
-            continue
-        if fiber in fibers:
-            fibers[fiber] = union(fibers[fiber], cell)
-        else:
-            fibers[fiber] = cell
-    return fibers
 
 
 # -- constructors ---------------------------------------------------------
@@ -322,8 +277,6 @@ def empty(carrier: Carrier) -> SetExpr:
         return SetExpr(carrier, frozenset(), _normalized=True)
     if isinstance(carrier, NatFC):
         return SetExpr(carrier, (frozenset(), False), _normalized=True)
-    if isinstance(carrier, QLine):
-        return SetExpr(carrier, (), _normalized=True)
     return SetExpr(carrier, (), _normalized=True)
 
 
@@ -405,12 +358,13 @@ def complement(a: SetExpr) -> SetExpr:
         return SetExpr(c, (elems, not co), _normalized=True)
     if isinstance(c, QLine):
         return SetExpr(c, _complement_intervals(a.form), _normalized=True)
-    # complement of a union of boxes, recomputed into canonical box form
-    result = whole(c)
-    for l, r in a.form:
-        piece = union(box(complement(l), whole(c.right)), box(l, complement(r)))
-        result = intersect(result, piece)
-    return result
+    # the cells are pairwise disjoint: over a left point in no cell the
+    # complement holds the whole right factor, over a cell its fiber's complement
+    covered = empty(c.left)
+    for l, _ in a.form:
+        covered = union(covered, l)
+    return SetExpr(c, [(complement(covered), whole(c.right))]
+                   + [(l, complement(r)) for l, r in a.form])
 
 
 def intersect(a: SetExpr, b: SetExpr) -> SetExpr:

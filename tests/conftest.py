@@ -64,6 +64,8 @@ ENUM2 = FiniteEnum(("x", "y"))
 ENUM3_ENUM2 = Product(ENUM3, ENUM2)
 ENUM3_QLINE = Product(ENUM3, QLine())
 QLINE_ENUM2 = Product(QLine(), ENUM2)
+ENUM2_ENUM2 = Product(ENUM2, ENUM2)
+PAIRS_ENUM2 = Product(ENUM2_ENUM2, ENUM2)
 
 
 @st.composite
@@ -73,7 +75,7 @@ def product_sets(draw, carrier, left, right):
     return sx.boxes(carrier, [(draw(left), draw(right)) for _ in range(n)])
 
 
-# the last carrier has an infinite left factor, so it keeps the cell sweep
+# the product carriers cover a finite, an infinite and a product left factor
 SETS = {
     "q": qline_sets(),
     "n": nat_sets(),
@@ -81,6 +83,10 @@ SETS = {
     "ee": product_sets(ENUM3_ENUM2, enum_sets(), enum_sets(ENUM2)),
     "eq": product_sets(ENUM3_QLINE, enum_sets(), qline_sets()),
     "qe": product_sets(QLINE_ENUM2, qline_sets(), enum_sets(ENUM2)),
+    "pe": product_sets(
+        PAIRS_ENUM2,
+        product_sets(ENUM2_ENUM2, enum_sets(ENUM2), enum_sets(ENUM2)),
+        enum_sets(ENUM2)),
 }
 
 any_sets = st.one_of(*SETS.values())

@@ -152,6 +152,24 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["audit", str(missing), "X"]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+    # a value the grammar accepts but the theory rejects is reported at
+    # its declaration
+    line_space = "space R { carrier qline; opens canonical-open; cov all }\n"
+    nat_space = "space N { carrier nat; opens all-sets; cov all }\n"
+    for text, message in (
+            (line_space + "set S : R = [-inf,1)", "-inf endpoint must be open"),
+            (line_space + "set S : R = (0,+inf]", "+inf endpoint must be open"),
+            ("space E { carrier enum(a,b); opens explicit { empty, {c} }; cov all }",
+             "atoms outside carrier"),
+            ("space E { carrier enum(a,a); opens all-sets; cov all }",
+             "pairwise distinct"),
+            (nat_space + "map s : N -> N = shift(-1)", "shift must be nonnegative"),
+            ("family U = stream shrink(1,0,both,1)", "first member is empty")):
+        bad.write_text(text)
+        assert cli.main(["audit", str(bad), "X"]) == 2
+        err = capsys.readouterr().err
+        where = "error: line %d, column 1: " % (text.count("\n") + 1)
+        assert err.startswith(where) and message in err
     spaces = str(CORPUS / "spaces.gts")
     for names in (["sum", "NatSmall", "NatTop"], ["sum"], ["product"]):
         assert cli.main(["construct", spaces] + names) == 2

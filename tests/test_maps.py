@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
+from gtskit.constructions import subspace
 from gtskit.errors import CarrierMismatch
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
@@ -22,6 +23,7 @@ from gtskit.maps import (
     identity_map,
     preimage_family,
 )
+from gtskit.presentation import AllSets, EssFin, GtsPresentation, is_open
 from gtskit import setexpr as sx
 from gtskit.streams import ShrinkIntervals, Singletons
 
@@ -103,6 +105,16 @@ def test_carrier_mismatch_rejected():
 def test_identity_strictly_continuous_both_ways_on_same_space():
     X = lib.rational_interval_line()
     assert check_strict_continuity(identity_map(X)).status == "Yes"
+
+
+def test_identity_between_different_traces_is_not_assumed_continuous():
+    # both traces have TraceOpens, but {1/2} is open only in the codomain
+    W = sx.interval(0, 1, False, False)
+    D = subspace(lib.rational_interval_line(), W)
+    C = subspace(GtsPresentation(QLine(), AllSets(), EssFin()), W)
+    half = sx.qpoint(Fraction(1, 2))
+    assert is_open(C, half) and not is_open(D, half)
+    assert check_strict_continuity(SpaceMap(D, C, Identity())).status != "Yes"
 
 
 def test_topological_to_small_direction():

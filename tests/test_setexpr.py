@@ -11,6 +11,7 @@ from gtskit import setexpr as sx
 
 from conftest import (
     ENUM3_ENUM2,
+    PAIRS_ENUM2,
     QLINE_ENUM2,
     any_sets,
     qline_sets,
@@ -188,7 +189,19 @@ def _point_boxes(carrier, points):
 GRIDS = {
     ENUM3_ENUM2: [(x, y) for x in "abc" for y in "xy"],
     QLINE_ENUM2: [(Fraction(x), y) for x in (0, Fraction(1, 2), 1, 2) for y in "xy"],
+    PAIRS_ENUM2: [((a, b), y) for a in "xy" for b in "xy" for y in "xy"],
 }
+
+
+def _grouped_by_fiber(points):
+    """(left points, fiber) pairs of a finite product set, by brute force."""
+    fiber_of = {}
+    for x, y in points:
+        fiber_of.setdefault(x, set()).add(y)
+    lefts_of = {}
+    for x, ys in fiber_of.items():
+        lefts_of.setdefault(frozenset(ys), set()).add(x)
+    return {(frozenset(xs), ys) for ys, xs in lefts_of.items()}
 
 
 @given(st.sampled_from(sorted(GRIDS, key=repr)).flatmap(
@@ -207,3 +220,10 @@ def test_product_canonical_form_ignores_build_order(drawn):
         assert hash(other) == hash(built)
         assert sx.render(other) == sx.render(built)
     assert sorted(built.finite_points()) == sorted(points)
+    # one box per fiber, holding every left point with that fiber
+    cells = [(frozenset(l.finite_points()), frozenset(r.finite_points()))
+             for l, r in built.form]
+    assert len(cells) == len(set(cells))
+    assert set(cells) == _grouped_by_fiber(points)
+    keys = [sx.render(l) for l, _ in built.form]
+    assert keys == sorted(keys)
