@@ -18,20 +18,20 @@ from .errors import (
 )
 from .exhaustions import Exhaustion
 from .families import FamilyExpr, clip_family
+from .layers import weakly_open
 from .maps import Composite, Projection, SpaceMap, identity_map
 from .presentation import (
     All,
-    AllCanonicalOpen,
     AllSets,
     EssFin,
     ExplicitList,
-    FiniteOrWhole,
     GluedOpens,
     GtsPresentation,
     LocallyEssFin,
     PiecewiseEssFin,
     ProductOpens,
     TraceOpens,
+    _close,
     enumerate_opens,
     is_open,
     smallness,
@@ -216,31 +216,16 @@ def topologize(X: GtsPresentation):
 
     Finite presentations return a full space.  On the naturals the
     generated topology of finite-or-whole opens is discrete.  On the line
-    the generated topology escapes the finite-interval algebra, so a
-    weak-openness predicate is returned instead of a space.
+    and its traces the generated topology escapes the finite-interval
+    algebra, so a weak-openness predicate is returned instead of a space.
     """
     c = X.carrier
-    if isinstance(c, QLine) and isinstance(X.opens, AllCanonicalOpen):
-        def weakly_open(S: SetExpr) -> bool:
-            if S.carrier != c:
-                raise CarrierMismatch("set on the wrong carrier")
-            return sx.all_intervals_open(S)
-        return weakly_open
-    if isinstance(c, NatFC) and isinstance(X.opens, (FiniteOrWhole, AllSets)):
+    if X.opens.interval_opens:
+        return lambda S: weakly_open(X, S)
+    if isinstance(c, NatFC) and X.opens.singletons_open:
         name = X.name + "_top" if X.name else ""
         return GtsPresentation(c, AllSets(), All(), X.support, name)
-    opens = enumerate_opens(X)  # raises NonFiniteCarrier past this point
-    closed = set(opens)
-    while True:
-        fresh = set()
-        for A in closed:
-            for B in closed:
-                u = sx.union(A, B)
-                if u not in closed:
-                    fresh.add(u)
-        if not fresh:
-            break
-        closed |= fresh
+    closed = _close(enumerate_opens(X), sx.union)  # enumerate_opens raises NonFiniteCarrier
     name = X.name + "_top" if X.name else ""
     return GtsPresentation(
         c, ExplicitList(tuple(sorted(closed, key=sx.sort_key))), All(),

@@ -280,6 +280,8 @@ def _stream_tail_contained(f: Stream, G: FamilyExpr) -> bool:
         if sx.is_subset(fu, B):
             return True
     for g in G.streams:
+        if g == f:
+            return True
         if not g.monotone:
             continue
         flo, fhi = _lo_descriptor(f), _hi_descriptor(f)

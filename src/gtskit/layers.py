@@ -8,26 +8,22 @@ from .carriers import Product, QLine
 from .errors import (
     CarrierMismatch,
     NoInfimum,
+    NonFiniteCarrier,
     NonOpenMember,
     PointNotCovered,
     PolicyMismatch,
     PreconditionUnmet,
     TheoremViolation,
     UnsupportedCarrier,
+    UnsupportedPresentation,
 )
 from .exhaustions import Exhaustion
 from .families import FamilyExpr, family_union
 from .presentation import (
-    AllCanonicalOpen,
-    AllSets,
-    ExplicitList,
-    FiniteOrWhole,
-    GluedOpens,
     GtsPresentation,
     LocallyEssFin,
     PiecewiseEssFin,
-    ProductOpens,
-    TraceOpens,
+    _close,
     check_members_open,
     enumerate_opens,
     is_admissible,
@@ -62,37 +58,7 @@ def weakly_open(X: GtsPresentation, S: SetExpr) -> bool:
         raise CarrierMismatch("set on the wrong carrier")
     if not sx.is_subset(S, X.support):
         return False
-    op = X.opens
-    if isinstance(op, (AllSets, FiniteOrWhole)):
-        # singletons are open, so every subset is a union of opens
-        return True
-    if isinstance(op, AllCanonicalOpen):
-        return sx.all_intervals_open(S)
-    if isinstance(op, ExplicitList):
-        hull = sx.empty(X.carrier)
-        for O in op.sets:
-            if sx.is_subset(O, S):
-                hull = sx.union(hull, O)
-        return hull == S
-    if isinstance(op, TraceOpens):
-        parent = op.parent
-        if isinstance(parent.opens, AllCanonicalOpen):
-            rest = sx.minus(X.support, S)
-            return sx.intersect(S, sx.interval_closure(rest)).is_empty()
-        return weakly_open_trace_fallback(X, S)
-    if isinstance(op, GluedOpens):
-        return all(weakly_open(P, sx.intersect(S, P.support)) for P in op.pieces)
-    raise UnsupportedCarrier("no weak-openness procedure for this presentation")
-
-
-def weakly_open_trace_fallback(X: GtsPresentation, S: SetExpr) -> bool:
-    op = X.opens
-    hull = sx.empty(X.carrier)
-    for O in enumerate_opens(op.parent):
-        T = sx.intersect(O, op.window)
-        if sx.is_subset(T, S):
-            hull = sx.union(hull, T)
-    return hull == S
+    return X.opens.weakly_open(X, S)
 
 
 def weak_closure(X: GtsPresentation, S: SetExpr) -> SetExpr:
@@ -102,27 +68,30 @@ def weak_closure(X: GtsPresentation, S: SetExpr) -> SetExpr:
     S = sx.intersect(S, X.support)
     op = X.opens
     c = X.carrier
-    if isinstance(c, Product) or isinstance(op, ProductOpens):
+    if isinstance(c, Product):
         raise UnsupportedCarrier("weak closure is not provided on products")
-    if isinstance(op, (AllSets, FiniteOrWhole)):
+    if op.singletons_open:
         return S  # the generated topology is discrete
-    if isinstance(op, AllCanonicalOpen):
-        return sx.interval_closure(S)
-    if isinstance(op, TraceOpens) and isinstance(op.parent.opens, AllCanonicalOpen):
+    if op.interval_opens:
         return sx.intersect(sx.interval_closure(S), X.support)
-    if isinstance(op, ExplicitList) or isinstance(op, TraceOpens):
-        away = sx.empty(c)
-        opens = enumerate_opens(X)
-        for O in opens:
-            if sx.intersect(O, S).is_empty():
-                away = sx.union(away, O)
-        return sx.minus(X.support, away)
-    if isinstance(op, GluedOpens):
+    if op.pieces:
         out = sx.empty(c)
         for P in op.pieces:
             out = sx.union(out, weak_closure(P, sx.intersect(S, P.support)))
         return out
-    raise UnsupportedCarrier("no weak-closure procedure for this presentation")
+    away = sx.empty(c)
+    for O in enumerate_opens(X):
+        if sx.intersect(O, S).is_empty():
+            away = sx.union(away, O)
+    return sx.minus(X.support, away)
+
+
+def _listed_opens(X: GtsPresentation):
+    """The opens of X when there are finitely many, else None."""
+    try:
+        return enumerate_opens(X)
+    except (NonFiniteCarrier, UnsupportedPresentation):
+        return None
 
 
 # -- locally small layer --------------------------------------------------
@@ -244,13 +213,14 @@ def _annuli_refinement_ok(X: GtsPresentation, chain):
 
 def _closure_property_flag(X: GtsPresentation) -> Verdict:
     op = X.opens
-    if isinstance(op, (AllSets, FiniteOrWhole)):
+    if op.singletons_open:
         return Verdict("Yes", "discrete generated topology: closure is identity")
-    if isinstance(op, AllCanonicalOpen):
+    if op.interval_opens:
         return Verdict(
             "Yes", "interval closure adds finitely many endpoints to a small set"
         )
-    if isinstance(op, (ExplicitList, GluedOpens)):
+    # with finitely many opens every family is essentially finite
+    if op.pieces or _listed_opens(X) is not None:
         return Verdict("Yes", "finite or summand-wise closures stay small")
     return Verdict("Unknown")
 
@@ -368,29 +338,17 @@ def index_function(E: Exhaustion, x):
 
 def _constructible_flag(X: GtsPresentation, S: SetExpr) -> Verdict:
     op = X.opens
-    if isinstance(op, (AllSets, FiniteOrWhole)):
+    if op.singletons_open:
         return Verdict("Yes", "every representable set is a boolean combination")
-    if isinstance(op, AllCanonicalOpen):
+    if op.interval_opens:
         return Verdict("Yes", "rational intervals are boolean combinations of opens")
-    if isinstance(op, TraceOpens) and isinstance(op.parent.opens, AllCanonicalOpen):
-        return Verdict("Yes", "traces of boolean combinations")
-    if isinstance(op, ExplicitList):
-        algebra = set(op.sets)
-        while True:
-            fresh = set()
-            for A in algebra:
-                comp = sx.minus(X.support, A)
-                if comp not in algebra:
-                    fresh.add(comp)
-                for B in algebra:
-                    for C in (sx.union(A, B), sx.intersect(A, B)):
-                        if C not in algebra:
-                            fresh.add(C)
-            if not fresh:
-                break
-            algebra |= fresh
-        return Verdict("Yes" if S in algebra else "No")
-    return Verdict("Unknown")
+    opens = _listed_opens(X)
+    if opens is None:
+        return Verdict("Unknown")
+    # the boolean algebra of the opens is the lattice of opens and complements
+    complements = [sx.minus(X.support, O) for O in opens]
+    algebra = _close(opens + complements, sx.union, sx.intersect)
+    return Verdict("Yes" if S in algebra else "No")
 
 
 def classify_subset(X: GtsPresentation, S: SetExpr) -> LayerReport:

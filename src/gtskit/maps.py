@@ -449,6 +449,8 @@ def check_strict_continuity(f: SpaceMap) -> Verdict:
         if not is_admissible(f.domain, pre).yes:
             return Verdict("No", "a library family pulls back inadmissibly", F)
         checked += 1
+    if not checked:
+        return Verdict("Unknown", "no probe family is admissible in the codomain")
     return Verdict("Checked", "%d probe families verified" % checked)
 
 

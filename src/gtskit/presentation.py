@@ -4,6 +4,26 @@ A presentation bundles a carrier, a description of which subsets count as
 open, and a coverage policy saying which open families count as admissible
 covers.  Every question the package answers bottoms out in the exact
 decision procedures of the family layer.
+
+Each opens description is an ``Opens`` subclass and answers for itself
+the questions below; where it has no procedure, the ``Opens`` default
+raises.  "finite" means only on a finite support (a finite carrier, for
+ExplicitList as a left factor and AllSets enumerating).  A trace answers
+the left-factor and weak-openness questions as AllSets does where its
+parent's singletons are open; otherwise it raises, or answers as open.
+
+================  =============  =========  ===========  ==============  ===========
+description       open           enumerate  product      trace           weakly
+                                            left factor  parent          open
+================  =============  =========  ===========  ==============  ===========
+ExplicitList      listed         the list   finite       enumerated      as open
+AllCanonicalOpen  open interval  raises     interior     closure         as open
+FiniteOrWhole     finite, whole  raises     containment  finite, window  every set
+AllSets           every set      finite     containment  every set       as open
+ProductOpens      cell test      finite     raises       enumerated      raises
+TraceOpens        by parent      traced     see above    flattened       see above
+GluedOpens        every piece    finite     raises       enumerated      every piece
+================  =============  =========  ===========  ==============  ===========
 """
 
 from __future__ import annotations
@@ -34,8 +54,61 @@ from .verdict import Verdict
 
 # -- opens descriptions ---------------------------------------------------
 
+class Opens:
+    """Which subsets of a presentation's support are open.
+
+    ``X`` below is the presentation the description belongs to and ``S`` a
+    set inside its support.  A subclass overrides what it decides its own
+    way; where these defaults have no procedure, they raise.
+    """
+
+    # every finite set inside the support is open
+    singletons_open = False
+    # the opens are the sets all of whose intervals are open, relative to
+    # the support
+    interval_opens = False
+    # the presentations these opens are glued from
+    pieces = ()
+
+    def validate(self, X: "GtsPresentation"):
+        """Raise unless X's carrier and support suit these opens."""
+
+    def is_open(self, X: "GtsPresentation", S: SetExpr) -> bool:
+        raise UnsupportedPresentation("unknown opens description")
+
+    def trace_is_open(self, parent: "GtsPresentation", W: SetExpr, S: SetExpr) -> bool:
+        """Is S the trace on W of some open of parent, whose opens these are?"""
+        try:
+            opens = enumerate_opens(parent)
+        except NonFiniteCarrier:
+            raise UnsupportedPresentation("cannot decide traces of this parent")
+        return any(sx.intersect(O, W) == S for O in opens)
+
+    def interior_cover(self, P: "GtsPresentation"):
+        """The test (C, D): does every point of C have a P-open neighbourhood in D?"""
+        if self.singletons_open:
+            return sx.is_subset  # singletons are open, so containment suffices
+        raise UnsupportedPresentation("no interior procedure for this factor")
+
+    def enumerate(self, X: "GtsPresentation"):
+        """Every open of X, in any order."""
+        raise NonFiniteCarrier("presentation has infinitely many opens")
+
+    def finite_opens(self, X: "GtsPresentation"):
+        """Every open of X, whose support is finite, as is_open decides."""
+        subsets = _enumerate_subsets(X.support)
+        if self.singletons_open:
+            return subsets
+        return [S for S in subsets if is_open(X, S)]
+
+    def weakly_open(self, X: "GtsPresentation", S: SetExpr) -> bool:
+        """Is S a union of opens?  Every S is where singletons are open; the
+        descriptions keeping this default have opens closed under union."""
+        return self.singletons_open or self.is_open(X, S)
+
+
 @dataclass(frozen=True)
-class ExplicitList:
+class ExplicitList(Opens):
     """A finite list of open sets, closed under union and intersection."""
 
     sets: tuple[SetExpr, ...]
@@ -45,43 +118,228 @@ class ExplicitList:
         object.__setattr__(self, "sets", tuple(dict.fromkeys(self.sets)))
         object.__setattr__(self, "lookup", frozenset(self.sets))
 
+    def validate(self, X):
+        for S in self.sets:
+            if S.carrier != X.carrier:
+                raise CarrierMismatch("open set on the wrong carrier")
+            if not sx.is_subset(S, X.support):
+                raise ValueError("open set escapes the support")
+        if sx.empty(X.carrier) not in self.lookup or X.support not in self.lookup:
+            raise ValueError("opens must include the empty set and the support")
+        for A, B in combinations(self.sets, 2):
+            if sx.union(A, B) not in self.lookup:
+                raise ValueError(
+                    "opens not closed under union: %s, %s" % (sx.render(A), sx.render(B))
+                )
+            if sx.intersect(A, B) not in self.lookup:
+                raise ValueError(
+                    "opens not closed under intersection: %s, %s"
+                    % (sx.render(A), sx.render(B))
+                )
+
+    def is_open(self, X, S):
+        return S in self.lookup
+
+    def interior_cover(self, P):
+        if not isinstance(P.carrier, FiniteEnum):
+            raise UnsupportedPresentation("listed opens need a finite carrier here")
+
+        def covered(C, D):
+            # a hull of listed neighbourhoods
+            for x in C.finite_points():
+                hull = sx.empty(P.carrier)
+                for O in self.sets:
+                    if sx.contains(O, x) and sx.is_subset(O, D):
+                        hull = sx.union(hull, O)
+                if not sx.contains(hull, x):
+                    return False
+            return True
+        return covered
+
+    def enumerate(self, X):
+        return self.sets
+
+    finite_opens = enumerate
+
 
 @dataclass(frozen=True)
-class AllCanonicalOpen:
+class AllCanonicalOpen(Opens):
     """Every canonical set all of whose intervals are open (QLine)."""
 
+    interval_opens = True
+
+    def validate(self, X):
+        if not isinstance(X.carrier, QLine):
+            raise UnsupportedCarrier("interval opens need the line carrier")
+        if not X.support.is_whole():
+            raise ValueError("interval opens require full support; use a trace")
+
+    def is_open(self, X, S):
+        return sx.all_intervals_open(S)
+
+    def trace_is_open(self, parent, W, S):
+        # relatively open iff S avoids the closure of its in-window complement
+        rest = sx.minus(sx.intersect(W, parent.support), S)
+        return sx.intersect(S, sx.interval_closure(rest)).is_empty()
+
+    def interior_cover(self, P):
+        return lambda C, D: sx.is_subset(C, sx.interval_interior(D))
+
 
 @dataclass(frozen=True)
-class FiniteOrWhole:
+class FiniteOrWhole(Opens):
     """Finite subsets plus the whole carrier (NatFC)."""
 
+    singletons_open = True
+
+    def validate(self, X):
+        if not isinstance(X.carrier, NatFC):
+            raise UnsupportedCarrier("finite-or-whole opens need the naturals")
+        if not X.support.is_whole():
+            raise ValueError("finite-or-whole opens require full support")
+
+    def is_open(self, X, S):
+        return S.is_finite_pointset() or S.is_whole()
+
+    def trace_is_open(self, parent, W, S):
+        return S.is_finite_pointset() or S == sx.intersect(W, parent.support)
+
 
 @dataclass(frozen=True)
-class AllSets:
+class AllSets(Opens):
     """Every representable subset is open."""
 
+    singletons_open = True
+
+    def is_open(self, X, S):
+        return True
+
+    def trace_is_open(self, parent, W, S):
+        return True
+
+    def enumerate(self, X):
+        if not isinstance(X.carrier, FiniteEnum):
+            return super().enumerate(X)
+        return self.finite_opens(X)
+
 
 @dataclass(frozen=True)
-class ProductOpens:
+class ProductOpens(Opens):
     """Opens of a binary product, decided cell-by-cell."""
 
     left: "GtsPresentation"
     right: "GtsPresentation"
 
+    def validate(self, X):
+        if X.carrier != Product(self.left.carrier, self.right.carrier):
+            raise CarrierMismatch("product opens on the wrong carrier")
+
+    def is_open(self, X, S):
+        """Cell test: each fiber open, each cell interior to its fiber's shadow."""
+        cells = list(S.form)
+        if not all(is_open(self.right, F) for _, F in cells):
+            return False
+        covered = self.left.opens.interior_cover(self.left)
+        for C, F in cells:
+            shadow = sx.empty(self.left.carrier)
+            for C2, F2 in cells:
+                if sx.is_subset(F, F2):
+                    shadow = sx.union(shadow, C2)
+            if not covered(C, shadow):
+                return False
+        return True
+
+    def enumerate(self, X):
+        """The product opens: every union of boxes U x V of factor opens.
+
+        Each box becomes a bitmask over the grid of support points, the
+        masks are closed under union, and each mask becomes a set once.
+        Unions of open boxes are exactly the sets is_open accepts, since the
+        factor opens are closed under finite unions and intersections.
+        """
+        if not points_of(X.support):
+            return [sx.empty(X.carrier)]
+        left, right = self.left, self.right
+        left.opens.interior_cover(left)  # raises where is_open would
+        lpts, rpts = points_of(left.support), points_of(right.support)
+        lbit = {x: 1 << i for i, x in enumerate(lpts)}
+        rbit = {y: 1 << j for j, y in enumerate(rpts)}
+        n = len(rpts)
+        rows = {sum(rbit[y] for y in points_of(V)) for V in right.opens.finite_opens(right)}
+        cols = {sum(lbit[x] for x in points_of(U)) for U in left.opens.finite_opens(left)}
+        boxes = {
+            sum(v << (i * n) for i in range(len(lpts)) if u >> i & 1)
+            for u in cols
+            for v in rows
+        }
+        masks = {0}
+        for b in boxes:
+            masks |= {m | b for m in masks}
+        grid = [(x, y) for x in lpts for y in rpts]
+        return [
+            from_points(X.carrier, [p for k, p in enumerate(grid) if m >> k & 1])
+            for m in masks
+        ]
+
+    def weakly_open(self, X, S):
+        raise UnsupportedCarrier("no weak-openness procedure for this presentation")
+
 
 @dataclass(frozen=True)
-class TraceOpens:
+class TraceOpens(Opens):
     """Relative opens of a window inside a parent presentation."""
 
     parent: "GtsPresentation"
     window: SetExpr
 
+    @property
+    def singletons_open(self):
+        return self.parent.opens.singletons_open
+
+    @property
+    def interval_opens(self):
+        return self.parent.opens.interval_opens
+
+    def validate(self, X):
+        if self.parent.carrier != X.carrier:
+            raise CarrierMismatch("trace parent on the wrong carrier")
+        if X.support != sx.intersect(self.window, self.parent.support):
+            raise ValueError("trace support must equal the window")
+
+    def is_open(self, X, S):
+        return self.parent.opens.trace_is_open(self.parent, self.window, S)
+
+    def trace_is_open(self, parent, W, S):
+        # a trace of a trace is a trace of the first parent on both windows
+        return self.parent.opens.trace_is_open(self.parent, sx.intersect(self.window, W), S)
+
+    def enumerate(self, X):
+        return {sx.intersect(O, self.window) for O in enumerate_opens(self.parent)}
+
 
 @dataclass(frozen=True)
-class GluedOpens:
+class GluedOpens(Opens):
     """Opens of a union of pieces: open iff open on every piece."""
 
-    pieces: tuple["GtsPresentation", ...]
+    pieces: tuple["GtsPresentation", ...] = field()  # Opens.pieces is no default
+
+    def validate(self, X):
+        u = sx.empty(X.carrier)
+        for P in self.pieces:
+            if P.carrier != X.carrier:
+                raise CarrierMismatch("glued piece on the wrong carrier")
+            u = sx.union(u, P.support)
+        if u != X.support:
+            raise ValueError("glued support must equal the union of the pieces")
+
+    def is_open(self, X, S):
+        return all(is_open(P, sx.intersect(S, P.support)) for P in self.pieces)
+
+    enumerate = Opens.finite_opens
+
+    def weakly_open(self, X, S):
+        from .layers import weakly_open  # layers imports this module
+        return all(weakly_open(P, sx.intersect(S, P.support)) for P in self.pieces)
 
 
 # -- coverage policies ----------------------------------------------------
@@ -119,13 +377,12 @@ class PiecewiseEssFin:
 
     exhaustion: Exhaustion
 
-
 # -- the presentation -----------------------------------------------------
 
 @dataclass(frozen=True)
 class GtsPresentation:
     carrier: Carrier
-    opens: object
+    opens: Opens
     policy: object
     support: SetExpr = None
     name: str = ""
@@ -137,65 +394,13 @@ class GtsPresentation:
         if self.support.carrier != self.carrier:
             raise CarrierMismatch("support on the wrong carrier")
         if self.validate:
-            _validate_presentation(self)
+            if not isinstance(self.opens, Opens):
+                raise UnsupportedPresentation("unknown opens description")
+            self.opens.validate(self)
 
     def __repr__(self):
         tag = self.name or self.carrier.describe()
         return f"<gts {tag}>"
-
-
-def _validate_presentation(X: GtsPresentation):
-    op = X.opens
-    if isinstance(op, ExplicitList):
-        for S in op.sets:
-            if S.carrier != X.carrier:
-                raise CarrierMismatch("open set on the wrong carrier")
-            if not sx.is_subset(S, X.support):
-                raise ValueError("open set escapes the support")
-        listed = op.lookup
-        if sx.empty(X.carrier) not in listed or X.support not in listed:
-            raise ValueError("opens must include the empty set and the support")
-        for A, B in combinations(op.sets, 2):
-            if sx.union(A, B) not in listed:
-                raise ValueError(
-                    "opens not closed under union: %s, %s" % (sx.render(A), sx.render(B))
-                )
-            if sx.intersect(A, B) not in listed:
-                raise ValueError(
-                    "opens not closed under intersection: %s, %s"
-                    % (sx.render(A), sx.render(B))
-                )
-    elif isinstance(op, AllCanonicalOpen):
-        if not isinstance(X.carrier, QLine):
-            raise UnsupportedCarrier("interval opens need the line carrier")
-        if not X.support.is_whole():
-            raise ValueError("interval opens require full support; use a trace")
-    elif isinstance(op, FiniteOrWhole):
-        if not isinstance(X.carrier, NatFC):
-            raise UnsupportedCarrier("finite-or-whole opens need the naturals")
-        if not X.support.is_whole():
-            raise ValueError("finite-or-whole opens require full support")
-    elif isinstance(op, AllSets):
-        pass
-    elif isinstance(op, ProductOpens):
-        want = Product(op.left.carrier, op.right.carrier)
-        if X.carrier != want:
-            raise CarrierMismatch("product opens on the wrong carrier")
-    elif isinstance(op, TraceOpens):
-        if op.parent.carrier != X.carrier:
-            raise CarrierMismatch("trace parent on the wrong carrier")
-        if X.support != sx.intersect(op.window, op.parent.support):
-            raise ValueError("trace support must equal the window")
-    elif isinstance(op, GluedOpens):
-        u = sx.empty(X.carrier)
-        for P in op.pieces:
-            if P.carrier != X.carrier:
-                raise CarrierMismatch("glued piece on the wrong carrier")
-            u = sx.union(u, P.support)
-        if u != X.support:
-            raise ValueError("glued support must equal the union of the pieces")
-    else:
-        raise UnsupportedPresentation("unknown opens description")
 
 
 # -- openness -------------------------------------------------------------
@@ -207,163 +412,12 @@ def is_open(X: GtsPresentation, S: SetExpr) -> bool:
         return True
     if not sx.is_subset(S, X.support):
         return False
-    op = X.opens
-    if isinstance(op, ExplicitList):
-        return S in op.lookup
-    if isinstance(op, AllCanonicalOpen):
-        return sx.all_intervals_open(S)
-    if isinstance(op, FiniteOrWhole):
-        return S.is_finite_pointset() or S.is_whole()
-    if isinstance(op, AllSets):
-        return True
-    if isinstance(op, ProductOpens):
-        return _product_is_open(op, S)
-    if isinstance(op, TraceOpens):
-        return _trace_is_open(op, S)
-    if isinstance(op, GluedOpens):
-        return all(is_open(P, sx.intersect(S, P.support)) for P in op.pieces)
-    raise UnsupportedPresentation("unknown opens description")
-
-
-def _trace_is_open(op: TraceOpens, S: SetExpr) -> bool:
-    """Is S the trace of some parent open on the window?"""
-    parent, W = op.parent, op.window
-    pop = parent.opens
-    if isinstance(pop, AllSets):
-        return True
-    if isinstance(pop, ExplicitList):
-        return any(sx.intersect(O, W) == S for O in pop.sets)
-    if isinstance(pop, FiniteOrWhole):
-        return S.is_finite_pointset() or S == sx.intersect(W, parent.support)
-    if isinstance(pop, AllCanonicalOpen):
-        # relatively open iff S avoids the closure of its in-window complement
-        rest = sx.minus(sx.intersect(W, parent.support), S)
-        return sx.intersect(S, sx.interval_closure(rest)).is_empty()
-    if isinstance(pop, TraceOpens):
-        inner = TraceOpens(pop.parent, sx.intersect(pop.window, W))
-        return _trace_is_open(inner, S)
-    try:
-        for O in enumerate_opens(parent):
-            if sx.intersect(O, W) == S:
-                return True
-        return False
-    except NonFiniteCarrier:
-        raise UnsupportedPresentation("cannot decide traces of this parent")
-
-
-def _product_is_open(op: ProductOpens, S: SetExpr) -> bool:
-    """Cell test: each fiber open, each cell interior to its fiber's shadow."""
-    cells = list(S.form)
-    for _, F in cells:
-        if not is_open(op.right, F):
-            return False
-    for C, F in cells:
-        shadow = sx.empty(op.left.carrier)
-        for C2, F2 in cells:
-            if sx.is_subset(F, F2):
-                shadow = sx.union(shadow, C2)
-        if not _covered_by_interior(op.left, C, shadow):
-            return False
-    return True
-
-
-def _require_interior(P: GtsPresentation):
-    """Raise unless _covered_by_interior has a procedure for P's opens."""
-    pop = P.opens
-    if isinstance(pop, ExplicitList) and not isinstance(P.carrier, FiniteEnum):
-        raise UnsupportedPresentation("listed opens need a finite carrier here")
-    if not isinstance(pop, (AllSets, FiniteOrWhole, AllCanonicalOpen, ExplicitList)):
-        raise UnsupportedPresentation("no interior procedure for this factor")
-
-
-def _covered_by_interior(P: GtsPresentation, C: SetExpr, D: SetExpr) -> bool:
-    """Does every point of C have a P-open neighborhood inside D?"""
-    _require_interior(P)
-    pop = P.opens
-    if isinstance(pop, (AllSets, FiniteOrWhole)):
-        # singletons are open, so containment suffices
-        return sx.is_subset(C, D)
-    if isinstance(pop, AllCanonicalOpen):
-        return sx.is_subset(C, sx.interval_interior(D))
-    # listed opens on a finite carrier: a hull of listed neighbourhoods
-    for x in C.finite_points():
-        hull = sx.empty(P.carrier)
-        for O in pop.sets:
-            if sx.contains(O, x) and sx.is_subset(O, D):
-                hull = sx.union(hull, O)
-        if not sx.contains(hull, x):
-            return False
-    return True
+    return X.opens.is_open(X, S)
 
 
 def enumerate_opens(X: GtsPresentation) -> list[SetExpr]:
     """All opens of a finitely-enumerable presentation, sorted canonically."""
-    op = X.opens
-    if isinstance(op, ExplicitList):
-        out = op.lookup
-    elif isinstance(op, AllSets) and isinstance(X.carrier, FiniteEnum):
-        names = X.support.form
-        out = {
-            sx.atoms(X.carrier, c)
-            for k in range(len(names) + 1)
-            for c in combinations(names, k)
-        }
-    elif isinstance(op, TraceOpens):
-        out = {sx.intersect(O, op.window) for O in enumerate_opens(op.parent)}
-    elif isinstance(op, GluedOpens):
-        out = set()
-        for S in _enumerate_subsets(X.support):
-            if is_open(X, S):
-                out.add(S)
-    elif isinstance(op, ProductOpens):
-        out = _product_opens(X)
-    else:
-        raise NonFiniteCarrier("presentation has infinitely many opens")
-    return sorted(out, key=sx.sort_key)
-
-
-def _product_opens(X: GtsPresentation) -> list[SetExpr]:
-    """The product opens: every union of boxes U x V of factor opens.
-
-    Each box becomes a bitmask over the grid of support points, the masks
-    are closed under union, and each mask becomes a set once.  Unions of open
-    boxes are exactly the sets _product_is_open accepts, since the factor
-    opens are closed under finite unions and intersections.
-    """
-    op = X.opens
-    if not points_of(X.support):
-        return [sx.empty(X.carrier)]
-    _require_interior(op.left)
-    lpts, rpts = points_of(op.left.support), points_of(op.right.support)
-    lbit = {x: 1 << i for i, x in enumerate(lpts)}
-    rbit = {y: 1 << j for j, y in enumerate(rpts)}
-    n = len(rpts)
-    rows = {sum(rbit[y] for y in points_of(V)) for V in _factor_opens(op.right)}
-    cols = {sum(lbit[x] for x in points_of(U)) for U in _factor_opens(op.left)}
-    boxes = {
-        sum(v << (i * n) for i in range(len(lpts)) if u >> i & 1)
-        for u in cols
-        for v in rows
-    }
-    masks = {0}
-    for b in boxes:
-        masks |= {m | b for m in masks}
-    grid = [(x, y) for x in lpts for y in rpts]
-    return [
-        from_points(X.carrier, [p for k, p in enumerate(grid) if m >> k & 1])
-        for m in masks
-    ]
-
-
-def _factor_opens(P: GtsPresentation) -> list[SetExpr]:
-    """The opens of a product factor with finite support, as is_open decides."""
-    pop = P.opens
-    if isinstance(pop, ExplicitList):
-        return list(pop.sets)
-    if isinstance(pop, (AllSets, FiniteOrWhole)):
-        # every subset of a finite support is open
-        return _enumerate_subsets(P.support)
-    return [S for S in _enumerate_subsets(P.support) if is_open(P, S)]
+    return sorted(X.opens.enumerate(X), key=sx.sort_key)
 
 
 def _enumerate_subsets(S: SetExpr) -> list[SetExpr]:
@@ -417,20 +471,18 @@ def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:
         if S.carrier != carrier:
             raise CarrierMismatch("subbasis set on the wrong carrier")
         opens.add(S)
-    while True:
-        fresh = set()
-        for A in opens:
-            for B in opens:
-                u, i = sx.union(A, B), sx.intersect(A, B)
-                if u not in opens:
-                    fresh.add(u)
-                if i not in opens:
-                    fresh.add(i)
-        if not fresh:
-            break
-        opens |= fresh
-    listed = tuple(sorted(opens, key=sx.sort_key))
+    listed = tuple(sorted(_close(opens, sx.union, sx.intersect), key=sx.sort_key))
     return GtsPresentation(carrier, ExplicitList(listed), All(), name="generated")
+
+
+def _close(sets, *ops) -> set:
+    """The least superset of sets that each binary op maps into itself."""
+    out = set(sets)
+    while True:
+        fresh = {op(A, B) for A in out for B in out for op in ops} - out
+        if not fresh:
+            return out
+        out |= fresh
 
 
 # -- admissibility --------------------------------------------------------
@@ -570,16 +622,18 @@ def smallness(X: GtsPresentation, K: SetExpr) -> Verdict:
 
 
 def _smallness_under_all(X: GtsPresentation, K: SetExpr) -> Verdict:
-    c = X.carrier
+    c, op = X.carrier, X.opens
     if isinstance(c, FiniteEnum):
         return Verdict("Small", "finite carrier")
-    if isinstance(c, NatFC) and isinstance(X.opens, (AllSets, FiniteOrWhole)):
+    # the witness families below spread over the whole carrier
+    if isinstance(c, NatFC) and op.singletons_open and X.support.is_whole():
         # K is infinite here; the singleton family never refines finitely
         W = FamilyExpr(c, (), (Singletons(),))
         return Verdict(
             "NotSmall", "singleton cover admits no finite refinement over K", W
         )
-    if isinstance(c, QLine) and isinstance(X.opens, (AllCanonicalOpen, AllSets)):
+    if isinstance(c, QLine) and (op.interval_opens or op.singletons_open) \
+            and X.support.is_whole():
         return _qline_not_small_witness(K)
     return Verdict("Unknown", "no witness procedure for this presentation")
 

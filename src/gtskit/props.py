@@ -25,9 +25,7 @@ from .presentation import (
     AllCanonicalOpen,
     AllSets,
     FiniteOrWhole,
-    GluedOpens,
     GtsPresentation,
-    TraceOpens,
     check_members_open,
     enumerate_opens,
     from_points,
@@ -52,17 +50,14 @@ def components(X: GtsPresentation) -> ComponentsReport:
     op = X.opens
     if X.support.is_finite_pointset():
         return _finite_components(X)
-    if isinstance(X.carrier, QLine) and (
-        isinstance(op, (AllCanonicalOpen,))
-        or (isinstance(op, TraceOpens) and isinstance(op.parent.opens, AllCanonicalOpen))
-    ):
+    if op.interval_opens:
         parts = tuple(
             sx.SetExpr(X.carrier, (iv,), _normalized=True) for iv in X.support.form
         )
         fam = FamilyExpr(X.carrier, parts)
         ok = all(is_open(X, P) for P in parts) and is_admissible(X, fam).yes
         return ComponentsReport(parts, Verdict("Yes" if ok else "No"))
-    if isinstance(op, GluedOpens):
+    if op.pieces:
         supports = [P.support for P in op.pieces]
         disjoint = all(
             sx.intersect(A, B).is_empty()

@@ -11,7 +11,7 @@ class Verdict:
 
     Each procedure keeps its own status words: "Yes"/"No" for
     admissibility and essential finiteness, "Small"/"NotSmall"/"Unknown"
-    for smallness, "Yes"/"No"/"Checked" for strict continuity and
+    for smallness, "Yes"/"No"/"Checked"/"Unknown" for strict continuity and
     "Yes"/"No"/"Unknown"/"Checked" for the layer and property flags.
     The witness of a negative verdict replays it; that of a positive
     essential-finiteness verdict is the covering finite subfamily.

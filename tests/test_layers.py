@@ -1,9 +1,12 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from gtskit.audit import _random_set, random_open
 from gtskit.constructions import subspace
+from gtskit.dsl import parse_document
 from gtskit.errors import (
     NoInfimum,
     PointNotCovered,
@@ -23,7 +26,7 @@ from gtskit.layers import (
 )
 from gtskit import library as lib
 from gtskit.maps import Identity, NatShift, SpaceMap
-from gtskit.presentation import smallness
+from gtskit.presentation import FiniteOrWhole, is_open, smallness
 from gtskit import setexpr as sx
 from gtskit.streams import Singletons
 
@@ -153,6 +156,51 @@ def test_weakly_discrete_classification():
     co = classify_subset(X, sx.nat_cofinite([0]))
     assert co.flags["open"].status == "No"
     assert co.flags["closed"].yes
+
+
+@pytest.mark.parametrize("window", [sx.nat_finite([0, 1, 2, 5]), sx.nat_cofinite([3, 4])],
+                         ids=["finite", "cofinite"])
+def test_traces_of_finite_or_whole_are_weakly_discrete(window):
+    # finite sets are open in the trace, so every subset is a union of opens
+    X = subspace(lib.weakly_discrete_nat(), window)
+    samples = [sx.nat_finite([]), sx.nat_finite([0]), sx.nat_finite([1, 5]),
+               sx.nat_cofinite([0, 1]), sx.nat_cofinite([]), sx.nat_cofinite([7])]
+    for S in (sx.intersect(T, X.support) for T in samples):
+        assert weakly_open(X, S)
+        assert weak_closure(X, S) == S
+        flags = classify_subset(X, S).flags
+        for name in ("weakly_open", "weakly_closed", "locally_closed"):
+            assert flags[name].yes, (sx.render(S), name)
+
+
+def _weak_openness_cases():
+    spaces = dict(lib.shipped())
+    corpus = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
+    for path in sorted(corpus.glob("*.gts")):
+        for name, X in parse_document(path.read_text()).spaces.items():
+            spaces["%s:%s" % (path.stem, name)] = X
+    spaces["trace:line"] = subspace(lib.rational_interval_line(), sx.interval(0, 1, False, False))
+    chain = spaces["spaces:Chain3"]
+    spaces["trace:Chain3"] = subspace(chain, sx.atoms(chain.carrier, ["b", "c"]))
+    return sorted(spaces.items())
+
+
+WEAK_OPENNESS_CASES = _weak_openness_cases()
+
+
+@pytest.mark.parametrize("name, X", WEAK_OPENNESS_CASES,
+                         ids=[name for name, _ in WEAK_OPENNESS_CASES])
+def test_open_sets_are_weakly_open(name, X):
+    # the opens of every description but finite-or-whole are closed under
+    # union, so weak openness is openness there
+    rng = random.Random(2024)
+    for k in range(200):
+        S = random_open(X, rng) if k % 2 else _random_set(X.carrier, rng)
+        S = sx.intersect(S, X.support)
+        opened, weak = is_open(X, S), weakly_open(X, S)
+        assert weak or not opened, sx.render(S)
+        if not isinstance(X.opens, FiniteOrWhole):
+            assert weak == opened, sx.render(S)
 
 
 # -- piece capture --------------------------------------------------------

@@ -22,6 +22,8 @@ from gtskit.streams import (
     ShrinkIntervals,
     Singletons,
     clip_stream,
+    merge_stream,
+    shrink,
 )
 
 
@@ -98,6 +100,15 @@ def test_refines():
         QLine(), (sx.interval(0, 1, True, False), sx.interval(1, 2, False, True)))
     assert refines(healed, coarse)
     assert not refines(coarse, healed)
+
+
+@pytest.mark.parametrize("derive", [lambda s: clip_stream(s, sx.interval(-5, 5)),
+                                    lambda s: merge_stream(s, sx.interval(5, 6))],
+                         ids=["clip", "merge"])
+def test_refines_is_reflexive_on_derived_streams(derive):
+    s = shrink(0, 1, "both", 3)
+    F = FamilyExpr(QLine(), (), (derive(s),))
+    assert refines(F, F)
 
 
 # -- essential finiteness -------------------------------------------------
