@@ -5,7 +5,11 @@ documented limits (endpoint numerators/denominators up to 32, families of
 at most 6 finite members and 2 streams) and checks the axioms: openness of
 finite unions/intersections, admissibility of finite open families, open
 unions of admissible families, stability, transitivity, saturation, and
-regularity.  Finite presentations small enough are checked exhaustively.
+regularity.  Presentations with at most 8 opens are checked exhaustively,
+on bitmasks: a set is the mask of the cells it holds (the support's points
+when the support is finite, else the pieces the opens cut it into), and a
+stream-free family of opens is admissible exactly when every member is
+open, since its finite part covers its union under every policy.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from .presentation import (
     GtsPresentation,
     ProductOpens,
     TraceOpens,
-    _enumerate_subsets,
     enumerate_opens,
+    from_points,
     is_admissible,
     is_open,
+    points_of,
 )
 from . import setexpr as sx
 from .setexpr import SetExpr
@@ -309,74 +314,132 @@ def audit_axioms(X: GtsPresentation, budget: int = 1000, seed: int = 0) -> Audit
     return rep
 
 
-def _all_subfamilies(opens, cap):
-    for k in range(1, cap + 1):
-        for c in combinations(opens, k):
-            yield c
+def _cells(X: GtsPresentation, opens) -> list[SetExpr]:
+    """Pairwise disjoint non-empty sets covering the support and every open.
+
+    The support's points come first, in points_of order, when the support
+    is finite; otherwise the support is cut by every open.  What the opens
+    hold outside the support is cut the same way, so each open and each
+    union or intersection of them is exactly a union of cells.
+    """
+    c = X.carrier
+    outside = sx.empty(c)
+    for O in opens:
+        outside = sx.union(outside, O)
+    outside = sx.minus(outside, X.support)
+    if X.support.is_finite_pointset():
+        cells, parts = [from_points(c, [p]) for p in points_of(X.support)], [outside]
+    else:
+        cells, parts = [], [X.support, outside]
+    for O in opens:
+        parts = [q for p in parts for q in (sx.intersect(p, O), sx.minus(p, O))
+                 if not q.is_empty()]
+    return cells + parts
+
+
+def _bits(m: int) -> list[int]:
+    return [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> AuditReport:
+    """Every instance of the axioms over the listed opens, on bitmasks.
+
+    A set is the mask of the cells it holds, and a family of opens the mask
+    of the indices of its members in the list.  A stream-free family is
+    admissible exactly when every member is open; witnesses are built from
+    the masks only for the checks that fail.
+    """
     rep = AuditReport(seed=seed, budget=budget, exhaustive=True)
     rep.record("empty_whole_open",
                is_open(X, sx.empty(X.carrier)) and is_open(X, X.support),
                "empty set or support not open", (X.support,))
-    for A, B in combinations(opens, 2):
-        ok = is_open(X, sx.union(A, B)) and is_open(X, sx.intersect(A, B))
-        rep.record("binary_ops_open", ok, "union or intersection not open", (A, B))
-    families = [FamilyExpr(X.carrier, c) for c in _all_subfamilies(opens, min(len(opens), 4))]
-    adm_flags = [is_admissible(X, F).yes for F in families]
-    admissible = [F for F, ok in zip(families, adm_flags) if ok]
-    unions = {id(F): family_union(F) for F in families}
-    # refinement requires equal unions, so only same-union pairs can matter
-    by_union = {}
-    for F in families:
-        by_union.setdefault(unions[id(F)], []).append(F)
-    adm_ids = {id(F) for F in admissible}
-    for F, ok in zip(families, adm_flags):
-        rep.record("finite_families_admissible", ok,
-                   "finite open family not admissible", (F,))
-    for F in admissible:
-        rep.record("admissible_union_open", is_open(X, unions[id(F)]),
-                   "union of admissible family not open", (F,))
-        for V in opens:
-            rep.record("stability", is_admissible(X, clip_family(F, V)).yes,
-                       "clipped family not admissible", (F, V))
-        for G in by_union[unions[id(F)]]:
-            if refines(F, G):
-                rep.record("saturation", id(G) in adm_ids,
-                           "coarsening not admissible", (F, G))
+    c = X.carrier
+    cells = _cells(X, opens)
+    om = [sum(1 << i for i, C in enumerate(cells) if not sx.intersect(C, O).is_empty())
+          for O in opens]
+    memo = {}
+
+    def decode(m: int) -> SetExpr:
+        S = sx.empty(c)
+        for i in _bits(m):
+            S = sx.union(S, cells[i])
+        return S
+
+    def open_mask(m: int) -> bool:
+        if m not in memo:
+            memo[m] = is_open(X, decode(m))
+        return memo[m]
+
+    def fam(f: int) -> FamilyExpr:
+        return FamilyExpr(c, tuple(opens[i] for i in _bits(f)))
+
+    def check(axiom, ok, description, witness):
+        rep.record(axiom, ok, description, () if ok else witness())
+
+    idx = range(len(opens))
+    for i, j in combinations(idx, 2):
+        check("binary_ops_open", open_mask(om[i] | om[j]) and open_mask(om[i] & om[j]),
+              "union or intersection not open", lambda: (opens[i], opens[j]))
+    families = [sum(1 << i for i in ix)
+                for k in range(1, min(len(opens), 4) + 1) for ix in combinations(idx, k)]
+    members_open = sum(1 << i for i in idx if open_mask(om[i]))
+    admissible = [f for f in families if not f & ~members_open]
+    for f in families:
+        check("finite_families_admissible", not f & ~members_open,
+              "finite open family not admissible", lambda: (fam(f),))
+    # refines(F, G) for families with one union: each member of F lies in a
+    # member of G, i.e. F's indices lie in the opens below some member of G
+    below = [sum(1 << j for j in idx if not om[j] & ~om[i]) for i in idx]
+    union, down, by_union = {}, {}, {}
+    for f in families:
+        u = d = 0
+        for i in _bits(f):
+            u |= om[i]
+            d |= below[i]
+        union[f], down[f] = u, d
+        by_union.setdefault(u, []).append(f)
+    # clipped[j]: the members whose trace on the j-th open is open
+    clipped = [sum(1 << i for i in idx if open_mask(om[i] & om[j])) for j in idx]
+    for f in admissible:
+        check("admissible_union_open", open_mask(union[f]),
+              "union of admissible family not open", lambda: (fam(f),))
+        for j in idx:
+            check("stability", not f & ~clipped[j],
+                  "clipped family not admissible", lambda: (fam(f), opens[j]))
+        for g in by_union[union[f]]:
+            if not f & ~down[g]:
+                check("saturation", not g & ~members_open,
+                      "coarsening not admissible", lambda: (fam(f), fam(g)))
     cover_of = {}
-    for G in admissible:
-        cover_of.setdefault(unions[id(G)], G)
+    for g in admissible:
+        cover_of.setdefault(union[g], g)
     # transitivity: member covers drawn from all families with matching union
-    for F in admissible[: max(1, budget // 50)]:
-        pieces = []
-        for U in F.finite_part:
-            cov = cover_of.get(U)
-            if cov is None:
-                pieces = None
-                break
-            pieces.append(cov)
-        if pieces is None:
+    for f in admissible[: max(1, budget // 50)]:
+        pieces = [cover_of.get(om[i]) for i in _bits(f)]
+        if None in pieces:
             continue
-        big = FamilyExpr(X.carrier, ())
-        for G in pieces:
-            big = union_families(big, G)
-        rep.record("transitivity", is_admissible(X, big).yes,
-                   "union of member covers not admissible", (F, big))
+        big = 0
+        for g in pieces:
+            big |= g
+        check("transitivity", not big & ~members_open,
+              "union of member covers not admissible",
+              lambda: (fam(f), FamilyExpr(c, tuple(
+                  opens[i] for g in pieces for i in _bits(g)))))
     # regularity: all subsets W of the support when enumerable, else
     # weakly open candidates built from the opens
-    try:
-        subsets = _enumerate_subsets(X.support)
-    except NonFiniteCarrier:
-        subsets = [sx.union(A, B) for A, B in combinations(opens, 2)]
-    open_set = set(opens)
-    for F in admissible:
-        for W in subsets:
-            if all(sx.intersect(W, A) in open_set for A in F.finite_part):
-                rep.record("regularity",
-                           sx.intersect(W, unions[id(F)]) in open_set,
-                           "regular subset not open", (F, W))
+    if X.support.is_finite_pointset():
+        n = len(points_of(X.support))
+        subsets = [sum(1 << i for i in ix)
+                   for k in range(n + 1) for ix in combinations(range(n), k)]
+    else:
+        subsets = [om[i] | om[j] for i, j in combinations(idx, 2)]
+    listed = set(om)
+    traces = [sum(1 << i for i in idx if w & om[i] in listed) for w in subsets]
+    for f in admissible:
+        for w, t in zip(subsets, traces):
+            if not f & ~t:
+                check("regularity", w & union[f] in listed,
+                      "regular subset not open", lambda: (fam(f), decode(w)))
     return rep
 
 

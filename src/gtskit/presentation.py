@@ -8,9 +8,9 @@ decision procedures of the family layer.
 Each opens description is an ``Opens`` subclass and answers for itself
 the questions below; where it has no procedure, the ``Opens`` default
 raises.  "finite" means only on a finite support (a finite carrier, for
-ExplicitList as a left factor and AllSets enumerating).  A trace answers
-the left-factor and weak-openness questions as AllSets does where its
-parent's singletons are open; otherwise it raises, or answers as open.
+ExplicitList as a left factor).  A trace answers the left-factor and
+weak-openness questions as AllSets does where its parent's singletons are
+open; otherwise it raises, or answers as open.
 
 ================  =============  =========  ===========  ==============  ===========
 description       open           enumerate  product      trace           weakly
@@ -218,7 +218,7 @@ class AllSets(Opens):
         return True
 
     def enumerate(self, X):
-        if not isinstance(X.carrier, FiniteEnum):
+        if not X.support.is_finite_pointset():
             return super().enumerate(X)
         return self.finite_opens(X)
 
@@ -272,9 +272,7 @@ class ProductOpens(Opens):
             for u in cols
             for v in rows
         }
-        masks = {0}
-        for b in boxes:
-            masks |= {m | b for m in masks}
+        masks = _union_closure(boxes)
         grid = [(x, y) for x in lpts for y in rpts]
         return [
             from_points(X.carrier, [p for k, p in enumerate(grid) if m >> k & 1])
@@ -460,19 +458,41 @@ def from_points(c: Carrier, pts) -> SetExpr:
 
 
 def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:
-    """Close a subbasis under finite unions and intersections.
+    """The topology a subbasis generates: unions of minimal neighbourhoods.
 
-    On a finite carrier every open family is essentially finite, so the
-    admissibility structure collapses: the policy is All and the admissible
-    families are exactly the open families (Cov is the full powerset of Op).
+    Each point's minimal open is the intersection of the subbasis sets (and
+    the whole carrier) that contain it, as a bitmask over the points; the
+    opens are the unions of those masks, and the empty set.  On a finite
+    carrier every open family is essentially finite, so the admissibility
+    structure collapses: the policy is All and the admissible families are
+    exactly the open families (Cov is the full powerset of Op).
     """
-    opens = {sx.empty(carrier), sx.whole(carrier)}
+    pts = points_of(sx.whole(carrier))
+    bit = {x: 1 << i for i, x in enumerate(pts)}
+    masks = []
     for S in subbasis:
         if S.carrier != carrier:
             raise CarrierMismatch("subbasis set on the wrong carrier")
-        opens.add(S)
-    listed = tuple(sorted(_close(opens, sx.union, sx.intersect), key=sx.sort_key))
+        masks.append(sum(bit[x] for x in points_of(S)))
+    least = []
+    for x in pts:
+        m = (1 << len(pts)) - 1
+        for b in masks:
+            if b & bit[x]:
+                m &= b
+        least.append(m)
+    listed = tuple(sorted(
+        (from_points(carrier, [x for x in pts if m & bit[x]]) for m in _union_closure(least)),
+        key=sx.sort_key))
     return GtsPresentation(carrier, ExplicitList(listed), All(), name="generated")
+
+
+def _union_closure(masks) -> set[int]:
+    """Every union of the given bitmasks, the empty union 0 included."""
+    out = {0}
+    for b in masks:
+        out |= {m | b for m in out}
+    return out
 
 
 def _close(sets, *ops) -> set:

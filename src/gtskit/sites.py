@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 
-from .carriers import FiniteEnum
 from .errors import NonFiniteCarrier, NonPosetCategory
 from .layers import LayerReport
 from .presentation import GtsPresentation, enumerate_opens, points_of
@@ -402,7 +401,7 @@ def _open_name(S) -> str:
 
 
 def gts_to_site(X: GtsPresentation) -> Site:
-    if not isinstance(X.carrier, FiniteEnum):
+    if not X.support.is_finite_pointset():
         raise NonFiniteCarrier("sites are built from finite presentations")
     opens = enumerate_opens(X)
     names = {_open_name(S): S for S in opens}

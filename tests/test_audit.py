@@ -1,9 +1,11 @@
+import pathlib
 import random
 
 import pytest
 
 from gtskit.audit import (
     AXIOMS,
+    _random_set,
     audit_axioms,
     random_admissible_family,
     random_open,
@@ -11,6 +13,8 @@ from gtskit.audit import (
 )
 from gtskit.carriers import FiniteEnum, NatFC
 from gtskit.constructions import product
+from gtskit.dsl import parse_document
+from gtskit.families import FamilyExpr
 from gtskit import library as lib
 from gtskit.presentation import (
     All,
@@ -76,11 +80,12 @@ def test_random_open_draws_opens():
 
 
 def test_proper_support_audits_clean():
-    X = nat_012()
-    for budget in (30, 200, 500):
-        rep = audit_axioms(X, budget=budget, seed=1)
-        assert rep.ok(), (budget, rep.violations[:1])
-    P, _ = product([X, lib.discrete_small_pair()])
+    nat_0123 = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite([0, 1, 2, 3]))
+    for X in (nat_012(), nat_0123):
+        for budget in (30, 200, 500):
+            rep = audit_axioms(X, budget=budget, seed=1)
+            assert rep.ok(), (budget, rep.violations[:1])
+    P, _ = product([nat_012(), lib.discrete_small_pair()])
     rep = audit_axioms(P, budget=60, seed=1)
     assert rep.ok(), rep.violations[:1]
 
@@ -92,3 +97,32 @@ def test_random_admissible_family_is_admissible():
         for _ in range(10):
             F = random_admissible_family(X, rng)
             assert is_admissible(X, F).admissible, name
+
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
+
+
+def test_stream_free_family_admissible_iff_members_open():
+    """The rule the exhaustive audit decides admissibility by, on every
+    shipped presentation and every space of the corpus."""
+    spaces = dict(lib.shipped())
+    for path in sorted(CORPUS.glob("*.gts")):
+        spaces.update(parse_document(path.read_text()).spaces)
+    rng = random.Random(7)
+    rejected = 0
+    for name, X in sorted(spaces.items()):
+        outcomes = set()
+        for _ in range(40):
+            members = []
+            for _ in range(rng.randint(1, 4)):
+                draw_open = rng.random() < 0.6
+                members.append(random_open(X, rng) if draw_open
+                               else _random_set(X.carrier, rng))
+            F = FamilyExpr(X.carrier, tuple(members))
+            expected = all(is_open(X, m) for m in members)
+            assert is_admissible(X, F).yes == expected, (name, F.render())
+            outcomes.add(expected)
+            rejected += not expected
+        assert True in outcomes, name
+    # every space outside AllSets on its whole carrier has non-open sets
+    assert rejected > 100

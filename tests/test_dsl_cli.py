@@ -126,6 +126,13 @@ def test_site_command():
     assert report["subcanonical"]["status"] == "Yes"
 
 
+def test_site_on_finite_support_of_the_naturals():
+    text = "space X { carrier nat; opens all-sets; cov all; support {1,2} }"
+    report, code = cli.run_command("site", ["X"], parse_document(text))
+    assert code == 0
+    assert report["objects"] == 4
+
+
 def test_unknown_command_and_bad_reference():
     with pytest.raises(cli.UnknownCommand):
         run("frobnicate", ["RSalg"])

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
-from gtskit.errors import NonOpenMember
+from gtskit.errors import NonFiniteCarrier, NonOpenMember
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 from gtskit.presentation import (
@@ -21,6 +22,7 @@ from gtskit.presentation import (
     is_open,
     smallness,
 )
+from gtskit.props import components
 from gtskit import setexpr as sx
 from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons
 
@@ -185,6 +187,31 @@ def test_generate_finite_gts_matches_brute_closure():
     gens = (sx.atoms(c, ["x"]), sx.atoms(c, ["y", "z"]), sx.atoms(c, ["x", "y"]))
     X = generate_finite_gts(c, gens)
     assert set(enumerate_opens(X)) == brute_force_closure(c, gens)
+
+
+def test_generate_finite_gts_lists_the_sorted_closure():
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        c = FiniteEnum(tuple("wxyz"[:n]))
+        gens = tuple(sx.atoms(c, [a for a in c.elements if rng.random() < 0.5])
+                     for _ in range(rng.randint(0, 4)))
+        X = generate_finite_gts(c, gens)
+        closure = brute_force_closure(c, gens)
+        assert X.opens.sets == tuple(sorted(closure, key=sx.sort_key)), gens
+
+
+def test_all_sets_enumerate_on_a_finite_support_of_an_infinite_carrier():
+    X = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite([0, 1, 2]))
+    opens = enumerate_opens(X)
+    assert len(opens) == 8
+    assert set(opens) == {sx.nat_finite(s) for s in
+                          ([], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2])}
+    Y = GtsPresentation(QLine(), AllSets(), All(), sx.union(sx.qpoint(0), sx.qpoint(1)))
+    assert len(enumerate_opens(Y)) == 4
+    assert set(components(X).parts) == {sx.nat_finite([x]) for x in (0, 1, 2)}
+    with pytest.raises(NonFiniteCarrier):
+        enumerate_opens(lib.discrete_small_nat())
 
 
 def test_generated_space_families_all_admissible():
