@@ -90,6 +90,17 @@ def test_proper_support_audits_clean():
     assert rep.ok(), rep.violations[:1]
 
 
+def test_large_all_sets_support_audits_at_random_without_listing_opens(monkeypatch):
+    """2**25 subsets are open here; the audit counts them, not lists them."""
+    def refuse(self, X):
+        raise AssertionError("listed the opens")
+    monkeypatch.setattr(AllSets, "enumerate", refuse)
+    X = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite(range(25)))
+    rep = audit_axioms(X, budget=60, seed=1)
+    assert not rep.exhaustive and rep.used == 60
+    assert rep.ok(), rep.violations[:1]
+
+
 def test_random_admissible_family_is_admissible():
     rng = random.Random(9)
     for name in ("line_small", "line_top", "nat_small", "line_loc"):

@@ -5,11 +5,11 @@
 
 Each tree is a full checkout (make one with ``git archive``).  For each
 workload the script runs ``perfbench/run.py --trace 0`` on the two trees in
-alternating order, one pair per seed, then one traced run (``--trace 1``)
-on each tree.  Runs already in the output file are kept, so the pairs of a
-second call (with other seeds) add to them.  The file holds every run, and
-per gated metric the median and quartiles of each side, the pairs the
-change won, and a verdict:
+alternating order, one pair per seed, then one traced run (``--trace 1
+--seed 1``) on each tree.  Runs already in the output file are kept, so
+the pairs of a second call (with other seeds) add to them.  The file holds
+every run, and per gated metric the median and quartiles of each side, the
+pairs the change won, and a verdict:
 
 * ``better`` -- the change won at least nine tenths of the pairs and its
   median beats the parent's by more than the parent's interquartile range;
@@ -32,6 +32,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACE_SEED = 1
 
 
 def run(tree, workload, seed, seconds, trace):
@@ -84,7 +85,6 @@ def main():
     ap.add_argument("--pairs", action="append", required=True,
                     help="WORKLOAD=N, once per workload")
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--trace-seed", type=int, default=1)
     args = ap.parse_args()
     bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     seconds = bench["run_seconds"]
@@ -111,7 +111,7 @@ def main():
         gated = {g["name"]: judge(g, [r["metrics"][g["name"]] for r in side_runs["parent"]],
                                   [r["metrics"][g["name"]] for r in side_runs["change"]])
                  for g in bench["end_to_end"]}
-        traced = {s: run(t, workload, args.trace_seed, seconds, 1) for s, t in trees.items()}
+        traced = {s: run(t, workload, TRACE_SEED, seconds, 1) for s, t in trees.items()}
         layers = {g["name"]: g["unit"] for g in bench["per_layer"]}
         before, after = traced["parent"]["metrics"], traced["change"]["metrics"]
         moved = {k: {"parent": before.get(k), "change": after.get(k)}
@@ -120,7 +120,7 @@ def main():
             "runs": runs,
             "all_correct": all(r["correct"] and r["failed"] == 0 for r in runs),
             "gated": gated,
-            "traced": {"seed": args.trace_seed,
+            "traced": {"seed": TRACE_SEED,
                        "parent": traced["parent"], "change": traced["change"],
                        "count_deltas": {k: v for k, v in moved.items()
                                         if layers[k] in ("count", "bytes")},
