@@ -1,10 +1,26 @@
+"""Map rules: pointwise values, set images and preimages, and continuity.
+
+``golden/map_rules.json`` holds, for every case in ``map_cases`` below, the
+rendered ``apply`` values on sample points, the rendered ``image`` and
+``preimage`` of seeded sets, the ``check_strict_continuity`` verdict and
+every ``classify_map`` flag.  Each of the nine rules appears, on finite,
+natural, rational and product carriers.
+
+Regenerate the fixture only when a map is meant to change:
+
+    PYTHONPATH=src python tests/test_maps.py > tests/golden/map_rules.json
+"""
+
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.constructions import subspace
-from gtskit.errors import CarrierMismatch
+from gtskit.errors import CarrierMismatch, GtsError
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 from gtskit.maps import (
@@ -23,6 +39,7 @@ from gtskit.maps import (
     identity_map,
     preimage_family,
 )
+from gtskit.props import classify_map
 from gtskit.presentation import AllSets, EssFin, GtsPresentation, is_open
 from gtskit import setexpr as sx
 from gtskit.streams import ShrinkIntervals, Singletons
@@ -162,3 +179,157 @@ def test_line_small_to_top_continuous():
                  Identity())
     v = check_strict_continuity(g)
     assert v.status == "No"
+
+
+# -- golden replay of every rule ------------------------------------------
+
+FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "map_rules.json"
+
+
+def map_cases():
+    """(name, map) for each rule, covering the branches of its procedures."""
+    from gtskit.constructions import product
+    A, B = lib.discrete_small_pair(), lib.discrete_small_pair()
+    P, (p1, p2) = product([A, B])
+    N, T, S = lib.discrete_small_nat(), lib.topological_discrete_nat(), lib.sierpinski()
+    NP, (n1, n2) = product([N, A])
+    P3, (q1, q2, q3) = product([A, B, lib.point_space()])
+    L, LT = lib.rational_interval_line(), lib.qline_topological()
+    pt = lib.point_space()
+    whole = sx.whole(QLine())
+    N5 = subspace(N, sx.nat_finite(range(6)))
+    const_p = SpaceMap(N, pt, Const("p"), name="const_p")
+    swap = FiniteTable((("a", "b"), ("b", "a")))
+    return [
+        ("identity-pair", identity_map(lib.discrete_pair())),
+        ("identity-line", identity_map(L)),
+        ("identity-nat-small-top", SpaceMap(N, T, Identity())),
+        ("const-nat-point", const_p),
+        ("const-line-nat", SpaceMap(L, N, Const(3))),
+        ("const-pair-sierpinski", SpaceMap(A, S, Const("a"))),
+        ("table-injective", SpaceMap(lib.discrete_pair(), S, swap)),
+        ("table-injective-same", SpaceMap(A, B, swap)),
+        ("table-not-injective",
+         SpaceMap(lib.discrete_pair(), lib.indiscrete_pair(),
+                  FiniteTable((("a", "b"), ("b", "b"))))),
+        ("affine-positive", SpaceMap(L, L, PiecewiseAffine(((whole, 2, 1),)))),
+        ("affine-negative", SpaceMap(LT, LT, PiecewiseAffine(
+            ((whole, -1, Fraction(1, 2)),)))),
+        ("affine-zero-piece", SpaceMap(L, LT, PiecewiseAffine((
+            (sx.interval(sx.NEG_INF, 0, True, False), 0, 1),
+            (sx.interval(0, sx.POS_INF, True, True), 3, 1))))),
+        ("affine-two-pieces", SpaceMap(L, L, PiecewiseAffine((
+            (sx.interval(sx.NEG_INF, 0, True, False), 1, 0),
+            (sx.interval(0, sx.POS_INF, True, True), 2, 0))))),
+        ("affine-folded", SpaceMap(L, L, PiecewiseAffine((
+            (sx.interval(sx.NEG_INF, 0, True, False), -1, 0),
+            (sx.interval(0, sx.POS_INF, True, True), 1, 0))))),
+        ("shift", SpaceMap(N, N, NatShift(3))),
+        ("shift-zero-top", SpaceMap(T, N, NatShift(0))),
+        ("shift-subspace", SpaceMap(N5, N, NatShift(2))),
+        ("perm", SpaceMap(N, N, NatPerm(((0, 2), (2, 5), (5, 0))))),
+        ("perm-top", SpaceMap(N, T, NatPerm(((1, 4), (4, 1))))),
+        ("projection-left", p1),
+        ("projection-right", p2),
+        ("projection-nat-left", n1),
+        ("projection-nat-right", n2),
+        ("pairing-finite", SpaceMap(A, P, Pairing(identity_map(A), identity_map(B)))),
+        ("pairing-swap", SpaceMap(A, P, Pairing(SpaceMap(A, A, swap), identity_map(B)))),
+        ("pairing-const-right", SpaceMap(N, product([N, pt])[0],
+                                         Pairing(identity_map(N), const_p))),
+        ("pairing-const-left", SpaceMap(N, product([pt, N])[0],
+                                        Pairing(const_p, identity_map(N)))),
+        ("pairing-nat", SpaceMap(N, product([N, N])[0],
+                                 Pairing(identity_map(N), SpaceMap(N, N, NatShift(1))))),
+        ("composite-nat", SpaceMap(N, N, Composite(SpaceMap(N, N, NatShift(1)),
+                                                   SpaceMap(N, N, NatPerm(((0, 3), (3, 0))))))),
+        ("composite-projection", q1),
+        ("composite-projection-last", q3),
+        ("composite-line", SpaceMap(L, L, Composite(
+            SpaceMap(L, L, PiecewiseAffine(((whole, -2, 0),))),
+            SpaceMap(L, L, PiecewiseAffine(((whole, Fraction(1, 2), 1),)))))),
+    ]
+
+
+def _sample_set(c, rng):
+    if isinstance(c, FiniteEnum):
+        return sx.atoms(c, [x for x in c.elements if rng.random() < 0.5])
+    if isinstance(c, NatFC):
+        elems = rng.sample(range(8), rng.randint(0, 3))
+        return sx.nat_cofinite(elems) if rng.random() < 0.4 else sx.nat_finite(elems)
+    if isinstance(c, QLine):
+        ends = [sx.NEG_INF, -2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 2, 3, sx.POS_INF]
+        out = sx.empty(c)
+        for _ in range(rng.randint(1, 2)):
+            lo, hi = sorted(rng.sample(range(len(ends)), 2))
+            out = sx.union(out, sx.interval(
+                ends[lo], ends[hi], lo == 0 or rng.random() < 0.5,
+                hi == len(ends) - 1 or rng.random() < 0.5))
+        if rng.random() < 0.3:
+            out = sx.union(out, sx.qpoint(Fraction(rng.randint(-6, 6), 2)))
+        return out
+    return sx.boxes(c, [(_sample_set(c.left, rng), _sample_set(c.right, rng))
+                        for _ in range(rng.randint(1, 2))])
+
+
+def _sample_points(c):
+    if isinstance(c, FiniteEnum):
+        return list(c.elements)
+    if isinstance(c, NatFC):
+        return [0, 1, 2, 3, 5, 9]
+    if isinstance(c, QLine):
+        return [Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(5, 2)]
+    return [(x, y) for x in _sample_points(c.left)[:3] for y in _sample_points(c.right)[:2]]
+
+
+def _show(obj):
+    if isinstance(obj, sx.SetExpr):
+        return sx.render(obj)
+    if isinstance(obj, FamilyExpr):
+        return obj.render()
+    return repr(obj)
+
+
+def _attempt(fn):
+    return _decide(lambda: _show(fn()))
+
+
+def _verdict(v):
+    return [v.status, v.reason, None if v.witness is None else _show(v.witness)]
+
+
+def _decide(fn):
+    try:
+        return fn()
+    except GtsError as e:
+        return "error %s: %s" % (type(e).__name__, e)
+
+
+def record(name, f, sets=6):
+    rng = random.Random(name)
+    dc, cc = f.domain.carrier, f.codomain.carrier
+    return {
+        "case": name,
+        "apply": [[repr(x), _attempt(lambda: f.apply(x))] for x in _sample_points(dc)],
+        "image": [[sx.render(S), _attempt(lambda: f.image(S))]
+                  for S in [sx.whole(dc)] + [_sample_set(dc, rng) for _ in range(sets)]],
+        "preimage": [[sx.render(T), _attempt(lambda: f.preimage(T))]
+                     for T in [sx.whole(cc)] + [_sample_set(cc, rng) for _ in range(sets)]],
+        "strictly_continuous": _decide(lambda: _verdict(check_strict_continuity(f))),
+        "classify": _decide(lambda: {k: _verdict(v) for k, v in classify_map(f).flags.items()}),
+    }
+
+
+def collect():
+    return [record(name, f) for name, f in map_cases()]
+
+
+@pytest.mark.parametrize("want", json.loads(FIXTURE.read_text()) if FIXTURE.exists() else [],
+                         ids=lambda w: w["case"])
+def test_map_rules_match_golden(want):
+    f = dict(map_cases())[want["case"]]
+    assert record(want["case"], f) == want
+
+
+if __name__ == "__main__":
+    print(json.dumps(collect(), indent=1))
