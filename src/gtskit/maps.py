@@ -34,20 +34,79 @@ from .verdict import Verdict
 
 # -- rules ----------------------------------------------------------------
 
+class Rule:
+    """How a map sends points and sets; each kind of rule answers for itself.
+
+    ``dc`` and ``cc`` below are the domain and codomain carriers.  ``image``
+    receives a set inside the domain support and ``preimage`` one inside
+    the codomain support; the map clips what ``preimage`` returns to the
+    domain support.
+    """
+
+    def validate(self, dc, cc):
+        """Raise unless the rule suits these carriers."""
+
+    def apply(self, x):
+        raise UnsupportedPresentation("unknown map rule")
+
+    def image(self, S: SetExpr, cc) -> SetExpr:
+        """The image of the finite set S, point by point."""
+        return from_points(cc, {self.apply(x) for x in points_of(S)})
+
+    def preimage(self, T: SetExpr, dc) -> SetExpr:
+        raise UnsupportedPresentation("unknown map rule")
+
+    def inverse(self, f: "SpaceMap") -> "Rule | None":
+        """The rule of f's inverse, where it is computable; f has this rule."""
+        return None
+
+
+def _need_naturals(dc, cc):
+    if (dc, cc) != (NatFC(), NatFC()):
+        raise CarrierMismatch("natural-number rules need natfc carriers")
+
+
 @dataclass(frozen=True)
-class Identity:
+class Identity(Rule):
     """x maps to x; domain and codomain share the carrier."""
 
+    def validate(self, dc, cc):
+        if dc != cc:
+            raise CarrierMismatch("identity needs matching carriers")
+
+    def apply(self, x):
+        return x
+
+    def image(self, S, cc):
+        return S
+
+    def preimage(self, T, dc):
+        return T
+
+    def inverse(self, f):
+        return self
+
 
 @dataclass(frozen=True)
-class Const:
+class Const(Rule):
     """Everything maps to one codomain point."""
 
     value: object
 
+    def apply(self, x):
+        return self.value
+
+    def image(self, S, cc):
+        return sx.empty(cc) if S.is_empty() else from_points(cc, [self.value])
+
+    def preimage(self, T, dc):
+        if not T.is_empty() and sx.contains(T, self.value):
+            return sx.whole(dc)
+        return sx.empty(dc)
+
 
 @dataclass(frozen=True)
-class FiniteTable:
+class FiniteTable(Rule):
     """Total lookup table between finite atom carriers."""
 
     table: tuple  # pairs (x, f(x))
@@ -55,9 +114,30 @@ class FiniteTable:
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
 
+    def validate(self, dc, cc):
+        if not isinstance(dc, FiniteEnum) or not isinstance(cc, FiniteEnum):
+            raise CarrierMismatch("table rules need finite atom carriers")
+        if {x for x, _ in self.table} != set(dc.elements):
+            raise ValueError("table must be total on the domain atoms")
+
+    def apply(self, x):
+        for a, b in self.table:
+            if a == x:
+                return b
+        raise UnrepresentablePoint(x)
+
+    def preimage(self, T, dc):
+        return from_points(dc, [x for x in dc.elements if sx.contains(T, self.apply(x))])
+
+    def inverse(self, f):
+        vals = [b for _, b in self.table]
+        if len(set(vals)) != len(vals) or set(vals) != set(f.codomain.carrier.elements):
+            return None
+        return FiniteTable(tuple((b, a) for a, b in self.table))
+
 
 @dataclass(frozen=True)
-class PiecewiseAffine:
+class PiecewiseAffine(Rule):
     """Finitely many pieces partitioning the line, x maps to p*x + q on each."""
 
     pieces: tuple  # triples (piece SetExpr, p, q) with rational p, q
@@ -75,9 +155,44 @@ class PiecewiseAffine:
         if not u.is_whole():
             raise ValueError("affine pieces must cover the whole line")
 
+    def validate(self, dc, cc):
+        if (dc, cc) != (QLine(), QLine()):
+            raise CarrierMismatch("affine rules live on the line")
+
+    def apply(self, x):
+        x = Fraction(x)
+        for P, p, q in self.pieces:
+            if sx.contains(P, x):
+                return p * x + q
+        raise UnrepresentablePoint(x)
+
+    def image(self, S, cc):
+        out = sx.empty(cc)
+        for P, p, q in self.pieces:
+            out = sx.union(out, _affine_image(sx.intersect(S, P), p, q))
+        return out
+
+    def preimage(self, T, dc):
+        out = sx.empty(dc)
+        for P, p, q in self.pieces:
+            if p != 0:
+                out = sx.union(out, sx.intersect(P, _affine_image(T, 1 / p, -q / p)))
+            elif sx.contains(T, q):
+                out = sx.union(out, P)
+        return out
+
+    def inverse(self, f):
+        if any(p == 0 for _, p, _ in self.pieces):
+            return None
+        imgs = tuple((f.image(P), 1 / p, -q / p) for P, p, q in self.pieces)
+        try:
+            return PiecewiseAffine(imgs)
+        except ValueError:  # the images overlap or miss part of the line
+            return None
+
 
 @dataclass(frozen=True)
-class NatShift:
+class NatShift(Rule):
     """x maps to x + k on the naturals."""
 
     k: int
@@ -86,9 +201,23 @@ class NatShift:
         if self.k < 0:
             raise ValueError("shift must be nonnegative to stay total")
 
+    def validate(self, dc, cc):
+        _need_naturals(dc, cc)
+
+    def apply(self, x):
+        return x + self.k
+
+    def image(self, S, cc):
+        return _nat_image(S, self.apply, surjective_off=set(range(self.k)))
+
+    def preimage(self, T, dc):
+        elems, co = T.form
+        pulled = {x - self.k for x in elems if x >= self.k}
+        return sx.nat_cofinite(pulled) if co else sx.nat_finite(pulled)
+
 
 @dataclass(frozen=True)
-class NatPerm:
+class NatPerm(Rule):
     """A finite-support bijection of the naturals, identity off the support."""
 
     table: tuple  # pairs (x, sigma(x))
@@ -100,9 +229,24 @@ class NatPerm:
         if len(set(dom)) != len(dom) or set(dom) != set(rng):
             raise ValueError("table must be a bijection of its support")
 
+    def validate(self, dc, cc):
+        _need_naturals(dc, cc)
+
+    def apply(self, x):
+        return next((b for a, b in self.table if a == x), x)
+
+    def image(self, S, cc):
+        return _nat_image(S, self.apply, surjective_off=set())
+
+    def preimage(self, T, dc):
+        return self.inverse(None).image(T, dc)  # a permutation's inverse reads no map
+
+    def inverse(self, f):
+        return NatPerm(tuple((b, a) for a, b in self.table))
+
 
 @dataclass(frozen=True)
-class Projection:
+class Projection(Rule):
     """First or second coordinate of a product carrier."""
 
     side: str  # "left" or "right"
@@ -111,183 +255,83 @@ class Projection:
         if self.side not in ("left", "right"):
             raise ValueError("side must be left or right")
 
+    def _pick(self, pair):
+        return pair[0] if self.side == "left" else pair[1]
+
+    def validate(self, dc, cc):
+        if not isinstance(dc, Product):
+            raise CarrierMismatch("projection needs a product domain")
+        if cc != self._pick((dc.left, dc.right)):
+            raise CarrierMismatch("projection codomain must be the factor")
+
+    def apply(self, x):
+        return self._pick(x)
+
+    def image(self, S, cc):
+        out = sx.empty(cc)
+        for cell_fiber in S.form:
+            out = sx.union(out, self._pick(cell_fiber))
+        return out
+
+    def preimage(self, T, dc):
+        if self.side == "left":
+            return sx.box(T, sx.whole(dc.right))
+        return sx.box(sx.whole(dc.left), T)
+
 
 @dataclass(frozen=True)
-class Pairing:
+class Pairing(Rule):
     """z maps to (f(z), g(z)) into a product carrier."""
 
     f: "SpaceMap"
     g: "SpaceMap"
 
+    def validate(self, dc, cc):
+        if not isinstance(cc, Product):
+            raise CarrierMismatch("pairing needs a product codomain")
+        if self.f.domain.carrier != dc or self.g.domain.carrier != dc:
+            raise CarrierMismatch("pairing components share the domain")
+        if (self.f.codomain.carrier, self.g.codomain.carrier) != (cc.left, cc.right):
+            raise CarrierMismatch("pairing components must hit the factors")
+
+    def apply(self, x):
+        return (self.f.apply(x), self.g.apply(x))
+
+    def image(self, S, cc):
+        if isinstance(self.g.rule, Const):
+            return sx.box(self.f.image(S), from_points(cc.right, [self.g.rule.value]))
+        if isinstance(self.f.rule, Const):
+            return sx.box(from_points(cc.left, [self.f.rule.value]), self.g.image(S))
+        return super().image(S, cc)  # raises NonFiniteCarrier when S is infinite
+
+    def preimage(self, T, dc):
+        out = sx.empty(dc)
+        for L, R in T.form:
+            out = sx.union(out, sx.intersect(self.f.preimage(L), self.g.preimage(R)))
+        return out
+
 
 @dataclass(frozen=True)
-class Composite:
+class Composite(Rule):
     """outer after inner."""
 
     outer: "SpaceMap"
     inner: "SpaceMap"
 
-
-# -- the map --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceMap:
-    domain: GtsPresentation
-    codomain: GtsPresentation
-    rule: object
-    name: str = ""
-
-    def __post_init__(self):
-        r = self.rule
-        dc, cc = self.domain.carrier, self.codomain.carrier
-        if isinstance(r, Identity) and dc != cc:
-            raise CarrierMismatch("identity needs matching carriers")
-        if isinstance(r, FiniteTable):
-            if not isinstance(dc, FiniteEnum) or not isinstance(cc, FiniteEnum):
-                raise CarrierMismatch("table rules need finite atom carriers")
-            if {x for x, _ in r.table} != set(dc.elements):
-                raise ValueError("table must be total on the domain atoms")
-        if isinstance(r, PiecewiseAffine) and (dc, cc) != (QLine(), QLine()):
-            raise CarrierMismatch("affine rules live on the line")
-        if isinstance(r, (NatShift, NatPerm)) and (dc, cc) != (NatFC(), NatFC()):
-            raise CarrierMismatch("natural-number rules need natfc carriers")
-        if isinstance(r, Projection):
-            if not isinstance(dc, Product):
-                raise CarrierMismatch("projection needs a product domain")
-            want = dc.left if r.side == "left" else dc.right
-            if cc != want:
-                raise CarrierMismatch("projection codomain must be the factor")
-        if isinstance(r, Pairing):
-            if not isinstance(cc, Product):
-                raise CarrierMismatch("pairing needs a product codomain")
-            if r.f.domain.carrier != dc or r.g.domain.carrier != dc:
-                raise CarrierMismatch("pairing components share the domain")
-            if (r.f.codomain.carrier, r.g.codomain.carrier) != (cc.left, cc.right):
-                raise CarrierMismatch("pairing components must hit the factors")
-        if isinstance(r, Composite):
-            if r.inner.domain.carrier != dc or r.outer.codomain.carrier != cc:
-                raise CarrierMismatch("composite endpoints must match")
-            if r.inner.codomain.carrier != r.outer.domain.carrier:
-                raise CarrierMismatch("composite middle carriers must match")
-
-    def __repr__(self):
-        return f"<map {self.name or type(self.rule).__name__}>"
-
-    # -- pointwise ---------------------------------------------------------
+    def validate(self, dc, cc):
+        if self.inner.domain.carrier != dc or self.outer.codomain.carrier != cc:
+            raise CarrierMismatch("composite endpoints must match")
+        if self.inner.codomain.carrier != self.outer.domain.carrier:
+            raise CarrierMismatch("composite middle carriers must match")
 
     def apply(self, x):
-        r = self.rule
-        if isinstance(r, Identity):
-            return x
-        if isinstance(r, Const):
-            return r.value
-        if isinstance(r, (FiniteTable, NatPerm)):
-            for a, b in r.table:
-                if a == x:
-                    return b
-            if isinstance(r, NatPerm):
-                return x
-            raise UnrepresentablePoint(x)
-        if isinstance(r, NatShift):
-            return x + r.k
-        if isinstance(r, PiecewiseAffine):
-            x = Fraction(x)
-            for P, p, q in r.pieces:
-                if sx.contains(P, x):
-                    return p * x + q
-            raise UnrepresentablePoint(x)
-        if isinstance(r, Projection):
-            return x[0] if r.side == "left" else x[1]
-        if isinstance(r, Pairing):
-            return (r.f.apply(x), r.g.apply(x))
-        if isinstance(r, Composite):
-            return r.outer.apply(r.inner.apply(x))
-        raise UnsupportedPresentation("unknown map rule")
+        return self.outer.apply(self.inner.apply(x))
 
-    # -- set images --------------------------------------------------------
+    def image(self, S, cc):
+        return self.outer.image(self.inner.image(S))
 
-    def image(self, S: SetExpr) -> SetExpr:
-        if S.carrier != self.domain.carrier:
-            raise CarrierMismatch("set on the wrong carrier")
-        S = sx.intersect(S, self.domain.support)
-        r = self.rule
-        cc = self.codomain.carrier
-        if isinstance(r, Identity):
-            return S
-        if isinstance(r, Const):
-            if S.is_empty():
-                return sx.empty(cc)
-            return from_points(cc, [r.value])
-        if isinstance(r, FiniteTable):
-            return from_points(cc, {self.apply(x) for x in points_of(S)})
-        if isinstance(r, NatShift):
-            return _nat_image(S, lambda x: x + r.k, surjective_off=set(range(r.k)))
-        if isinstance(r, NatPerm):
-            return _nat_image(S, self.apply, surjective_off=set())
-        if isinstance(r, PiecewiseAffine):
-            out = sx.empty(cc)
-            for P, p, q in r.pieces:
-                part = sx.intersect(S, P)
-                ivs = [_affine_interval(iv, p, q) for iv in part.form]
-                out = sx.union(out, SetExpr(cc, normalize_intervals(ivs), _normalized=True))
-            return out
-        if isinstance(r, Projection):
-            out = sx.empty(cc)
-            for L, R in S.form:
-                out = sx.union(out, L if r.side == "left" else R)
-            return out
-        if isinstance(r, Pairing):
-            return _pairing_image(self, r, S)
-        if isinstance(r, Composite):
-            return r.outer.image(r.inner.image(S))
-        raise UnsupportedPresentation("unknown map rule")
-
-    def preimage(self, T: SetExpr) -> SetExpr:
-        if T.carrier != self.codomain.carrier:
-            raise CarrierMismatch("set on the wrong carrier")
-        r = self.rule
-        dc = self.domain.carrier
-        T = sx.intersect(T, self.codomain.support)
-        if isinstance(r, Identity):
-            out = T
-        elif isinstance(r, Const):
-            has = sx.contains(T, r.value) if not T.is_empty() else False
-            out = sx.whole(dc) if has else sx.empty(dc)
-        elif isinstance(r, FiniteTable):
-            out = from_points(dc, [x for x in dc.elements if sx.contains(T, self.apply(x))])
-        elif isinstance(r, NatShift):
-            out = _nat_preimage_shift(T, r.k)
-        elif isinstance(r, NatPerm):
-            out = _nat_image(T, _perm_inverse(r), surjective_off=set())
-        elif isinstance(r, PiecewiseAffine):
-            out = sx.empty(dc)
-            for P, p, q in r.pieces:
-                if p == 0:
-                    hit = sx.contains(T, q)
-                    out = sx.union(out, P if hit else sx.empty(dc))
-                else:
-                    ivs = [_affine_interval(iv, 1 / p, -q / p) for iv in T.form]
-                    pre = SetExpr(dc, normalize_intervals(ivs), _normalized=True)
-                    out = sx.union(out, sx.intersect(P, pre))
-        elif isinstance(r, Projection):
-            if r.side == "left":
-                out = sx.box(T, sx.whole(dc.right))
-            else:
-                out = sx.box(sx.whole(dc.left), T)
-        elif isinstance(r, Pairing):
-            out = sx.empty(dc)
-            for L, R in T.form:
-                out = sx.union(out, sx.intersect(r.f.preimage(L), r.g.preimage(R)))
-        elif isinstance(r, Composite):
-            out = r.inner.preimage(r.outer.preimage(T))
-        else:
-            raise UnsupportedPresentation("unknown map rule")
-        return sx.intersect(out, self.domain.support)
-
-
-def _perm_inverse(r: NatPerm):
-    inv = {b: a for a, b in r.table}
-    return lambda x: inv.get(x, x)
+    def preimage(self, T, dc):
+        return self.inner.preimage(self.outer.preimage(T))
 
 
 def _nat_image(S: SetExpr, f, surjective_off: set) -> SetExpr:
@@ -298,12 +342,6 @@ def _nat_image(S: SetExpr, f, surjective_off: set) -> SetExpr:
     # complement maps into the complement of f(excluded) plus the missed values
     missed = {f(x) for x in elems} | set(surjective_off)
     return sx.nat_cofinite(missed)
-
-
-def _nat_preimage_shift(T: SetExpr, k: int) -> SetExpr:
-    elems, co = T.form
-    pulled = {x - k for x in elems if x >= k}
-    return sx.nat_cofinite(pulled) if co else sx.nat_finite(pulled)
 
 
 def _scale_endpoint(v, p, q):
@@ -324,14 +362,53 @@ def _affine_interval(iv: Interval, p: Fraction, q: Fraction) -> Interval:
     return Interval(hi, lo, iv.hi_open, iv.lo_open)
 
 
-def _pairing_image(m: SpaceMap, r: Pairing, S: SetExpr) -> SetExpr:
-    cc = m.codomain.carrier
-    if isinstance(r.g.rule, Const):
-        return sx.box(r.f.image(S), from_points(cc.right, [r.g.rule.value]))
-    if isinstance(r.f.rule, Const):
-        return sx.box(from_points(cc.left, [r.f.rule.value]), r.g.image(S))
-    pts = points_of(S)  # raises NonFiniteCarrier when not enumerable
-    return from_points(cc, [m.apply(x) for x in pts])
+def _affine_image(S: SetExpr, p: Fraction, q: Fraction) -> SetExpr:
+    ivs = [_affine_interval(iv, p, q) for iv in S.form]
+    return SetExpr(S.carrier, normalize_intervals(ivs), _normalized=True)
+
+
+# -- the map --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SpaceMap:
+    domain: GtsPresentation
+    codomain: GtsPresentation
+    rule: Rule
+    name: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.rule, Rule):
+            raise UnsupportedPresentation("unknown map rule")
+        self.rule.validate(self.domain.carrier, self.codomain.carrier)
+
+    def __repr__(self):
+        return f"<map {self.name or type(self.rule).__name__}>"
+
+    def apply(self, x):
+        return self.rule.apply(x)
+
+    def image(self, S: SetExpr) -> SetExpr:
+        if S.carrier != self.domain.carrier:
+            raise CarrierMismatch("set on the wrong carrier")
+        return self.rule.image(_clip(S, self.domain.support), self.codomain.carrier)
+
+    def preimage(self, T: SetExpr) -> SetExpr:
+        if T.carrier != self.codomain.carrier:
+            raise CarrierMismatch("set on the wrong carrier")
+        out = self.rule.preimage(_clip(T, self.codomain.support), self.domain.carrier)
+        return _clip(out, self.domain.support)
+
+    def inverse(self) -> "SpaceMap | None":
+        """The inverse map, where the rule computes one."""
+        r = self.rule.inverse(self)
+        if r is None:
+            return None
+        return SpaceMap(self.codomain, self.domain, r, name=self.name + "^-1")
+
+
+def _clip(S: SetExpr, support: SetExpr) -> SetExpr:
+    """S inside support; a support that is the whole carrier leaves S alone."""
+    return S if support.is_whole() else sx.intersect(S, support)
 
 
 def identity_map(X: GtsPresentation, name: str = "") -> SpaceMap:
@@ -441,17 +518,30 @@ def check_strict_continuity(f: SpaceMap) -> Verdict:
     v = _auto_continuity(f)
     if v is not None:
         return v
+    bad, checked = _probe_pullbacks(f)
+    if bad is not None:
+        return Verdict("No", "a library family pulls back inadmissibly", bad)
+    if not checked:
+        return Verdict("Unknown", "no probe family is admissible in the codomain")
+    return Verdict("Checked", "%d probe families verified" % checked)
+
+
+def _probe_pullbacks(f: SpaceMap) -> tuple:
+    """The first admissible probe that pulls back inadmissibly (or None), and
+    how many pulled back admissibly before it.  A probe whose pullback has
+    no presentation is skipped."""
     checked = 0
     for F in _default_probes(f.codomain):
         if not is_admissible(f.codomain, F).yes:
             continue
-        pre = preimage_family(f, F)
+        try:
+            pre = preimage_family(f, F)
+        except UnsupportedPresentation:
+            continue
         if not is_admissible(f.domain, pre).yes:
-            return Verdict("No", "a library family pulls back inadmissibly", F)
+            return F, checked
         checked += 1
-    if not checked:
-        return Verdict("Unknown", "no probe family is admissible in the codomain")
-    return Verdict("Checked", "%d probe families verified" % checked)
+    return None, checked
 
 
 def _auto_continuity(f: SpaceMap) -> Verdict | None:
@@ -473,16 +563,9 @@ def _auto_continuity(f: SpaceMap) -> Verdict | None:
     if isinstance(pol, (All, EssCountable)):
         # the codomain admits every open family, so look for one whose
         # preimage the domain policy rejects
-        for F in _default_probes(f.codomain):
-            if not is_admissible(f.codomain, F).yes:
-                continue
-            try:
-                pre = preimage_family(f, F)
-            except UnsupportedPresentation:
-                continue
-            ver = is_admissible(f.domain, pre)
-            if not ver.yes:
-                return Verdict("No", "admissible codomain family pulls back inadmissibly", F)
+        bad, _ = _probe_pullbacks(f)
+        if bad is not None:
+            return Verdict("No", "admissible codomain family pulls back inadmissibly", bad)
         if isinstance(f.domain.policy, (All,)):
             ok = preimages_of_opens_open(f)
             if ok is True:

@@ -12,7 +12,6 @@ from .audit import random_open
 from .families import FamilyExpr, clip_family, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
-    FiniteTable,
     Identity,
     NatPerm,
     NatShift,
@@ -347,35 +346,6 @@ def _structural_image_flag(f: SpaceMap, closed: bool) -> Verdict | None:
     return None
 
 
-def _inverse_map(f: SpaceMap) -> SpaceMap | None:
-    r = f.rule
-    if isinstance(r, Identity):
-        return SpaceMap(f.codomain, f.domain, Identity(), name=f.name + "^-1")
-    if isinstance(r, NatPerm):
-        inv = tuple((b, a) for a, b in r.table)
-        return SpaceMap(f.codomain, f.domain, NatPerm(inv), name=f.name + "^-1")
-    if isinstance(r, FiniteTable):
-        vals = [b for _, b in r.table]
-        if len(set(vals)) != len(vals) or set(vals) != set(f.codomain.carrier.elements):
-            return None
-        inv = tuple((b, a) for a, b in r.table)
-        return SpaceMap(f.codomain, f.domain, FiniteTable(inv), name=f.name + "^-1")
-    if isinstance(r, PiecewiseAffine):
-        if any(p == 0 for _, p, _ in r.pieces):
-            return None
-        imgs = [(f.image(P), 1 / p, -q / p) for P, p, q in r.pieces]
-        u = sx.empty(f.codomain.carrier)
-        for P, _, _ in imgs:
-            if not sx.intersect(u, P).is_empty():
-                return None
-            u = sx.union(u, P)
-        if not u.is_whole():
-            return None
-        return SpaceMap(f.codomain, f.domain, PiecewiseAffine(tuple(imgs)),
-                        name=f.name + "^-1")
-    return None
-
-
 def _is_bijective(f: SpaceMap) -> bool | None:
     if not f.domain.support.is_finite_pointset():
         return None
@@ -410,7 +380,7 @@ def classify_map(f: SpaceMap) -> LayerReport:
 def _strict_homeo_flag(f: SpaceMap, cont: Verdict) -> Verdict:
     if cont.status == "No":
         return Verdict("No", "not strictly continuous", cont.witness)
-    inv = _inverse_map(f)
+    inv = f.inverse()
     if inv is None:
         bij = _is_bijective(f)
         if bij is False:

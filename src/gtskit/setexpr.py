@@ -19,11 +19,9 @@ All decision procedures consult only rational endpoint/element arithmetic.
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
 from .errors import CarrierMismatch, UnrepresentablePoint
@@ -423,128 +421,6 @@ def contains(S: SetExpr, x) -> bool:
     if not isinstance(x, tuple) or len(x) != 2:
         raise UnrepresentablePoint("product points are pairs")
     return any(contains(l, x[0]) and contains(r, x[1]) for l, r in S.form)
-
-
-# -- point enumeration ----------------------------------------------------
-
-def _interval_point_stream(iv: Interval) -> Iterator[Fraction]:
-    if iv.is_point():
-        yield iv.lo
-        return
-    if not iv.lo_open:
-        yield iv.lo
-    if not iv.hi_open:
-        yield iv.hi
-    lo, hi = iv.lo, iv.hi
-    if lo == NEG_INF and hi == POS_INF:
-        yield Fraction(0)
-        k = 1
-        while True:
-            yield Fraction(k)
-            yield Fraction(-k)
-            k += 1
-    elif lo == NEG_INF:
-        k = 1
-        while True:
-            yield Fraction(hi) - k
-            k += 1
-    elif hi == POS_INF:
-        k = 1
-        while True:
-            yield Fraction(lo) + k
-            k += 1
-    else:
-        # dyadic midpoints, breadth first: all interior, all distinct
-        queue = [(Fraction(lo), Fraction(hi))]
-        while True:
-            nxt = []
-            for a, b in queue:
-                m = (a + b) / 2
-                yield m
-                nxt.append((a, m))
-                nxt.append((m, b))
-            queue = nxt
-
-
-def _point_streams(S: SetExpr) -> list[Iterator]:
-    c = S.carrier
-    if isinstance(c, FiniteEnum):
-        return [iter(sorted(S.form))]
-    if isinstance(c, NatFC):
-        elems, co = S.form
-        if not co:
-            return [iter(sorted(elems))]
-
-        def naturals():
-            n = 0
-            while True:
-                if n not in elems:
-                    yield n
-                n += 1
-
-        return [naturals()]
-    if isinstance(c, QLine):
-        return [_interval_point_stream(iv) for iv in S.form]
-
-    def pairs(l: SetExpr, r: SetExpr):
-        # Cantor-style enumeration over the two component streams
-        lpts: list = []
-        rpts: list = []
-        lstream = _round_robin(_point_streams(l))
-        rstream = _round_robin(_point_streams(r))
-        l_done = r_done = False
-        for d in itertools.count():
-            if not l_done:
-                try:
-                    lpts.append(next(lstream))
-                except StopIteration:
-                    l_done = True
-            if not r_done:
-                try:
-                    rpts.append(next(rstream))
-                except StopIteration:
-                    r_done = True
-            if l_done and r_done and (not lpts or not rpts or d >= len(lpts) + len(rpts)):
-                return
-            for i in range(min(d + 1, len(lpts))):
-                j = d - i
-                if 0 <= j < len(rpts):
-                    yield (lpts[i], rpts[j])
-
-    return [pairs(l, r) for l, r in S.form]
-
-
-def _round_robin(streams: list[Iterator]) -> Iterator:
-    streams = list(streams)
-    while streams:
-        alive = []
-        for s in streams:
-            try:
-                yield next(s)
-                alive.append(s)
-            except StopIteration:
-                pass
-        streams = alive
-
-
-def enumerate_points(S: SetExpr, n: int) -> list:
-    """Up to ``n`` distinct representable points of ``S``, deterministic."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    seen = []
-    seen_set = set()
-    pool_target = 4 * n + 8
-    for x in _round_robin(_point_streams(S)):
-        if x not in seen_set:
-            seen.append(x)
-            seen_set.add(x)
-        if len(seen) >= pool_target:
-            break
-    if len(seen) <= n:
-        return seen
-    rng = random.Random(0)
-    picked = rng.sample(range(len(seen)), n)
-    return [seen[i] for i in sorted(picked)]
 
 
 # -- rendering ------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import permutations
 
 from hypothesis import strategies as st
 
-from gtskit.carriers import FiniteEnum, Product, QLine
+from gtskit.carriers import FiniteEnum, NatFC, Product, QLine
 from gtskit.constructions import smallify
 from gtskit.presentation import from_points, generate_finite_gts
 from gtskit import setexpr as sx
@@ -102,6 +102,29 @@ def same_carrier_pairs(draw):
 def same_carrier_triples(draw):
     s = SETS[draw(st.sampled_from(sorted(SETS)))]
     return draw(s), draw(s), draw(s)
+
+
+def sample_points(*sets):
+    """Candidate points, in and around sets on one carrier, read off their forms.
+
+    The atoms; the naturals 0-13; on the line every finite endpoint, the
+    midpoints between neighbouring endpoints and one point past the first
+    and the last; on a product, the pairs of its factors' candidates.
+    """
+    c = sets[0].carrier
+    if isinstance(c, FiniteEnum):
+        return list(c.elements)
+    if isinstance(c, NatFC):
+        return list(range(14))
+    if isinstance(c, QLine):
+        ends = sorted({Fraction(0)} | {
+            Fraction(e) for S in sets for iv in S.form for e in (iv.lo, iv.hi)
+            if e not in (sx.NEG_INF, sx.POS_INF)})
+        mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+        return ends + mids + [ends[0] - 1, ends[-1] + 1]
+    lefts = sample_points(sx.empty(c.left), *(L for S in sets for L, _ in S.form))
+    rights = sample_points(sx.empty(c.right), *(R for S in sets for _, R in S.form))
+    return [(x, y) for x in lefts for y in rights]
 
 
 # -- finite spaces as bitmask topologies ----------------------------------

@@ -148,6 +148,19 @@ def test_json_reports_deterministic():
     assert parsed["seed"] == 3
 
 
+def test_constant_map_into_a_topological_space(tmp_path, capsys):
+    doc = tmp_path / "const.gts"
+    doc.write_text(
+        "space NatSmall { carrier nat; opens all-sets; cov essfin }\n"
+        "space NatTop { carrier nat; opens all-sets; cov all }\n"
+        "map c : NatSmall -> NatTop = const(0)\n")
+    assert cli.main(["map", str(doc), "c", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["strictly_continuous"] == "Checked"
+    assert cli.main(["classify", str(doc), "c", "--format", "json"]) == 0
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert flags["strictly_continuous"]["status"] == "Checked"
+
+
 def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     good = tmp_path / "doc.gts"
     good.write_text(SAMPLE)

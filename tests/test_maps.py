@@ -20,7 +20,7 @@ import pytest
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.constructions import subspace
-from gtskit.errors import CarrierMismatch, GtsError
+from gtskit.errors import CarrierMismatch, GtsError, UnsupportedPresentation
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 from gtskit.maps import (
@@ -117,6 +117,23 @@ def test_carrier_mismatch_rejected():
         SpaceMap(lib.discrete_small_nat(), lib.rational_interval_line(), Identity())
 
 
+def test_map_rejects_a_rule_of_unknown_kind():
+    N = lib.discrete_small_nat()
+    with pytest.raises(UnsupportedPresentation):
+        SpaceMap(N, N, lambda x: x)
+
+
+def test_strict_homeo_inverts_through_the_rule():
+    f = SpaceMap(lib.discrete_small_nat(), lib.discrete_small_nat(),
+                 NatPerm(((0, 2), (2, 0))), name="swap02")
+    inv = f.inverse()
+    assert inv.rule == NatPerm(((2, 0), (0, 2))) and inv.name == "swap02^-1"
+    assert inv.apply(f.apply(0)) == 0
+    # a zero slope has no inverse
+    g = affine_line(0, 1)
+    assert g.inverse() is None
+
+
 # -- strict continuity ----------------------------------------------------
 
 def test_identity_strictly_continuous_both_ways_on_same_space():
@@ -167,6 +184,14 @@ def test_affine_preimage_stream_tracks_base():
     for n in range(3, 8):
         assert ps.member(n) == f.preimage(base.member(n))
     assert ps.union() == f.preimage(base.union())
+
+
+def test_probe_without_a_pullback_presentation_is_skipped():
+    # the singletons pull back along a constant to {N, empty, empty, ...},
+    # a pointwise stream with an infinite member, so only {N} is probed
+    f = SpaceMap(lib.discrete_small_nat(), lib.topological_discrete_nat(), Const(0))
+    v = check_strict_continuity(f)
+    assert (v.status, v.reason) == ("Checked", "1 probe families verified")
 
 
 def test_line_small_to_top_continuous():

@@ -1,9 +1,10 @@
-"""Opens descriptions answer for themselves: few isinstance tests on them.
+"""Opens descriptions and map rules answer for themselves: few isinstance tests on them.
 
-Each module may test a value against the seven opens classes at most as
-often as its budget below allows.  The audit's instance grammar and the
-DSL's emitter are the single dispatch for their own concern; the other
-budgets are what is left of the per-description branches.
+Each module may test a value against the seven opens classes, and against
+the nine map rule classes, at most as often as its budget below allows.
+The audit's instance grammar and the DSL's parser and emitter are the
+single dispatch for their own concern; the other budgets are what is left
+of the per-description and per-rule branches.
 """
 
 import ast
@@ -20,24 +21,40 @@ OPENS_CLASSES = {
 
 BUDGET = {"audit.py": 7, "constructions.py": 4, "dsl.py": 4, "maps.py": 3, "props.py": 9}
 
+RULE_CLASSES = {
+    "Identity", "Const", "FiniteTable", "PiecewiseAffine", "NatShift",
+    "NatPerm", "Projection", "Pairing", "Composite",
+}
 
-def opens_isinstance_calls(source: str) -> int:
-    """The isinstance calls in ``source`` whose class argument names an opens class."""
+# maps.py: pairing's constant components, the structural continuity cases
+# and the affine stream bounds; props.py: the structural image flags
+RULE_BUDGET = {"dsl.py": 6, "maps.py": 7, "props.py": 3}
+
+
+def isinstance_calls(source: str, classes: set) -> int:
+    """The isinstance calls in ``source`` whose class argument names one of ``classes``."""
     count = 0
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2):
             names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
-            count += bool(names & OPENS_CLASSES)
+            count += bool(names & classes)
     return count
 
 
 def test_counter_sees_single_and_tuple_class_arguments():
     src = ("isinstance(a, AllSets)\nisinstance(b, (QLine, TraceOpens))\n"
-           "isinstance(c, QLine)\nisinstance(d.opens, Opens)\n")
-    assert opens_isinstance_calls(src) == 2
+           "isinstance(c, QLine)\nisinstance(d.opens, Opens)\n"
+           "isinstance(e, (NatShift, NatPerm))\nisinstance(f.rule, Rule)\n")
+    assert isinstance_calls(src, OPENS_CLASSES) == 2
+    assert isinstance_calls(src, RULE_CLASSES) == 1
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_opens_isinstance_budget(path):
-    assert opens_isinstance_calls(path.read_text()) <= BUDGET.get(path.name, 0)
+    assert isinstance_calls(path.read_text(), OPENS_CLASSES) <= BUDGET.get(path.name, 0)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_rule_isinstance_budget(path):
+    assert isinstance_calls(path.read_text(), RULE_CLASSES) <= RULE_BUDGET.get(path.name, 0)
