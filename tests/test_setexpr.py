@@ -1,16 +1,40 @@
+"""Symbolic set algebra: forms, laws and a fixture of every operation.
+
+``golden/set_algebra.json`` holds, for seeded sets on every carrier of
+``conftest.SETS``, on products with a natural-number factor and on a
+product with a product right factor, the renders of ``union``,
+``intersect``, ``complement`` and ``minus``; ``is_subset``, ``is_empty``,
+``is_whole`` and ``is_finite_pointset``; ``contains`` on
+``conftest.sample_points``; ``points_of`` (or its error class) and the
+``from_points`` round trip; and ``set_endpoints``.  The law tests below
+check laws, not forms; the fixture catches a change of form that keeps them.
+
+Regenerate the fixture only when a canonical form is meant to change:
+
+    PYTHONPATH=src python tests/test_setexpr.py > tests/golden/set_algebra.json
+"""
+
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtskit.carriers import FiniteEnum, NatFC, QLine
-from gtskit.errors import CarrierMismatch, UnrepresentablePoint
-from gtskit.presentation import from_points
+from gtskit.carriers import FiniteEnum, NatFC, Product, QLine
+from gtskit.errors import CarrierMismatch, GtsError, UnrepresentablePoint
+from gtskit.presentation import from_points, points_of
 from gtskit import setexpr as sx
+from gtskit.streams import set_endpoints
 
 from conftest import (
+    ENUM2,
+    ENUM2_ENUM2,
+    ENUM3,
     ENUM3_ENUM2,
+    ENUM3_QLINE,
     PAIRS_ENUM2,
     QLINE_ENUM2,
     any_sets,
@@ -221,3 +245,89 @@ def test_product_canonical_form_ignores_build_order(drawn):
     assert set(cells) == _grouped_by_fiber(points)
     keys = [sx.render(l) for l, _ in built.form]
     assert keys == sorted(keys)
+
+
+# -- golden replay of every operation -------------------------------------
+
+FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "set_algebra.json"
+
+CARRIERS = {
+    "q": QLine(), "n": NatFC(), "e": ENUM3, "ee": ENUM3_ENUM2,
+    "eq": ENUM3_QLINE, "qe": QLINE_ENUM2, "pe": PAIRS_ENUM2,
+    "ne": Product(NatFC(), ENUM2), "en": Product(ENUM2, NatFC()),
+    "ep": Product(ENUM2, ENUM2_ENUM2),
+}
+
+LINE_ENDS = [sx.NEG_INF, -2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, 2, sx.POS_INF]
+
+
+def _draw(c, rng):
+    """A seeded set on ``c``: a few pieces, some of them points."""
+    if isinstance(c, FiniteEnum):
+        return sx.atoms(c, [x for x in c.elements if rng.random() < 0.5])
+    if isinstance(c, NatFC):
+        elems = rng.sample(range(8), rng.randint(0, 3))
+        return sx.nat_cofinite(elems) if rng.random() < 0.4 else sx.nat_finite(elems)
+    if isinstance(c, QLine):
+        out = sx.empty(c)
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                out = sx.union(out, sx.qpoint(rng.choice(LINE_ENDS[1:-1])))
+                continue
+            lo, hi = sorted(rng.sample(range(len(LINE_ENDS)), 2))
+            out = sx.union(out, sx.interval(
+                LINE_ENDS[lo], LINE_ENDS[hi], lo == 0 or rng.random() < 0.5,
+                hi == len(LINE_ENDS) - 1 or rng.random() < 0.5))
+        return out
+    return sx.boxes(c, [(_draw(c.left, rng), _draw(c.right, rng))
+                        for _ in range(rng.randint(1, 3))])
+
+
+def _points(S):
+    try:
+        pts = points_of(S)
+    except GtsError as e:
+        return "error " + type(e).__name__
+    back = from_points(S.carrier, pts)
+    return [repr(pts), sx.render(back), back == S]
+
+
+def record(name, sets=14):
+    c, rng = CARRIERS[name], random.Random(name)
+    drawn = [sx.empty(c), sx.whole(c)] + [_draw(c, rng) for _ in range(sets)]
+    singles = [{
+        "set": sx.render(a),
+        "complement": sx.render(sx.complement(a)),
+        "empty": a.is_empty(), "whole": a.is_whole(), "finite": a.is_finite_pointset(),
+        "points": _points(a),
+        "endpoints": sorted(map(str, set_endpoints(a))),
+    } for a in drawn]
+    pairs = []
+    for i, a in enumerate(drawn):
+        for step in (1, 3):
+            b = drawn[(i + step) % len(drawn)]
+            pairs.append({
+                "sets": [sx.render(a), sx.render(b)],
+                "union": sx.render(sx.union(a, b)),
+                "intersect": sx.render(sx.intersect(a, b)),
+                "minus": sx.render(sx.minus(a, b)),
+                "subset": [sx.is_subset(a, b), sx.is_subset(b, a)],
+                "contains": "".join("ab"[j] if sx.contains(S, x) else "-"
+                                    for x in sample_points(a, b)
+                                    for j, S in enumerate((a, b))),
+            })
+    return {"carrier": name, "sets": singles, "pairs": pairs}
+
+
+def collect():
+    return [record(name) for name in CARRIERS]
+
+
+@pytest.mark.parametrize("want", json.loads(FIXTURE.read_text()) if FIXTURE.exists() else [],
+                         ids=lambda w: w["carrier"])
+def test_set_algebra_matches_golden(want):
+    assert record(want["carrier"]) == want
+
+
+if __name__ == "__main__":
+    print(json.dumps(collect(), indent=1))
