@@ -6,6 +6,10 @@ Four kinds are supported:
 * ``NatFC``     -- the naturals with the finite/cofinite algebra,
 * ``QLine``     -- the real line with the rational-endpoint interval algebra,
 * ``Product``   -- a binary product of two carriers.
+
+A carrier holds no set algebra itself: ``setexpr.ALGEBRA`` maps each
+carrier class to the one object that implements the Boolean algebra of its
+subsets on their canonical forms.
 """
 
 from __future__ import annotations

@@ -515,12 +515,37 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
 
 def check_strict_continuity(f: SpaceMap) -> Verdict:
     """Do admissible codomain families pull back to admissible families?"""
-    v = _auto_continuity(f)
-    if v is not None:
-        return v
+    support = f.codomain.support
+    if support.is_finite_pointset() and len(points_of(support)) == 1:
+        return Verdict("Yes", "one-point codomain")
+    pol = f.codomain.policy
+    every_family = False
+    if isinstance(pol, (EssFin,)) or support.is_finite_pointset():
+        # codomain covers are essentially finite, so openness of preimages
+        # of opens is the whole question
+        ok = preimages_of_opens_open(f)
+        if ok is True:
+            return Verdict(
+                "Yes", "essentially finite codomain covers and open preimages"
+            )
+        if ok is False:
+            return Verdict("No", "some open has a non-open preimage")
+    else:
+        # under All and EssCountable the codomain admits every open family,
+        # so the probes look for one whose preimage the domain policy rejects
+        every_family = isinstance(pol, (All, EssCountable))
     bad, checked = _probe_pullbacks(f)
     if bad is not None:
-        return Verdict("No", "a library family pulls back inadmissibly", bad)
+        probe = "admissible codomain family" if every_family else "a library family"
+        return Verdict("No", probe + " pulls back inadmissibly", bad)
+    if every_family and isinstance(f.domain.policy, (All,)):
+        ok = preimages_of_opens_open(f)
+        if ok is True:
+            return Verdict(
+                "Yes", "every open family is admissible on both sides"
+            )
+        if ok is False:
+            return Verdict("No", "some open has a non-open preimage")
     if not checked:
         return Verdict("Unknown", "no probe family is admissible in the codomain")
     return Verdict("Checked", "%d probe families verified" % checked)
@@ -542,40 +567,6 @@ def _probe_pullbacks(f: SpaceMap) -> tuple:
             return F, checked
         checked += 1
     return None, checked
-
-
-def _auto_continuity(f: SpaceMap) -> Verdict | None:
-    support = f.codomain.support
-    if support.is_finite_pointset() and len(points_of(support)) == 1:
-        return Verdict("Yes", "one-point codomain")
-    pol = f.codomain.policy
-    if isinstance(pol, (EssFin,)) or support.is_finite_pointset():
-        # codomain covers are essentially finite, so openness of preimages
-        # of opens is the whole question
-        ok = preimages_of_opens_open(f)
-        if ok is True:
-            return Verdict(
-                "Yes", "essentially finite codomain covers and open preimages"
-            )
-        if ok is False:
-            return Verdict("No", "some open has a non-open preimage")
-        return None
-    if isinstance(pol, (All, EssCountable)):
-        # the codomain admits every open family, so look for one whose
-        # preimage the domain policy rejects
-        bad, _ = _probe_pullbacks(f)
-        if bad is not None:
-            return Verdict("No", "admissible codomain family pulls back inadmissibly", bad)
-        if isinstance(f.domain.policy, (All,)):
-            ok = preimages_of_opens_open(f)
-            if ok is True:
-                return Verdict(
-                    "Yes", "every open family is admissible on both sides"
-                )
-            if ok is False:
-                return Verdict("No", "some open has a non-open preimage")
-        return None
-    return None
 
 
 def _default_probes(X: GtsPresentation) -> list[FamilyExpr]:

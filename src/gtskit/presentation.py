@@ -436,25 +436,7 @@ def points_of(S: SetExpr) -> list:
 
 def from_points(c: Carrier, pts) -> SetExpr:
     """The finite set with exactly these points."""
-    pts = list(pts)
-    if isinstance(c, FiniteEnum):
-        return sx.atoms(c, pts)
-    if isinstance(c, NatFC):
-        return sx.nat_finite(pts)
-    if isinstance(c, QLine):
-        out = sx.empty(c)
-        for x in pts:
-            out = sx.union(out, sx.qpoint(x))
-        return out
-    if isinstance(c, Product):
-        fibers: dict = {}
-        for x, y in pts:
-            fibers.setdefault(x, []).append(y)
-        return sx.boxes(c, [
-            (from_points(c.left, [x]), from_points(c.right, ys))
-            for x, ys in fibers.items()
-        ])
-    raise UnsupportedCarrier(c.describe())
+    return SetExpr(c, sx.ALGEBRA[type(c)].from_points(c, pts), _normalized=True)
 
 
 def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:

@@ -1,7 +1,12 @@
 """Canonical symbolic subsets of a carrier.
 
 Every ``SetExpr`` is kept in a canonical form that is unique per extension,
-so set equality, inclusion and emptiness reduce to structural comparison:
+so set equality, inclusion and emptiness reduce to structural comparison.
+Each carrier class has one algebra object, ``ALGEBRA[type(carrier)]``,
+that alone knows its form: it canonicalizes, builds, combines, tests,
+renders and lists the points of the sets on that carrier.  The functions
+below check carriers, make one call into that algebra and wrap the form
+it returns.  The forms are:
 
 * ``FiniteEnum`` -- an explicit frozenset of atoms;
 * ``NatFC``      -- a finite set of naturals plus a complemented flag;
@@ -152,7 +157,7 @@ class SetExpr:
     def __init__(self, carrier: Carrier, form, _normalized: bool = False):
         object.__setattr__(self, "carrier", carrier)
         if not _normalized:
-            form = _canonicalize(carrier, form)
+            form = ALGEBRA[type(carrier)].canonicalize(carrier, form)
         object.__setattr__(self, "form", form)
 
     def __setattr__(self, *a):
@@ -173,119 +178,305 @@ class SetExpr:
 
     # -- queries ----------------------------------------------------------
     def is_empty(self) -> bool:
-        if isinstance(self.carrier, NatFC):
-            elems, co = self.form
-            return not co and not elems
-        return not self.form
+        return ALGEBRA[type(self.carrier)].is_empty(self.form)
 
     def is_whole(self) -> bool:
         return self == whole(self.carrier)
 
     def is_finite_pointset(self) -> bool:
-        c = self.carrier
-        if isinstance(c, FiniteEnum):
-            return True
-        if isinstance(c, NatFC):
-            return not self.form[1]
-        if isinstance(c, QLine):
-            return all(iv.is_point() for iv in self.form)
-        return all(l.is_finite_pointset() and r.is_finite_pointset() for l, r in self.form)
+        return ALGEBRA[type(self.carrier)].is_finite(self.form)
 
     def finite_points(self) -> list:
         """Points of a finite point set, in canonical order."""
-        c = self.carrier
-        if isinstance(c, FiniteEnum):
-            return sorted(self.form)
-        if isinstance(c, NatFC):
-            elems, co = self.form
-            if co:
-                raise ValueError("cofinite set is not a finite point set")
-            return sorted(elems)
-        if isinstance(c, QLine):
-            if not self.is_finite_pointset():
-                raise ValueError("not a finite point set")
-            return [iv.lo for iv in self.form]
-        pts = []
-        for l, r in self.form:
-            for x in l.finite_points():
-                for y in r.finite_points():
-                    pts.append((x, y))
-        return pts
+        return ALGEBRA[type(self.carrier)].points(self.form)
 
 
-def _canonicalize(carrier: Carrier, form):
-    if isinstance(carrier, FiniteEnum):
+# -- the algebra of each carrier class ------------------------------------
+
+class _Algebra:
+    """The Boolean algebra of one carrier class, on its canonical forms.
+
+    ``c`` below is a carrier of the class and ``a``, ``b`` are canonical
+    forms on it; every set a method returns is a canonical form.  Each
+    subclass provides ``canonicalize(c, form)``, ``whole(c)``,
+    ``union(c, a, b)``, ``intersect(c, a, b)``, ``complement(c, a)``,
+    ``contains(c, a, x)``, ``render(a)``, ``is_finite(a)``, ``points(a)``
+    (of a finite set, in canonical order) and ``from_points(c, pts)``.
+    """
+
+    def empty(self, c):
+        return ()
+
+    def is_empty(self, a) -> bool:
+        return not a
+
+    def endpoints(self, a) -> set:
+        """The finite endpoint or element values of a set, as rationals."""
+        return set()
+
+
+class _EnumAlgebra(_Algebra):
+    """An explicit frozenset of atoms."""
+
+    def canonicalize(self, c, form):
         elems = frozenset(form)
-        bad = elems - set(carrier.elements)
+        bad = elems - set(c.elements)
         if bad:
             raise ValueError(f"atoms outside carrier: {sorted(bad)}")
         return elems
-    if isinstance(carrier, NatFC):
+
+    def empty(self, c):
+        return frozenset()
+
+    def whole(self, c):
+        return frozenset(c.elements)
+
+    def union(self, c, a, b):
+        return a | b
+
+    def intersect(self, c, a, b):
+        return a & b
+
+    def complement(self, c, a):
+        return frozenset(c.elements) - a
+
+    def contains(self, c, a, x):
+        if not isinstance(x, str) or x not in c.elements:
+            raise UnrepresentablePoint(f"{x!r} is not an atom of {c.describe()}")
+        return x in a
+
+    def render(self, a):
+        return "{%s}" % ",".join(sorted(a)) if a else "empty"
+
+    def is_finite(self, a):
+        return True
+
+    def points(self, a):
+        return sorted(a)
+
+    def from_points(self, c, pts):
+        return self.canonicalize(c, pts)
+
+
+class _NatAlgebra(_Algebra):
+    """A finite set of naturals and a flag: the set itself, or its complement."""
+
+    def canonicalize(self, c, form):
         elems, co = form
         elems = frozenset(int(x) for x in elems)
         if any(x < 0 for x in elems):
             raise ValueError("naturals only")
         return (elems, bool(co))
-    if isinstance(carrier, QLine):
+
+    def empty(self, c):
+        return (frozenset(), False)
+
+    def whole(self, c):
+        return (frozenset(), True)
+
+    def union(self, c, a, b):
+        (ea, ca), (eb, cb) = a, b
+        if not ca and not cb:
+            return (ea | eb, False)
+        if ca and cb:
+            return (ea & eb, True)
+        if ca:
+            return (ea - eb, True)
+        return (eb - ea, True)
+
+    def intersect(self, c, a, b):
+        (ea, ca), (eb, cb) = a, b
+        if not ca and not cb:
+            return (ea & eb, False)
+        if ca and cb:
+            return (ea | eb, True)
+        if ca:
+            return (eb - ea, False)
+        return (ea - eb, False)
+
+    def complement(self, c, a):
+        elems, co = a
+        return (elems, not co)
+
+    def is_empty(self, a):
+        elems, co = a
+        return not co and not elems
+
+    def contains(self, c, a, x):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            raise UnrepresentablePoint(f"{x!r} is not a natural number")
+        elems, co = a
+        return (x not in elems) if co else (x in elems)
+
+    def render(self, a):
+        elems, co = a
+        body = ",".join(str(x) for x in sorted(elems))
+        if co:
+            return "whole" if not elems else "co{%s}" % body
+        return "{%s}" % body if elems else "empty"
+
+    def is_finite(self, a):
+        return not a[1]
+
+    def points(self, a):
+        elems, co = a
+        if co:
+            raise ValueError("cofinite set is not a finite point set")
+        return sorted(elems)
+
+    def from_points(self, c, pts):
+        return self.canonicalize(c, (pts, False))
+
+    def endpoints(self, a):
+        return {Fraction(x) for x in a[0]}
+
+
+class _LineAlgebra(_Algebra):
+    """Sorted maximal, pairwise disjoint, non-adjacent intervals."""
+
+    def canonicalize(self, c, form):
         return normalize_intervals(form)
-    if isinstance(carrier, Product):
-        return _normalize_boxes(carrier, form)
-    raise TypeError(f"unknown carrier {carrier!r}")
+
+    def whole(self, c):
+        return (Interval(NEG_INF, POS_INF, True, True),)
+
+    def union(self, c, a, b):
+        return normalize_intervals(a + b)
+
+    def intersect(self, c, a, b):
+        out = []
+        for ia in a:
+            for ib in b:
+                r = _intersect_two(ia, ib)
+                if r is not None:
+                    out.append(r)
+        return normalize_intervals(out)
+
+    def complement(self, c, a):
+        return _complement_intervals(a)
+
+    def contains(self, c, a, x):
+        if isinstance(x, float):
+            raise UnrepresentablePoint("QLine membership accepts rationals only")
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError):
+            raise UnrepresentablePoint(f"{x!r} is not a rational") from None
+        return any(iv.contains(x) for iv in a)
+
+    def render(self, a):
+        return " u ".join(iv.render() for iv in a) if a else "empty"
+
+    def is_finite(self, a):
+        return all(iv.is_point() for iv in a)
+
+    def points(self, a):
+        if not self.is_finite(a):
+            raise ValueError("not a finite point set")
+        return [iv.lo for iv in a]
+
+    def from_points(self, c, pts):
+        return normalize_intervals(Interval(x, x, False, False) for x in map(Fraction, pts))
+
+    def endpoints(self, a):
+        return {Fraction(e) for iv in a for e in (iv.lo, iv.hi) if e not in (NEG_INF, POS_INF)}
 
 
-def _normalize_boxes(carrier: Product, boxes) -> tuple:
-    """Refine pairwise disjoint left cells box by box, then merge equal fibers.
+class _ProductAlgebra(_Algebra):
+    """Boxes (cell, fiber) of factor sets, sorted by the rendered cell."""
 
-    A box (l, r) splits each cell it meets into the part inside l, whose
-    fiber gains r, and the part outside l; the part of l in no cell becomes a
-    cell with fiber r.
-    """
-    cells: list[tuple[SetExpr, SetExpr]] = []
-    for l, r in boxes:
-        if l.is_empty() or r.is_empty():
-            continue
-        if l.carrier != carrier.left or r.carrier != carrier.right:
-            raise CarrierMismatch("box components on the wrong carrier")
-        rest = l
-        refined = []
-        for cell, fiber in cells:
-            inside = intersect(cell, l)
-            if inside.is_empty():
-                refined.append((cell, fiber))
+    def canonicalize(self, c, boxes):
+        """Refine pairwise disjoint left cells box by box, then merge equal fibers.
+
+        A box (l, r) splits each cell it meets into the part inside l, whose
+        fiber gains r, and the part outside l; the part of l in no cell
+        becomes a cell with fiber r.
+        """
+        cells: list[tuple[SetExpr, SetExpr]] = []
+        for l, r in boxes:
+            if l.is_empty() or r.is_empty():
                 continue
-            refined.append((inside, union(fiber, r)))
-            if inside != cell:
-                refined.append((minus(cell, l), fiber))
-            rest = minus(rest, inside)
-        if not rest.is_empty():
-            refined.append((rest, r))
-        cells = refined
-    cell_of: dict[SetExpr, SetExpr] = {}
-    for cell, fiber in cells:
-        cell_of[fiber] = union(cell_of[fiber], cell) if fiber in cell_of else cell
-    out = [(cell, fiber) for fiber, cell in cell_of.items()]
-    out.sort(key=lambda b: sort_key(b[0]))
-    return tuple(out)
+            if l.carrier != c.left or r.carrier != c.right:
+                raise CarrierMismatch("box components on the wrong carrier")
+            rest = l
+            refined = []
+            for cell, fiber in cells:
+                inside = intersect(cell, l)
+                if inside.is_empty():
+                    refined.append((cell, fiber))
+                    continue
+                refined.append((inside, union(fiber, r)))
+                if inside != cell:
+                    refined.append((minus(cell, l), fiber))
+                rest = minus(rest, inside)
+            if not rest.is_empty():
+                refined.append((rest, r))
+            cells = refined
+        cell_of: dict[SetExpr, SetExpr] = {}
+        for cell, fiber in cells:
+            cell_of[fiber] = union(cell_of[fiber], cell) if fiber in cell_of else cell
+        out = [(cell, fiber) for fiber, cell in cell_of.items()]
+        out.sort(key=lambda b: sort_key(b[0]))
+        return tuple(out)
+
+    def whole(self, c):
+        return self.canonicalize(c, [(whole(c.left), whole(c.right))])
+
+    def union(self, c, a, b):
+        return self.canonicalize(c, a + b)
+
+    def intersect(self, c, a, b):
+        return self.canonicalize(c, [(intersect(la, lb), intersect(ra, rb))
+                                     for la, ra in a for lb, rb in b])
+
+    def complement(self, c, a):
+        # the cells are pairwise disjoint: over a left point in no cell the
+        # complement holds the whole right factor, over a cell its fiber's complement
+        covered = empty(c.left)
+        for l, _ in a:
+            covered = union(covered, l)
+        return self.canonicalize(c, [(complement(covered), whole(c.right))]
+                                 + [(l, complement(r)) for l, r in a])
+
+    def contains(self, c, a, x):
+        if not isinstance(x, tuple) or len(x) != 2:
+            raise UnrepresentablePoint("product points are pairs")
+        return any(contains(l, x[0]) and contains(r, x[1]) for l, r in a)
+
+    def render(self, a):
+        return " u ".join("box(%s ; %s)" % (render(l), render(r)) for l, r in a) if a else "empty"
+
+    def is_finite(self, a):
+        return all(l.is_finite_pointset() and r.is_finite_pointset() for l, r in a)
+
+    def points(self, a):
+        return [(x, y) for l, r in a for x in l.finite_points() for y in r.finite_points()]
+
+    def from_points(self, c, pts):
+        fibers: dict = {}
+        for x, y in pts:
+            fibers.setdefault(x, []).append(y)
+        left, right = ALGEBRA[type(c.left)], ALGEBRA[type(c.right)]
+        return self.canonicalize(c, [
+            (SetExpr(c.left, left.from_points(c.left, [x]), _normalized=True),
+             SetExpr(c.right, right.from_points(c.right, ys), _normalized=True))
+            for x, ys in fibers.items()])
+
+
+ALGEBRA: dict[type, _Algebra] = {
+    FiniteEnum: _EnumAlgebra(), NatFC: _NatAlgebra(),
+    QLine: _LineAlgebra(), Product: _ProductAlgebra(),
+}
 
 
 # -- constructors ---------------------------------------------------------
 
 def empty(carrier: Carrier) -> SetExpr:
-    if isinstance(carrier, FiniteEnum):
-        return SetExpr(carrier, frozenset(), _normalized=True)
-    if isinstance(carrier, NatFC):
-        return SetExpr(carrier, (frozenset(), False), _normalized=True)
-    return SetExpr(carrier, (), _normalized=True)
+    return SetExpr(carrier, ALGEBRA[type(carrier)].empty(carrier), _normalized=True)
 
 
 def whole(carrier: Carrier) -> SetExpr:
-    if isinstance(carrier, FiniteEnum):
-        return SetExpr(carrier, frozenset(carrier.elements), _normalized=True)
-    if isinstance(carrier, NatFC):
-        return SetExpr(carrier, (frozenset(), True), _normalized=True)
-    if isinstance(carrier, QLine):
-        return SetExpr(carrier, (Interval(NEG_INF, POS_INF, True, True),), _normalized=True)
-    return SetExpr(carrier, [(whole(carrier.left), whole(carrier.right))])
+    return SetExpr(carrier, ALGEBRA[type(carrier)].whole(carrier), _normalized=True)
 
 
 def atoms(carrier: FiniteEnum, names: Iterable[str]) -> SetExpr:
@@ -331,60 +522,18 @@ def _check_same_carrier(a: SetExpr, b: SetExpr):
 def union(a: SetExpr, b: SetExpr) -> SetExpr:
     _check_same_carrier(a, b)
     c = a.carrier
-    if isinstance(c, FiniteEnum):
-        return SetExpr(c, a.form | b.form, _normalized=True)
-    if isinstance(c, NatFC):
-        (ea, ca), (eb, cb) = a.form, b.form
-        if not ca and not cb:
-            return SetExpr(c, (ea | eb, False), _normalized=True)
-        if ca and cb:
-            return SetExpr(c, (ea & eb, True), _normalized=True)
-        if ca:
-            return SetExpr(c, (ea - eb, True), _normalized=True)
-        return SetExpr(c, (eb - ea, True), _normalized=True)
-    if isinstance(c, QLine):
-        return SetExpr(c, a.form + b.form)
-    return SetExpr(c, list(a.form) + list(b.form))
+    return SetExpr(c, ALGEBRA[type(c)].union(c, a.form, b.form), _normalized=True)
 
 
 def complement(a: SetExpr) -> SetExpr:
     c = a.carrier
-    if isinstance(c, FiniteEnum):
-        return SetExpr(c, frozenset(c.elements) - a.form, _normalized=True)
-    if isinstance(c, NatFC):
-        elems, co = a.form
-        return SetExpr(c, (elems, not co), _normalized=True)
-    if isinstance(c, QLine):
-        return SetExpr(c, _complement_intervals(a.form), _normalized=True)
-    # the cells are pairwise disjoint: over a left point in no cell the
-    # complement holds the whole right factor, over a cell its fiber's complement
-    covered = empty(c.left)
-    for l, _ in a.form:
-        covered = union(covered, l)
-    return SetExpr(c, [(complement(covered), whole(c.right))]
-                   + [(l, complement(r)) for l, r in a.form])
+    return SetExpr(c, ALGEBRA[type(c)].complement(c, a.form), _normalized=True)
 
 
 def intersect(a: SetExpr, b: SetExpr) -> SetExpr:
     _check_same_carrier(a, b)
     c = a.carrier
-    if isinstance(c, FiniteEnum):
-        return SetExpr(c, a.form & b.form, _normalized=True)
-    if isinstance(c, NatFC):
-        return complement(union(complement(a), complement(b)))
-    if isinstance(c, QLine):
-        out = []
-        for ia in a.form:
-            for ib in b.form:
-                r = _intersect_two(ia, ib)
-                if r is not None:
-                    out.append(r)
-        return SetExpr(c, out)
-    out = []
-    for la, ra in a.form:
-        for lb, rb in b.form:
-            out.append((intersect(la, lb), intersect(ra, rb)))
-    return SetExpr(c, out)
+    return SetExpr(c, ALGEBRA[type(c)].intersect(c, a.form, b.form), _normalized=True)
 
 
 def minus(a: SetExpr, b: SetExpr) -> SetExpr:
@@ -400,46 +549,13 @@ def is_subset(a: SetExpr, b: SetExpr) -> bool:
 # -- membership -----------------------------------------------------------
 
 def contains(S: SetExpr, x) -> bool:
-    c = S.carrier
-    if isinstance(c, FiniteEnum):
-        if not isinstance(x, str) or x not in c.elements:
-            raise UnrepresentablePoint(f"{x!r} is not an atom of {c.describe()}")
-        return x in S.form
-    if isinstance(c, NatFC):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise UnrepresentablePoint(f"{x!r} is not a natural number")
-        elems, co = S.form
-        return (x not in elems) if co else (x in elems)
-    if isinstance(c, QLine):
-        if isinstance(x, float):
-            raise UnrepresentablePoint("QLine membership accepts rationals only")
-        try:
-            x = Fraction(x)
-        except (TypeError, ValueError):
-            raise UnrepresentablePoint(f"{x!r} is not a rational") from None
-        return any(iv.contains(x) for iv in S.form)
-    if not isinstance(x, tuple) or len(x) != 2:
-        raise UnrepresentablePoint("product points are pairs")
-    return any(contains(l, x[0]) and contains(r, x[1]) for l, r in S.form)
+    return ALGEBRA[type(S.carrier)].contains(S.carrier, S.form, x)
 
 
 # -- rendering ------------------------------------------------------------
 
 def render(S: SetExpr) -> str:
-    c = S.carrier
-    if S.is_empty():
-        return "empty"
-    if isinstance(c, FiniteEnum):
-        return "{%s}" % ",".join(sorted(S.form))
-    if isinstance(c, NatFC):
-        elems, co = S.form
-        body = ",".join(str(x) for x in sorted(elems))
-        if co:
-            return "whole" if not elems else "co{%s}" % body
-        return "{%s}" % body
-    if isinstance(c, QLine):
-        return " u ".join(iv.render() for iv in S.form)
-    return " u ".join("box(%s ; %s)" % (render(l), render(r)) for l, r in S.form)
+    return ALGEBRA[type(S.carrier)].render(S.form)
 
 
 def sort_key(S: SetExpr) -> str:

@@ -283,15 +283,4 @@ def merge_stream(s: Stream, v: SetExpr) -> DerivedStream:
 
 def set_endpoints(S: SetExpr) -> set:
     """Finite endpoint/element values of a QLine or NatFC SetExpr."""
-    if isinstance(S.carrier, QLine):
-        out = set()
-        for iv in S.form:
-            if _fin(iv.lo):
-                out.add(Fraction(iv.lo))
-            if _fin(iv.hi):
-                out.add(Fraction(iv.hi))
-        return out
-    if isinstance(S.carrier, NatFC):
-        elems, _ = S.form
-        return {Fraction(x) for x in elems}
-    return set()
+    return sx.ALGEBRA[type(S.carrier)].endpoints(S.form)

@@ -194,6 +194,22 @@ def test_probe_without_a_pullback_presentation_is_skipped():
     assert (v.status, v.reason) == ("Checked", "1 probe families verified")
 
 
+def test_probes_are_pulled_back_once(monkeypatch):
+    # the codomain admits every open family, so the probes decide; each of
+    # the two probes needs one preimage
+    calls = []
+    preimage = SpaceMap.preimage
+
+    def counted(self, T):
+        calls.append(T)
+        return preimage(self, T)
+
+    monkeypatch.setattr(SpaceMap, "preimage", counted)
+    f = SpaceMap(lib.discrete_small_nat(), lib.topological_discrete_nat(), Const(0))
+    assert check_strict_continuity(f).status == "Checked"
+    assert len(calls) == 2
+
+
 def test_line_small_to_top_continuous():
     # every admissible family upstairs is open downstairs; the small line
     # receives from the topological line but not conversely

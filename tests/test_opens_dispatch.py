@@ -1,10 +1,12 @@
-"""Opens descriptions and map rules answer for themselves: few isinstance tests on them.
+"""Opens descriptions, map rules and carriers answer for themselves: few isinstance tests.
 
-Each module may test a value against the seven opens classes, and against
-the nine map rule classes, at most as often as its budget below allows.
-The audit's instance grammar and the DSL's parser and emitter are the
-single dispatch for their own concern; the other budgets are what is left
-of the per-description and per-rule branches.
+Each module may test a value against the seven opens classes, against the
+nine map rule classes, and against the four carrier classes at most as
+often as its budgets below allow.  The audit's instance grammar and the
+DSL's parser and emitter are the single dispatch for their own concern;
+each carrier's set algebra is reached through ``setexpr.ALGEBRA``; the
+other budgets are what is left of the per-description, per-rule and
+per-carrier branches.
 """
 
 import ast
@@ -30,6 +32,12 @@ RULE_CLASSES = {
 # and the affine stream bounds; props.py: the structural image flags
 RULE_BUDGET = {"dsl.py": 6, "maps.py": 7, "props.py": 3}
 
+CARRIER_CLASSES = {"FiniteEnum", "NatFC", "QLine", "Product"}
+
+# setexpr.py: the three operations that only the line has
+CARRIER_BUDGET = {"audit.py": 7, "constructions.py": 4, "dsl.py": 7, "layers.py": 2,
+                  "maps.py": 7, "presentation.py": 6, "props.py": 3, "setexpr.py": 3}
+
 
 def isinstance_calls(source: str, classes: set) -> int:
     """The isinstance calls in ``source`` whose class argument names one of ``classes``."""
@@ -45,9 +53,11 @@ def isinstance_calls(source: str, classes: set) -> int:
 def test_counter_sees_single_and_tuple_class_arguments():
     src = ("isinstance(a, AllSets)\nisinstance(b, (QLine, TraceOpens))\n"
            "isinstance(c, QLine)\nisinstance(d.opens, Opens)\n"
-           "isinstance(e, (NatShift, NatPerm))\nisinstance(f.rule, Rule)\n")
+           "isinstance(e, (NatShift, NatPerm))\nisinstance(f.rule, Rule)\n"
+           "isinstance(g.carrier, (FiniteEnum, Product))\nisinstance(h, Carrier)\n")
     assert isinstance_calls(src, OPENS_CLASSES) == 2
     assert isinstance_calls(src, RULE_CLASSES) == 1
+    assert isinstance_calls(src, CARRIER_CLASSES) == 3
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -58,3 +68,8 @@ def test_opens_isinstance_budget(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_rule_isinstance_budget(path):
     assert isinstance_calls(path.read_text(), RULE_CLASSES) <= RULE_BUDGET.get(path.name, 0)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_carrier_isinstance_budget(path):
+    assert isinstance_calls(path.read_text(), CARRIER_CLASSES) <= CARRIER_BUDGET.get(path.name, 0)
