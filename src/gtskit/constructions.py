@@ -16,8 +16,7 @@ from .errors import (
     UnsupportedPresentation,
     UnsupportedSubset,
 )
-from .exhaustions import Exhaustion
-from .families import FamilyExpr, clip_family
+from .families import FamilyExpr
 from .layers import weakly_open
 from .maps import Composite, Projection, SpaceMap, identity_map
 from .presentation import (
@@ -28,7 +27,6 @@ from .presentation import (
     GluedOpens,
     GtsPresentation,
     LocallyEssFin,
-    PiecewiseEssFin,
     ProductOpens,
     TraceOpens,
     _close,
@@ -38,7 +36,7 @@ from .presentation import (
 )
 from . import setexpr as sx
 from .setexpr import SetExpr
-from .streams import GrowBalls, clip_stream
+from .streams import GrowBalls
 
 
 # -- subspaces ------------------------------------------------------------
@@ -50,35 +48,24 @@ def subspace(X: GtsPresentation, Y: SetExpr) -> GtsPresentation:
     support = sx.intersect(Y, X.support)
     opens = TraceOpens(X, support)
     open_in_X = is_open(X, support)
-    small = smallness(X, support)
-    layered = isinstance(X.policy, (LocallyEssFin, PiecewiseEssFin))
-    if not (open_in_X or small.status == "Small" or layered):
-        raise UnsupportedSubset(
-            "subset is neither open nor small, and the policy carries no layers"
-        )
-    if small.status == "Small":
+    if smallness(X, support).status == "Small":
         policy = EssFin()
-    elif isinstance(X.policy, LocallyEssFin):
-        policy = LocallyEssFin(clip_family(X.policy.base, support))
-    elif isinstance(X.policy, PiecewiseEssFin):
-        policy = PiecewiseEssFin(_trace_exhaustion(X.policy.exhaustion, support))
     else:
-        policy = X.policy
+        policy = X.policy.restrict(support)
+        if policy is None:
+            if not open_in_X:
+                raise UnsupportedSubset(
+                    "subset is neither open nor small, and the policy carries no layers"
+                )
+            policy = X.policy
     name = (X.name + "|" + sx.render(support)) if X.name else ""
     return GtsPresentation(X.carrier, opens, policy, support, name)
-
-
-def _trace_exhaustion(exh: Exhaustion, Y: SetExpr) -> Exhaustion:
-    if exh.is_chain():
-        return Exhaustion(chain=clip_stream(exh.chain, Y))
-    pieces = tuple((i, sx.intersect(P, Y)) for i, P in exh.pieces)
-    return Exhaustion(poset=exh.poset, pieces=pieces)
 
 
 # -- products -------------------------------------------------------------
 
 def _is_small_space(X: GtsPresentation) -> bool:
-    return isinstance(X.policy, EssFin) or isinstance(X.carrier, FiniteEnum)
+    return X.policy.essentially_finite or isinstance(X.carrier, FiniteEnum)
 
 
 def product(Xs: list) -> tuple:
@@ -205,7 +192,7 @@ def summand_family(X: GtsPresentation) -> FamilyExpr:
 
 def smallify(X: GtsPresentation) -> GtsPresentation:
     """Keep the opens, admit only the essentially finite families."""
-    if isinstance(X.policy, EssFin):
+    if X.policy.essentially_finite:
         return X
     name = X.name + "_sm" if X.name else ""
     return GtsPresentation(X.carrier, X.opens, EssFin(), X.support, name)

@@ -8,17 +8,8 @@ from fractions import Fraction
 from .carriers import Carrier
 from .errors import CarrierMismatch
 from . import setexpr as sx
-from .setexpr import NEG_INF, POS_INF, SetExpr
-from .streams import (
-    DerivedStream,
-    GrowBalls,
-    InitialSegments,
-    ShrinkIntervals,
-    Stream,
-    clip_stream,
-    merge_stream,
-    set_endpoints,
-)
+from .setexpr import SetExpr
+from .streams import Stream, clip_stream, merge_stream, set_endpoints
 from .verdict import Verdict
 
 
@@ -248,76 +239,17 @@ def _contained_in_some_member(A: SetExpr, G: FamilyExpr) -> bool:
     return False
 
 
-def _lo_descriptor(s: Stream):
-    """(limit, kind) for the left endpoint: kind in {const, above, to_inf}."""
-    if isinstance(s, DerivedStream):
-        return None
-    if isinstance(s, ShrinkIntervals):
-        return (s.a, "above" if s.rate_left else "const")
-    if isinstance(s, GrowBalls):
-        return (NEG_INF, "to_inf")
-    if isinstance(s, InitialSegments):
-        return (Fraction(0), "const")
-    return None
-
-
-def _hi_descriptor(s: Stream):
-    if isinstance(s, DerivedStream):
-        return None
-    if isinstance(s, ShrinkIntervals):
-        return (s.b, "below" if s.rate_right else "const")
-    if isinstance(s, GrowBalls):
-        return (POS_INF, "to_inf")
-    if isinstance(s, InitialSegments):
-        return (POS_INF, "to_inf")
-    return None
-
-
 def _stream_tail_contained(f: Stream, G: FamilyExpr) -> bool:
-    """Every member of monotone stream f sits inside some member of G."""
-    fu = f.union()
-    for B in G.finite_part:
-        if sx.is_subset(fu, B):
-            return True
-    for g in G.streams:
-        if g == f:
-            return True
-        if not g.monotone:
-            continue
-        flo, fhi = _lo_descriptor(f), _hi_descriptor(f)
-        glo, ghi = _lo_descriptor(g), _hi_descriptor(g)
-        if None in (flo, fhi, glo, ghi):
-            continue
-        if _left_fits(glo, flo) and _right_fits(ghi, fhi):
-            return True
-    return False
+    """Every member of monotone stream f sits inside some member of G.
 
-
-def _left_fits(g, f) -> bool:
-    (gl, gk), (fl, fk) = g, f
-    if gk == "to_inf":
+    f's members increase, so the member at a stage past which every
+    coverage question against G stabilizes decides all of them.
+    """
+    if f in G.streams:
         return True
-    if fk == "to_inf":
-        return False
-    if gk == "const":
-        return gl <= fl
-    # g approaches gl from above, never attaining it
-    if fk == "above":
-        return gl <= fl
-    return gl < fl
-
-
-def _right_fits(g, f) -> bool:
-    (gl, gk), (fl, fk) = g, f
-    if gk == "to_inf":
-        return True
-    if fk == "to_inf":
-        return False
-    if gk == "const":
-        return gl >= fl
-    if fk == "below":
-        return gl >= fl
-    return gl > fl
+    monotone = [g for g in G.streams if g.monotone]
+    stage = large_stage([f] + monotone, list(G.finite_part))
+    return _contained_in_some_member(f.member(stage), G)
 
 
 def refines(F: FamilyExpr, G: FamilyExpr) -> bool:

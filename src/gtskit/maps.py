@@ -17,8 +17,6 @@ from .presentation import (
     All,
     AllCanonicalOpen,
     AllSets,
-    EssCountable,
-    EssFin,
     GtsPresentation,
     enumerate_opens,
     from_points,
@@ -520,7 +518,7 @@ def check_strict_continuity(f: SpaceMap) -> Verdict:
         return Verdict("Yes", "one-point codomain")
     pol = f.codomain.policy
     every_family = False
-    if isinstance(pol, (EssFin,)) or support.is_finite_pointset():
+    if pol.essentially_finite or support.is_finite_pointset():
         # codomain covers are essentially finite, so openness of preimages
         # of opens is the whole question
         ok = preimages_of_opens_open(f)
@@ -531,14 +529,14 @@ def check_strict_continuity(f: SpaceMap) -> Verdict:
         if ok is False:
             return Verdict("No", "some open has a non-open preimage")
     else:
-        # under All and EssCountable the codomain admits every open family,
-        # so the probes look for one whose preimage the domain policy rejects
-        every_family = isinstance(pol, (All, EssCountable))
+        # where the codomain admits every open family, the probes look for
+        # one whose preimage the domain policy rejects
+        every_family = pol.every_open_family
     bad, checked = _probe_pullbacks(f)
     if bad is not None:
         probe = "admissible codomain family" if every_family else "a library family"
         return Verdict("No", probe + " pulls back inadmissibly", bad)
-    if every_family and isinstance(f.domain.policy, (All,)):
+    if every_family and isinstance(f.domain.policy, All):
         ok = preimages_of_opens_open(f)
         if ok is True:
             return Verdict(

@@ -24,6 +24,13 @@ ProductOpens      cell test      finite     raises       enumerated      raises
 TraceOpens        by parent      traced     see above    flattened       see above
 GluedOpens        every piece    finite     raises       enumerated      every piece
 ================  =============  =========  ===========  ==============  ===========
+
+Each coverage policy is a ``Policy`` subclass and answers for itself too:
+whether a family of opens is admissible (``admits``), whether an infinite
+set inside the support is small (``smallness``) and which policy the trace
+on a set that is not small carries (``restrict``).  Its flags
+``essentially_finite`` and ``every_open_family`` let smallness, products,
+``smallify`` and strict continuity read a policy without naming its class.
 """
 
 from __future__ import annotations
@@ -42,13 +49,14 @@ from .errors import (
 from .exhaustions import Exhaustion
 from .families import (
     FamilyExpr,
+    clip_family,
     essentially_finite_on,
     family_union,
     large_stage,
 )
 from . import setexpr as sx
 from .setexpr import NEG_INF, POS_INF, SetExpr
-from .streams import GrowBalls, ShrinkIntervals, Singletons, Stream
+from .streams import GrowBalls, ShrinkIntervals, Singletons, Stream, clip_stream
 from .verdict import Verdict
 
 
@@ -342,18 +350,71 @@ class GluedOpens(Opens):
 
 # -- coverage policies ----------------------------------------------------
 
+class Policy:
+    """Which open families are admissible covers of their unions.
+
+    ``X`` below is the presentation the policy belongs to.  A subclass
+    answers ``admits`` and overrides what it decides its own way.
+    """
+
+    # every admissible cover is essentially finite, so every subset is small
+    essentially_finite = False
+    # every open family is admissible
+    every_open_family = False
+
+    def admits(self, F: FamilyExpr) -> Verdict:
+        """Is F, whose members are open, admissible?"""
+        raise NotImplementedError
+
+    def smallness(self, X: "GtsPresentation", K: SetExpr) -> Verdict:
+        """Is K, an infinite set inside X's support, small?"""
+        return Verdict("Unknown", "no finite-refinement criterion applies")
+
+    def restrict(self, Y: SetExpr) -> "Policy | None":
+        """The policy on the trace on Y, where Y is not small; None where the
+        policy has no layers to restrict."""
+        return None
+
+
 @dataclass(frozen=True)
-class All:
+class All(Policy):
     """Every open family is an admissible cover of its union."""
 
+    every_open_family = True
+
+    def admits(self, F):
+        return Verdict("Yes", "every open family is admissible")
+
+    def smallness(self, X, K):
+        c, op = X.carrier, X.opens
+        # the witness families below spread over the whole carrier
+        if isinstance(c, NatFC) and op.singletons_open and X.support.is_whole():
+            # K is infinite here; the singleton family never refines finitely
+            W = FamilyExpr(c, (), (Singletons(),))
+            return Verdict(
+                "NotSmall", "singleton cover admits no finite refinement over K", W
+            )
+        if isinstance(c, QLine) and (op.interval_opens or op.singletons_open) \
+                and X.support.is_whole():
+            return _qline_not_small_witness(K)
+        return Verdict("Unknown", "no witness procedure for this presentation")
+
 
 @dataclass(frozen=True)
-class EssFin:
+class EssFin(Policy):
     """Admissible iff a finite subfamily has the same union."""
 
+    essentially_finite = True
+
+    def admits(self, F):
+        r = essentially_finite_on(F, family_union(F))
+        if r.yes:
+            return Verdict("Yes", "essentially finite", detail=r)
+        return Verdict("No", "no finite subfamily covers the union", detail=r)
+
 
 @dataclass(frozen=True)
-class EssCountable:
+class EssCountable(Policy):
     """Admissible iff a countable subfamily has the same union.
 
     Every presentable family is countable, so this policy accepts all
@@ -361,19 +422,81 @@ class EssCountable:
     not interchangeable with All-policy spaces under refinement.
     """
 
+    every_open_family = True
+
+    def admits(self, F):
+        return Verdict("Yes", "every presentable family is countable")
+
 
 @dataclass(frozen=True)
-class LocallyEssFin:
+class LocallyEssFin(Policy):
     """Admissible iff essentially finite on every member of a fixed base."""
 
     base: FamilyExpr
 
+    def admits(self, F):
+        for B in self.base.finite_part:
+            r = essentially_finite_on(F, B)
+            if not r.yes:
+                return Verdict("No", "not essentially finite on a base member", B, r)
+        for s in self.base.streams:
+            for K in _stream_probes(s, F):
+                r = essentially_finite_on(F, K)
+                if not r.yes:
+                    return Verdict("No", "not essentially finite on a base member", K, r)
+        return Verdict("Yes", "essentially finite on every base member")
+
+    def smallness(self, X, K):
+        r = essentially_finite_on(self.base, K)
+        if r.yes and sx.is_subset(K, family_union(self.base)):
+            return Verdict("Small", "covered by finitely many base members")
+        return Verdict(
+            "NotSmall", "the base itself admits no finite refinement over K", self.base
+        )
+
+    def restrict(self, Y):
+        return LocallyEssFin(clip_family(self.base, Y))
+
 
 @dataclass(frozen=True)
-class PiecewiseEssFin:
+class PiecewiseEssFin(Policy):
     """Admissible iff essentially finite on every piece of an exhaustion."""
 
     exhaustion: Exhaustion
+
+    def admits(self, F):
+        exh = self.exhaustion
+        if exh.is_chain():
+            for K in _stream_probes(exh.chain, F):
+                r = essentially_finite_on(F, K)
+                if not r.yes:
+                    return Verdict("No", "not essentially finite on a piece", K, r)
+            return Verdict("Yes", "essentially finite on every piece")
+        for i, K in exh.pieces:
+            r = essentially_finite_on(F, K)
+            if not r.yes:
+                return Verdict("No", "not essentially finite on a piece", (i, K), r)
+        return Verdict("Yes", "essentially finite on every piece")
+
+    def smallness(self, X, K):
+        exh = self.exhaustion
+        if exh.is_chain():
+            stage = large_stage([exh.chain], [K])
+            if sx.is_subset(K, exh.chain.member(stage)):
+                return Verdict("Small", "contained in an exhaustion piece")
+        else:
+            for _, P in exh.pieces:
+                if sx.is_subset(K, P):
+                    return Verdict("Small", "contained in an exhaustion piece")
+        return Verdict("Unknown", "not contained in any exhaustion piece")
+
+    def restrict(self, Y):
+        exh = self.exhaustion
+        if exh.is_chain():
+            return PiecewiseEssFin(Exhaustion(chain=clip_stream(exh.chain, Y)))
+        pieces = tuple((i, sx.intersect(P, Y)) for i, P in exh.pieces)
+        return PiecewiseEssFin(Exhaustion(poset=exh.poset, pieces=pieces))
+
 
 # -- the presentation -----------------------------------------------------
 
@@ -381,7 +504,7 @@ class PiecewiseEssFin:
 class GtsPresentation:
     carrier: Carrier
     opens: Opens
-    policy: object
+    policy: Policy
     support: SetExpr = None
     name: str = ""
     validate: bool = field(default=True, compare=False)
@@ -391,6 +514,8 @@ class GtsPresentation:
             object.__setattr__(self, "support", sx.whole(self.carrier))
         if self.support.carrier != self.carrier:
             raise CarrierMismatch("support on the wrong carrier")
+        if not isinstance(self.policy, Policy):
+            raise UnsupportedPresentation("unknown coverage policy")
         if self.validate:
             if not isinstance(self.opens, Opens):
                 raise UnsupportedPresentation("unknown opens description")
@@ -526,48 +651,7 @@ def is_admissible(X: GtsPresentation, F: FamilyExpr) -> Verdict:
         check_members_open(X, F)
     except NonOpenMember as e:
         return Verdict("No", "a member is not open", e.member)
-    pol = X.policy
-    if isinstance(pol, All):
-        return Verdict("Yes", "every open family is admissible")
-    if isinstance(pol, EssCountable):
-        return Verdict("Yes", "every presentable family is countable")
-    if isinstance(pol, EssFin):
-        r = essentially_finite_on(F, family_union(F))
-        if r.yes:
-            return Verdict("Yes", "essentially finite", detail=r)
-        return Verdict("No", "no finite subfamily covers the union", detail=r)
-    if isinstance(pol, LocallyEssFin):
-        return _locally_essfin_verdict(F, pol.base)
-    if isinstance(pol, PiecewiseEssFin):
-        return _piecewise_essfin_verdict(F, pol.exhaustion)
-    raise UnsupportedPresentation("unknown coverage policy")
-
-
-def _locally_essfin_verdict(F: FamilyExpr, base: FamilyExpr) -> Verdict:
-    for B in base.finite_part:
-        r = essentially_finite_on(F, B)
-        if not r.yes:
-            return Verdict("No", "not essentially finite on a base member", B, r)
-    for s in base.streams:
-        for K in _stream_probes(s, F):
-            r = essentially_finite_on(F, K)
-            if not r.yes:
-                return Verdict("No", "not essentially finite on a base member", K, r)
-    return Verdict("Yes", "essentially finite on every base member")
-
-
-def _piecewise_essfin_verdict(F: FamilyExpr, exh: Exhaustion) -> Verdict:
-    if exh.is_chain():
-        for K in _stream_probes(exh.chain, F):
-            r = essentially_finite_on(F, K)
-            if not r.yes:
-                return Verdict("No", "not essentially finite on a piece", K, r)
-        return Verdict("Yes", "essentially finite on every piece")
-    for i, K in exh.pieces:
-        r = essentially_finite_on(F, K)
-        if not r.yes:
-            return Verdict("No", "not essentially finite on a piece", (i, K), r)
-    return Verdict("Yes", "essentially finite on every piece")
+    return X.policy.admits(F)
 
 
 def _stream_probes(s: Stream, F: FamilyExpr) -> list[SetExpr]:
@@ -593,51 +677,11 @@ def smallness(X: GtsPresentation, K: SetExpr) -> Verdict:
     if K.carrier != X.carrier:
         raise CarrierMismatch("set on the wrong carrier")
     K = sx.intersect(K, X.support)
-    pol = X.policy
-    if isinstance(pol, EssFin):
+    if X.policy.essentially_finite:
         return Verdict("Small", "every admissible cover is essentially finite")
     if K.is_empty() or K.is_finite_pointset():
         return Verdict("Small", "finite point sets are small")
-    if isinstance(pol, LocallyEssFin):
-        r = essentially_finite_on(pol.base, K)
-        if r.yes and sx.is_subset(K, family_union(pol.base)):
-            return Verdict("Small", "covered by finitely many base members")
-        return Verdict(
-            "NotSmall", "the base itself admits no finite refinement over K", pol.base
-        )
-    if isinstance(pol, PiecewiseEssFin):
-        exh = pol.exhaustion
-        if exh.is_chain():
-            stage = large_stage([exh.chain], [K])
-            if sx.is_subset(K, exh.chain.member(stage)):
-                return Verdict("Small", "contained in an exhaustion piece")
-        else:
-            for _, P in exh.pieces:
-                if sx.is_subset(K, P):
-                    return Verdict("Small", "contained in an exhaustion piece")
-        return Verdict("Unknown", "not contained in any exhaustion piece")
-    if isinstance(pol, All):
-        return _smallness_under_all(X, K)
-    if isinstance(pol, EssCountable):
-        return Verdict("Unknown", "no finite-refinement criterion applies")
-    raise UnsupportedPresentation("unknown coverage policy")
-
-
-def _smallness_under_all(X: GtsPresentation, K: SetExpr) -> Verdict:
-    c, op = X.carrier, X.opens
-    if isinstance(c, FiniteEnum):
-        return Verdict("Small", "finite carrier")
-    # the witness families below spread over the whole carrier
-    if isinstance(c, NatFC) and op.singletons_open and X.support.is_whole():
-        # K is infinite here; the singleton family never refines finitely
-        W = FamilyExpr(c, (), (Singletons(),))
-        return Verdict(
-            "NotSmall", "singleton cover admits no finite refinement over K", W
-        )
-    if isinstance(c, QLine) and (op.interval_opens or op.singletons_open) \
-            and X.support.is_whole():
-        return _qline_not_small_witness(K)
-    return Verdict("Unknown", "no witness procedure for this presentation")
+    return X.policy.smallness(X, K)
 
 
 def _qline_not_small_witness(K: SetExpr) -> Verdict:

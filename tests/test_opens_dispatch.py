@@ -1,12 +1,12 @@
-"""Opens descriptions, map rules and carriers answer for themselves: few isinstance tests.
+"""Opens, map rules, carriers, policies and streams answer for themselves: few isinstance tests.
 
-Each module may test a value against the seven opens classes, against the
-nine map rule classes, and against the four carrier classes at most as
-often as its budgets below allow.  The audit's instance grammar and the
-DSL's parser and emitter are the single dispatch for their own concern;
-each carrier's set algebra is reached through ``setexpr.ALGEBRA``; the
-other budgets are what is left of the per-description, per-rule and
-per-carrier branches.
+Each module may test a value against the seven opens classes, the nine
+map rule classes, the four carrier classes, the five coverage policy
+classes and the five stream classes at most as often as its budgets below
+allow.  The audit's instance grammar and the DSL's parser and emitter are
+the single dispatch for their own concern; each carrier's set algebra is
+reached through ``setexpr.ALGEBRA``; the other budgets are what is left of
+the per-description, per-rule, per-carrier and per-policy branches.
 """
 
 import ast
@@ -38,6 +38,17 @@ CARRIER_CLASSES = {"FiniteEnum", "NatFC", "QLine", "Product"}
 CARRIER_BUDGET = {"audit.py": 7, "constructions.py": 4, "dsl.py": 7, "layers.py": 2,
                   "maps.py": 7, "presentation.py": 6, "props.py": 3, "setexpr.py": 3}
 
+POLICY_CLASSES = {"All", "EssFin", "EssCountable", "LocallyEssFin", "PiecewiseEssFin"}
+
+# cli.py and layers.py: reads of a policy's base or exhaustion; maps.py: a
+# domain that admits every open family, which EssCountable does not stand in for
+POLICY_BUDGET = {"cli.py": 1, "dsl.py": 3, "layers.py": 4, "maps.py": 1}
+
+STREAM_CLASSES = {"ShrinkIntervals", "GrowBalls", "InitialSegments", "Singletons",
+                  "DerivedStream"}
+
+STREAM_BUDGET = {"dsl.py": 4}
+
 
 def isinstance_calls(source: str, classes: set) -> int:
     """The isinstance calls in ``source`` whose class argument names one of ``classes``."""
@@ -54,10 +65,15 @@ def test_counter_sees_single_and_tuple_class_arguments():
     src = ("isinstance(a, AllSets)\nisinstance(b, (QLine, TraceOpens))\n"
            "isinstance(c, QLine)\nisinstance(d.opens, Opens)\n"
            "isinstance(e, (NatShift, NatPerm))\nisinstance(f.rule, Rule)\n"
-           "isinstance(g.carrier, (FiniteEnum, Product))\nisinstance(h, Carrier)\n")
+           "isinstance(g.carrier, (FiniteEnum, Product))\nisinstance(h, Carrier)\n"
+           "isinstance(i.policy, All)\nisinstance(j, (LocallyEssFin, PiecewiseEssFin))\n"
+           "isinstance(k, Policy)\nisinstance(m, (GrowBalls, DerivedStream))\n"
+           "isinstance(n, Stream)\n")
     assert isinstance_calls(src, OPENS_CLASSES) == 2
     assert isinstance_calls(src, RULE_CLASSES) == 1
     assert isinstance_calls(src, CARRIER_CLASSES) == 3
+    assert isinstance_calls(src, POLICY_CLASSES) == 2
+    assert isinstance_calls(src, STREAM_CLASSES) == 1
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -73,3 +89,13 @@ def test_rule_isinstance_budget(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_carrier_isinstance_budget(path):
     assert isinstance_calls(path.read_text(), CARRIER_CLASSES) <= CARRIER_BUDGET.get(path.name, 0)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_policy_isinstance_budget(path):
+    assert isinstance_calls(path.read_text(), POLICY_CLASSES) <= POLICY_BUDGET.get(path.name, 0)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_stream_isinstance_budget(path):
+    assert isinstance_calls(path.read_text(), STREAM_CLASSES) <= STREAM_BUDGET.get(path.name, 0)

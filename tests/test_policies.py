@@ -253,6 +253,7 @@ def test_policy_names_are_distinct():
 def test_policies_match_golden(name):
     # read here, not at import, so that regenerating may truncate the file first
     want = {w["space"]: w for w in json.loads(FIXTURE.read_text())}
+    assert name in want, "space missing from the fixture"
     cases = spaces()
     assert record(name, dict(cases)[name], cases) == want[name]
 

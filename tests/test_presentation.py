@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
-from gtskit.errors import NonFiniteCarrier, NonOpenMember
+from gtskit.errors import NonFiniteCarrier, NonOpenMember, UnsupportedPresentation
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 from gtskit.presentation import (
@@ -29,6 +29,12 @@ from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons
 
 def shrink01(n0=3):
     return ShrinkIntervals(0, 1, Fraction(1), Fraction(1), n0)
+
+
+def test_presentation_rejects_a_policy_of_unknown_kind():
+    for validate in (True, False):
+        with pytest.raises(UnsupportedPresentation):
+            GtsPresentation(NatFC(), AllSets(), "essfin", validate=validate)
 
 
 # -- openness -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,88 @@ def test_refines_is_reflexive_on_derived_streams(derive):
     s = shrink(0, 1, "both", 3)
     F = FamilyExpr(QLine(), (), (derive(s),))
     assert refines(F, F)
+
+
+def test_refines_a_clipped_stream_and_its_source_both_ways():
+    # the clip window holds every member, so both streams have the same members
+    s = shrink(0, 1, "both", 3)
+    F = FamilyExpr(QLine(), (), (clip_stream(s, sx.interval(-5, 5)),))
+    G = FamilyExpr(QLine(), (), (s,))
+    assert refines(F, G)
+    assert refines(G, F)
+
+
+# -- refinement against brute force ---------------------------------------
+
+F_HORIZON, G_HORIZON = 40, 3200
+
+
+def _refines_by_brute_force(F, G):
+    """Same union, and each member of F up to stage 40 inside a member of G.
+
+    G's members are taken up to stage 3200: a monotone stream's members
+    increase, so its member there stands for all of them, and the members
+    of a pointwise stream are listed one by one.  The grid below keeps
+    every endpoint's denominator and every rate small, so that nothing
+    happens past these horizons that does not happen before them.
+    """
+    if family_union(F) != family_union(G):
+        return False
+    targets = _members_up_to(G, G_HORIZON, last_only=True)
+    return all(A.is_empty() or any(sx.is_subset(A, B) for B in targets)
+               for A in _members_up_to(F, F_HORIZON, last_only=False))
+
+
+@functools.lru_cache(maxsize=None)
+def _members_up_to(F, horizon, last_only):
+    """F's members up to the horizon; with last_only, one per monotone stream."""
+    out = list(F.finite_part)
+    for s in F.streams:
+        if last_only and s.monotone:
+            out.append(s.member(s.n0 + horizon))
+        else:
+            out.extend(s.member(n) for n in range(s.n0, s.n0 + horizon))
+    return out
+
+
+def _refines_grid():
+    q, n = QLine(), NatFC()
+    s = shrink(0, 1, "both", 3)
+    q_families = [
+        (s,), (ShrinkIntervals(0, 1, 2, 2, 5),), (shrink(0, 1, "left", 2),),
+        (shrink(0, 1, "right", 2),), (clip_stream(s, sx.interval(-5, 5)),),
+        (clip_stream(GrowBalls(1), sx.interval(0, 1)),), (sx.interval(0, 1),),
+        (sx.interval(0, Fraction(1, 2)), sx.interval(Fraction(1, 3), 1)),
+        (merge_stream(s, sx.interval(5, 6)),), (s, sx.interval(5, 6)),
+        (sx.interval(0, 1), sx.interval(5, 6)), (GrowBalls(1),), (GrowBalls(2),),
+        (clip_stream(GrowBalls(1), sx.whole(q)),), (sx.whole(q),),
+        (merge_stream(shrink(0, 1, "left", 2), sx.interval(Fraction(1, 2), 2)),),
+        (sx.interval(0, 2),), (shrink(0, 2, "both", 2),),
+    ]
+    segs = InitialSegments(0)
+    n_families = [
+        (segs,), (InitialSegments(3),), (clip_stream(segs, sx.nat_cofinite([0])),),
+        (sx.nat_cofinite([0]), sx.nat_finite([0])), (Singletons(),),
+        (clip_stream(Singletons(), sx.nat_cofinite([1])),), (sx.whole(n),),
+        (merge_stream(segs, sx.nat_finite([5, 6])),), (clip_stream(segs, sx.whole(n)),),
+        (sx.nat_finite([0, 1, 2]), sx.nat_cofinite([0, 1])),
+        (Singletons(), sx.nat_finite(range(4))),
+        (clip_stream(Singletons(), sx.nat_cofinite([0])), InitialSegments(2)),
+        (sx.nat_cofinite([0]),),
+    ]
+    out = []
+    for c, members in ((q, q_families), (n, n_families)):
+        fams = [FamilyExpr(c, tuple(m for m in ms if isinstance(m, sx.SetExpr)),
+                           tuple(m for m in ms if not isinstance(m, sx.SetExpr)))
+                for ms in members]
+        out.extend((F, G) for F in fams for G in fams)
+    return out
+
+
+def test_refines_agrees_with_brute_force_on_derived_streams():
+    wrong = [(F.render(), G.render()) for F, G in _refines_grid()
+             if refines(F, G) != _refines_by_brute_force(F, G)]
+    assert wrong == []
 
 
 # -- essential finiteness -------------------------------------------------
