@@ -244,11 +244,6 @@ def collect():
     return [record(name, X, cases) for name, X in cases]
 
 
-def test_policy_names_are_distinct():
-    names = [name for name, _ in spaces()]
-    assert len(names) == len(set(names))
-
-
 @pytest.mark.parametrize("name", [name for name, _ in spaces()])
 def test_policies_match_golden(name):
     # read here, not at import, so that regenerating may truncate the file first
