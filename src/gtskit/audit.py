@@ -1,25 +1,28 @@
 """Randomized and exhaustive axiom auditing for presentations.
 
-The auditor draws opens and families from a seeded grammar bounded by the
-documented limits (endpoint numerators/denominators up to 32, families of
-at most 6 finite members and 2 streams) and checks the axioms: openness of
-finite unions/intersections, admissibility of finite open families, open
-unions of admissible families, stability, transitivity, saturation, and
-regularity.  Presentations with at most 8 opens are checked exhaustively,
-on bitmasks: a set is the mask of the cells it holds (the support's points
-when the support is finite, else the pieces the opens cut it into), and a
-stream-free family of opens is admissible exactly when every member is
-open, since its finite part covers its union under every policy.
+The auditor draws opens and families from a seeded grammar and checks the
+axioms: openness of finite unions/intersections, admissibility of finite
+open families, open unions of admissible families, stability,
+transitivity, saturation, and regularity.  The grammar is spread over its
+owners: each opens description draws its own opens (``Opens.draw`` in
+``presentation``) and each carrier's algebra its own sets
+(``setexpr.random_set``, endpoint numerators and denominators up to 32);
+this module draws the streams and the families, of at most 6 finite
+members and 2 streams.  Presentations with at most 8 opens are checked
+exhaustively, on bitmasks: a set is the mask of the cells it holds (the
+support's points when the support is finite, else the pieces the opens cut
+it into), and a stream-free family of opens is admissible exactly when
+every member is open, since its finite part covers its union under every
+policy.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
-from .carriers import FiniteEnum, NatFC, Product, QLine
+from .carriers import NatFC, QLine
 from .errors import NonFiniteCarrier, UnsupportedPresentation
 from .families import (
     FamilyExpr,
@@ -29,14 +32,7 @@ from .families import (
     union_families,
 )
 from .presentation import (
-    AllCanonicalOpen,
-    AllSets,
-    ExplicitList,
-    FiniteOrWhole,
-    GluedOpens,
     GtsPresentation,
-    ProductOpens,
-    TraceOpens,
     enumerate_opens,
     from_points,
     is_admissible,
@@ -98,92 +94,33 @@ def _render_part(p):
 
 # -- seeded instance grammar ----------------------------------------------
 
-MAX_NUM = 32
+def _line_stream(rng: random.Random):
+    if rng.random() < 0.5:
+        a = rng.randint(-8, 6)
+        b = a + rng.randint(1, 6)
+        return ShrinkIntervals(a, b, int(rng.random() < 0.8), 1, 3)
+    return GrowBalls(rng.randint(1, 3))
 
 
-def _rand_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-MAX_NUM, MAX_NUM), rng.randint(1, MAX_NUM))
+def _nat_stream(rng: random.Random):
+    if rng.random() < 0.5:
+        return InitialSegments(rng.randint(0, 4))
+    return Singletons()
 
 
-def random_open(X: GtsPresentation, rng: random.Random) -> SetExpr:
-    op = X.opens
-    c = X.carrier
-    if isinstance(op, ExplicitList):
-        return rng.choice(op.sets)
-    if isinstance(op, AllCanonicalOpen):
-        out = sx.empty(c)
-        for _ in range(rng.randint(0, 3)):
-            a, b = sorted((_rand_fraction(rng), _rand_fraction(rng)))
-            if a < b:
-                out = sx.union(out, sx.interval(a, b))
-        return out
-    if isinstance(op, FiniteOrWhole):
-        if rng.random() < 0.15:
-            return sx.whole(c)
-        return sx.nat_finite(rng.sample(range(24), rng.randint(0, 5)))
-    if isinstance(op, AllSets):
-        return sx.intersect(_random_set(c, rng), X.support)
-    if isinstance(op, ProductOpens):
-        out = sx.empty(c)
-        for _ in range(rng.randint(0, 2)):
-            out = sx.union(out, sx.box(random_open(op.left, rng),
-                                       random_open(op.right, rng)))
-        return out
-    if isinstance(op, TraceOpens):
-        return sx.intersect(random_open(op.parent, rng), op.window)
-    if isinstance(op, GluedOpens):
-        out = sx.empty(c)
-        for P in op.pieces:
-            if rng.random() < 0.7:
-                out = sx.union(out, sx.intersect(random_open(P, rng), P.support))
-        return out
-    raise ValueError("no generator for this opens description")
-
-
-def _random_set(c, rng: random.Random) -> SetExpr:
-    if isinstance(c, FiniteEnum):
-        names = [x for x in c.elements if rng.random() < 0.5]
-        return sx.atoms(c, names)
-    if isinstance(c, NatFC):
-        body = rng.sample(range(24), rng.randint(0, 5))
-        return sx.nat_cofinite(body) if rng.random() < 0.3 else sx.nat_finite(body)
-    if isinstance(c, QLine):
-        out = sx.empty(c)
-        for _ in range(rng.randint(0, 3)):
-            a, b = sorted((_rand_fraction(rng), _rand_fraction(rng)))
-            out = sx.union(out, sx.interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
-        return out
-    if isinstance(c, Product):
-        out = sx.empty(c)
-        for _ in range(rng.randint(0, 2)):
-            out = sx.union(out, sx.box(_random_set(c.left, rng), _random_set(c.right, rng)))
-        return out
-    raise ValueError("no set generator for this carrier")
-
-
-def _random_stream(X: GtsPresentation, rng: random.Random):
-    c = X.carrier
-    if isinstance(c, QLine):
-        if rng.random() < 0.5:
-            a = rng.randint(-8, 6)
-            b = a + rng.randint(1, 6)
-            return ShrinkIntervals(a, b, int(rng.random() < 0.8), 1, 3)
-        return GrowBalls(rng.randint(1, 3))
-    if isinstance(c, NatFC):
-        if rng.random() < 0.5:
-            return InitialSegments(rng.randint(0, 4))
-        return Singletons()
-    return None
+# the carrier classes that have a stream grammar
+RANDOM_STREAM = {QLine: _line_stream, NatFC: _nat_stream}
 
 
 def random_family(X: GtsPresentation, rng: random.Random,
                   allow_streams: bool = True) -> FamilyExpr:
-    fin = tuple(random_open(X, rng) for _ in range(rng.randint(1, 6)))
+    fin = tuple(X.opens.draw(X, rng) for _ in range(rng.randint(1, 6)))
     streams = []
-    if allow_streams and not isinstance(X.carrier, (FiniteEnum, Product)):
+    stream = RANDOM_STREAM.get(type(X.carrier))
+    if allow_streams and stream is not None:
         for _ in range(rng.randint(0, 2)):
-            s = _random_stream(X, rng)
-            if s is not None and is_open(X, s.member(s.n0)):
+            s = stream(rng)
+            if is_open(X, s.member(s.n0)):
                 streams.append(s)
     return FamilyExpr(X.carrier, fin, tuple(streams))
 
@@ -195,20 +132,20 @@ def random_admissible_family(X: GtsPresentation, rng: random.Random) -> FamilyEx
         if is_admissible(X, F).yes:
             return F
     # finite open families are admissible under every shipped policy
-    return FamilyExpr(X.carrier, (random_open(X, rng),))
+    return FamilyExpr(X.carrier, (X.opens.draw(X, rng),))
 
 
 # -- per-axiom instance checks --------------------------------------------
 
 def _check_binary_ops(X, rng, rep):
-    A, B = random_open(X, rng), random_open(X, rng)
+    A, B = X.opens.draw(X, rng), X.opens.draw(X, rng)
     u, i = sx.union(A, B), sx.intersect(A, B)
     ok = is_open(X, u) and is_open(X, i)
     rep.record("binary_ops_open", ok, "union or intersection of opens not open", (A, B))
 
 
 def _check_finite_admissible(X, rng, rep):
-    F = FamilyExpr(X.carrier, tuple(random_open(X, rng) for _ in range(rng.randint(1, 4))))
+    F = FamilyExpr(X.carrier, tuple(X.opens.draw(X, rng) for _ in range(rng.randint(1, 4))))
     ok = is_admissible(X, F).yes
     rep.record("finite_families_admissible", ok, "finite open family not admissible", (F,))
 
@@ -221,7 +158,7 @@ def _check_union_open(X, rng, rep):
 
 def _check_stability(X, rng, rep):
     F = random_admissible_family(X, rng)
-    V = random_open(X, rng)
+    V = X.opens.draw(X, rng)
     G = clip_family(F, V)
     ok = is_admissible(X, G).yes
     rep.record("stability", ok, "clipped admissible family not admissible", (F, V))
@@ -248,7 +185,7 @@ def _check_transitivity(X, rng, rep):
 
 def _admissible_cover_of(X, U, rng) -> FamilyExpr | None:
     """An admissible family with union exactly U."""
-    V = sx.intersect(random_open(X, rng), U)
+    V = sx.intersect(X.opens.draw(X, rng), U)
     G = FamilyExpr(X.carrier, (U, V) if not V.is_empty() else (U,))
     return G if is_admissible(X, G).yes else None
 

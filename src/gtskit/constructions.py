@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 
-from .audit import random_open
 from .carriers import FiniteEnum, NatFC, Product, QLine
 from .errors import (
     BallNotOpen,
@@ -130,8 +129,8 @@ def _check_trace_agreement(A: GtsPresentation, B: GtsPresentation, O: SetExpr):
         return
     rng = random.Random(11)
     for _ in range(16):
-        SA = sx.intersect(random_open(A, rng), O)
-        SB = sx.intersect(random_open(B, rng), O)
+        SA = sx.intersect(A.opens.draw(A, rng), O)
+        SB = sx.intersect(B.opens.draw(B, rng), O)
         if not is_open(B, sx.intersect(SA, B.support)) or \
                 not is_open(A, sx.intersect(SB, A.support)):
             raise IncompatibleTraces(sx.render(O))

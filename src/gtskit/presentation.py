@@ -114,6 +114,10 @@ class Opens:
         descriptions keeping this default have opens closed under union."""
         return self.singletons_open or self.is_open(X, S)
 
+    def draw(self, X: "GtsPresentation", rng) -> SetExpr:
+        """A random open of X from the audit's seeded grammar."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class ExplicitList(Opens):
@@ -169,6 +173,9 @@ class ExplicitList(Opens):
 
     finite_opens = enumerate
 
+    def draw(self, X, rng):
+        return rng.choice(self.sets)
+
 
 @dataclass(frozen=True)
 class AllCanonicalOpen(Opens):
@@ -193,6 +200,14 @@ class AllCanonicalOpen(Opens):
     def interior_cover(self, P):
         return lambda C, D: sx.is_subset(C, sx.interval_interior(D))
 
+    def draw(self, X, rng):
+        out = sx.empty(X.carrier)
+        for _ in range(rng.randint(0, 3)):
+            a, b = sorted((sx.random_fraction(rng), sx.random_fraction(rng)))
+            if a < b:
+                out = sx.union(out, sx.interval(a, b))
+        return out
+
 
 @dataclass(frozen=True)
 class FiniteOrWhole(Opens):
@@ -212,6 +227,11 @@ class FiniteOrWhole(Opens):
     def trace_is_open(self, parent, W, S):
         return S.is_finite_pointset() or S == sx.intersect(W, parent.support)
 
+    def draw(self, X, rng):
+        if rng.random() < 0.15:
+            return sx.whole(X.carrier)
+        return sx.nat_finite(rng.sample(range(24), rng.randint(0, 5)))
+
 
 @dataclass(frozen=True)
 class AllSets(Opens):
@@ -229,6 +249,9 @@ class AllSets(Opens):
         if not X.support.is_finite_pointset():
             return super().enumerate(X)
         return self.finite_opens(X)
+
+    def draw(self, X, rng):
+        return sx.intersect(sx.random_set(X.carrier, rng), X.support)
 
 
 @dataclass(frozen=True)
@@ -290,6 +313,13 @@ class ProductOpens(Opens):
     def weakly_open(self, X, S):
         raise UnsupportedCarrier("no weak-openness procedure for this presentation")
 
+    def draw(self, X, rng):
+        left, right = self.left, self.right
+        out = sx.empty(X.carrier)
+        for _ in range(rng.randint(0, 2)):
+            out = sx.union(out, sx.box(left.opens.draw(left, rng), right.opens.draw(right, rng)))
+        return out
+
 
 @dataclass(frozen=True)
 class TraceOpens(Opens):
@@ -322,6 +352,9 @@ class TraceOpens(Opens):
     def enumerate(self, X):
         return {sx.intersect(O, self.window) for O in enumerate_opens(self.parent)}
 
+    def draw(self, X, rng):
+        return sx.intersect(self.parent.opens.draw(self.parent, rng), self.window)
+
 
 @dataclass(frozen=True)
 class GluedOpens(Opens):
@@ -346,6 +379,13 @@ class GluedOpens(Opens):
     def weakly_open(self, X, S):
         from .layers import weakly_open  # layers imports this module
         return all(weakly_open(P, sx.intersect(S, P.support)) for P in self.pieces)
+
+    def draw(self, X, rng):
+        out = sx.empty(X.carrier)
+        for P in self.pieces:
+            if rng.random() < 0.7:
+                out = sx.union(out, sx.intersect(P.opens.draw(P, rng), P.support))
+        return out
 
 
 # -- coverage policies ----------------------------------------------------

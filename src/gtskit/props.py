@@ -8,7 +8,6 @@ from itertools import combinations
 
 from .carriers import NatFC, QLine
 from .errors import NonFiniteCarrier, UnsupportedPresentation
-from .audit import random_open
 from .families import FamilyExpr, clip_family, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
@@ -256,7 +255,7 @@ def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
         return enumerate_opens(X)
     except (NonFiniteCarrier, UnsupportedPresentation):
         rng = random.Random(seed)
-        return [random_open(X, rng) for _ in range(budget)]
+        return [X.opens.draw(X, rng) for _ in range(budget)]
 
 
 CANONICAL_INTERVAL_BASIS = "canonical-intervals"

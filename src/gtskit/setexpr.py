@@ -35,6 +35,10 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
+# the largest numerator and denominator of a random endpoint
+MAX_NUM = 32
+
+
 def rq(x) -> str:
     """Render a rational endpoint (or +-inf)."""
     if x == NEG_INF:
@@ -201,7 +205,8 @@ class _Algebra:
     subclass provides ``canonicalize(c, form)``, ``whole(c)``,
     ``union(c, a, b)``, ``intersect(c, a, b)``, ``complement(c, a)``,
     ``contains(c, a, x)``, ``render(a)``, ``is_finite(a)``, ``points(a)``
-    (of a finite set, in canonical order) and ``from_points(c, pts)``.
+    (of a finite set, in canonical order), ``from_points(c, pts)`` and
+    ``random_set(c, rng)``, a set drawn from the audit's seeded grammar.
     """
 
     def empty(self, c):
@@ -256,6 +261,9 @@ class _EnumAlgebra(_Algebra):
 
     def from_points(self, c, pts):
         return self.canonicalize(c, pts)
+
+    def random_set(self, c, rng):
+        return frozenset(x for x in c.elements if rng.random() < 0.5)
 
 
 class _NatAlgebra(_Algebra):
@@ -327,6 +335,10 @@ class _NatAlgebra(_Algebra):
     def from_points(self, c, pts):
         return self.canonicalize(c, (pts, False))
 
+    def random_set(self, c, rng):
+        body = frozenset(rng.sample(range(24), rng.randint(0, 5)))
+        return (body, rng.random() < 0.3)
+
     def endpoints(self, a):
         return {Fraction(x) for x in a[0]}
 
@@ -377,6 +389,13 @@ class _LineAlgebra(_Algebra):
 
     def from_points(self, c, pts):
         return normalize_intervals(Interval(x, x, False, False) for x in map(Fraction, pts))
+
+    def random_set(self, c, rng):
+        out = empty(c)
+        for _ in range(rng.randint(0, 3)):
+            a, b = sorted((random_fraction(rng), random_fraction(rng)))
+            out = union(out, interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+        return out.form
 
     def endpoints(self, a):
         return {Fraction(e) for iv in a for e in (iv.lo, iv.hi) if e not in (NEG_INF, POS_INF)}
@@ -462,6 +481,10 @@ class _ProductAlgebra(_Algebra):
              SetExpr(c.right, right.from_points(c.right, ys), _normalized=True))
             for x, ys in fibers.items()])
 
+    def random_set(self, c, rng):
+        return self.canonicalize(c, [(random_set(c.left, rng), random_set(c.right, rng))
+                                     for _ in range(rng.randint(0, 2))])
+
 
 ALGEBRA: dict[type, _Algebra] = {
     FiniteEnum: _EnumAlgebra(), NatFC: _NatAlgebra(),
@@ -510,6 +533,14 @@ def boxes(carrier: Product, pairs: Iterable[tuple[SetExpr, SetExpr]]) -> SetExpr
 
 def box(l: SetExpr, r: SetExpr) -> SetExpr:
     return boxes(Product(l.carrier, r.carrier), [(l, r)])
+
+
+def random_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-MAX_NUM, MAX_NUM), rng.randint(1, MAX_NUM))
+
+
+def random_set(carrier: Carrier, rng) -> SetExpr:
+    return SetExpr(carrier, ALGEBRA[type(carrier)].random_set(carrier, rng), _normalized=True)
 
 
 # -- boolean operations ---------------------------------------------------

@@ -5,10 +5,8 @@ import pytest
 
 from gtskit.audit import (
     AXIOMS,
-    _random_set,
     audit_axioms,
     random_admissible_family,
-    random_open,
     recheck,
 )
 from gtskit.carriers import FiniteEnum, NatFC
@@ -71,12 +69,12 @@ def nat_012():
     return GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite([0, 1, 2]))
 
 
-def test_random_open_draws_opens():
+def test_opens_draw_opens():
     rng = random.Random(4)
     spaces = [lib.shipped()[n] for n in ("line_small", "nat_wd", "sierpinski")]
     for X in spaces + [nat_012()]:
         for _ in range(30):
-            assert is_open(X, random_open(X, rng))
+            assert is_open(X, X.opens.draw(X, rng))
 
 
 def test_proper_support_audits_clean():
@@ -127,8 +125,8 @@ def test_stream_free_family_admissible_iff_members_open():
             members = []
             for _ in range(rng.randint(1, 4)):
                 draw_open = rng.random() < 0.6
-                members.append(random_open(X, rng) if draw_open
-                               else _random_set(X.carrier, rng))
+                members.append(X.opens.draw(X, rng) if draw_open
+                               else sx.random_set(X.carrier, rng))
             F = FamilyExpr(X.carrier, tuple(members))
             expected = all(is_open(X, m) for m in members)
             assert is_admissible(X, F).yes == expected, (name, F.render())

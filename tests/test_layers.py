@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from gtskit.audit import _random_set, random_open
 from gtskit.constructions import subspace
 from gtskit.dsl import parse_document
 from gtskit.errors import (
@@ -195,7 +194,7 @@ def test_open_sets_are_weakly_open(name, X):
     # union, so weak openness is openness there
     rng = random.Random(2024)
     for k in range(200):
-        S = random_open(X, rng) if k % 2 else _random_set(X.carrier, rng)
+        S = X.opens.draw(X, rng) if k % 2 else sx.random_set(X.carrier, rng)
         S = sx.intersect(S, X.support)
         opened, weak = is_open(X, S), weakly_open(X, S)
         assert weak or not opened, sx.render(S)
