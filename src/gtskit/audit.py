@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .carriers import NatFC, QLine
-from .errors import NonFiniteCarrier, UnsupportedPresentation
 from .families import (
     FamilyExpr,
     clip_family,
@@ -33,10 +32,10 @@ from .families import (
 )
 from .presentation import (
     GtsPresentation,
-    enumerate_opens,
     from_points,
     is_admissible,
     is_open,
+    listed_opens,
     points_of,
 )
 from . import setexpr as sx
@@ -254,11 +253,8 @@ def _few_opens(X: GtsPresentation):
     if X.opens.singletons_open and X.support.is_finite_pointset() \
             and len(points_of(X.support)) > 3:
         return None
-    try:
-        opens = enumerate_opens(X)
-    except (NonFiniteCarrier, UnsupportedPresentation):
-        return None
-    return opens if len(opens) <= 8 else None
+    opens = listed_opens(X)
+    return opens if opens is not None and len(opens) <= 8 else None
 
 
 def _cells(X: GtsPresentation, opens) -> list[SetExpr]:

@@ -8,14 +8,12 @@ from .carriers import Product, QLine
 from .errors import (
     CarrierMismatch,
     NoInfimum,
-    NonFiniteCarrier,
     NonOpenMember,
     PointNotCovered,
     PolicyMismatch,
     PreconditionUnmet,
     TheoremViolation,
     UnsupportedCarrier,
-    UnsupportedPresentation,
 )
 from .exhaustions import Exhaustion
 from .families import FamilyExpr, family_union
@@ -28,6 +26,7 @@ from .presentation import (
     enumerate_opens,
     is_admissible,
     is_open,
+    listed_opens,
     smallness,
 )
 from . import setexpr as sx
@@ -84,14 +83,6 @@ def weak_closure(X: GtsPresentation, S: SetExpr) -> SetExpr:
         if sx.intersect(O, S).is_empty():
             away = sx.union(away, O)
     return sx.minus(X.support, away)
-
-
-def _listed_opens(X: GtsPresentation):
-    """The opens of X when there are finitely many, else None."""
-    try:
-        return enumerate_opens(X)
-    except (NonFiniteCarrier, UnsupportedPresentation):
-        return None
 
 
 # -- locally small layer --------------------------------------------------
@@ -220,7 +211,7 @@ def _closure_property_flag(X: GtsPresentation) -> Verdict:
             "Yes", "interval closure adds finitely many endpoints to a small set"
         )
     # with finitely many opens every family is essentially finite
-    if op.pieces or _listed_opens(X) is not None:
+    if op.pieces or listed_opens(X) is not None:
         return Verdict("Yes", "finite or summand-wise closures stay small")
     return Verdict("Unknown")
 
@@ -342,7 +333,7 @@ def _constructible_flag(X: GtsPresentation, S: SetExpr) -> Verdict:
         return Verdict("Yes", "every representable set is a boolean combination")
     if op.interval_opens:
         return Verdict("Yes", "rational intervals are boolean combinations of opens")
-    opens = _listed_opens(X)
+    opens = listed_opens(X)
     if opens is None:
         return Verdict("Unknown")
     # the boolean algebra of the opens is the lattice of opens and complements

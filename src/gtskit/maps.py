@@ -8,7 +8,6 @@ from fractions import Fraction
 from .carriers import FiniteEnum, NatFC, Product, QLine
 from .errors import (
     CarrierMismatch,
-    NonFiniteCarrier,
     UnrepresentablePoint,
     UnsupportedPresentation,
 )
@@ -18,10 +17,10 @@ from .presentation import (
     AllCanonicalOpen,
     AllSets,
     GtsPresentation,
-    enumerate_opens,
     from_points,
     is_admissible,
     is_open,
+    listed_opens,
     points_of,
 )
 from . import setexpr as sx
@@ -485,13 +484,9 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
 
     Returns None when no decision procedure applies.
     """
-    try:
-        for O in enumerate_opens(f.codomain):
-            if not is_open(f.domain, f.preimage(O)):
-                return False
-        return True
-    except (NonFiniteCarrier, UnsupportedPresentation):
-        pass
+    opens = listed_opens(f.codomain)
+    if opens is not None:
+        return all(is_open(f.domain, f.preimage(O)) for O in opens)
     dop = f.domain.opens
     cop = f.codomain.opens
     if isinstance(dop, AllSets):
@@ -578,9 +573,7 @@ def _default_probes(X: GtsPresentation) -> list[FamilyExpr]:
         out.append(FamilyExpr(c, (), (Singletons(),)))
         out.append(FamilyExpr(c, (sx.whole(c),)))
     if isinstance(c, FiniteEnum):
-        try:
-            opens = enumerate_opens(X)
+        opens = listed_opens(X)
+        if opens is not None:
             out.append(FamilyExpr(c, tuple(opens)))
-        except (NonFiniteCarrier, UnsupportedPresentation):
-            pass
     return out

@@ -583,6 +583,15 @@ def enumerate_opens(X: GtsPresentation) -> list[SetExpr]:
     return sorted(X.opens.enumerate(X), key=sx.sort_key)
 
 
+def listed_opens(X: GtsPresentation) -> list[SetExpr] | None:
+    """The opens of X, as enumerate_opens gives them, or None where X has
+    infinitely many or its opens description cannot list them."""
+    try:
+        return enumerate_opens(X)
+    except (NonFiniteCarrier, UnsupportedPresentation):
+        return None
+
+
 def _enumerate_subsets(S: SetExpr) -> list[SetExpr]:
     pts = points_of(S)
     out = []

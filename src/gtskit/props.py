@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .carriers import NatFC, QLine
-from .errors import NonFiniteCarrier, UnsupportedPresentation
+from .errors import UnsupportedPresentation
 from .families import FamilyExpr, clip_family, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import (
@@ -29,6 +29,7 @@ from .presentation import (
     from_points,
     is_admissible,
     is_open,
+    listed_opens,
     points_of,
 )
 from . import setexpr as sx
@@ -243,19 +244,17 @@ def is_dense(X: GtsPresentation, S: SetExpr) -> Verdict:
     if isinstance(X.opens, AllCanonicalOpen):
         witness = sx.interval_interior(rest)
     elif not is_open(X, rest) and not weakly_open(X, rest):
-        for O in _some_opens(X):
+        opens = listed_opens(X)
+        for O in opens if opens is not None else _drawn_opens(X, 32, 13):
             if not O.is_empty() and sx.is_subset(O, rest):
                 witness = O
                 break
     return Verdict("No", "an open set misses the closure", witness)
 
 
-def _some_opens(X: GtsPresentation, budget: int = 32, seed: int = 13):
-    try:
-        return enumerate_opens(X)
-    except (NonFiniteCarrier, UnsupportedPresentation):
-        rng = random.Random(seed)
-        return [X.opens.draw(X, rng) for _ in range(budget)]
+def _drawn_opens(X: GtsPresentation, budget: int, seed: int) -> list[SetExpr]:
+    rng = random.Random(seed)
+    return [X.opens.draw(X, rng) for _ in range(budget)]
 
 
 CANONICAL_INTERVAL_BASIS = "canonical-intervals"
@@ -274,12 +273,10 @@ def is_basis(X: GtsPresentation, B) -> Verdict:
         return Verdict("Unknown")
     check_members_open(X, B)
     union_all = family_union(B)
-    exact = True
-    try:
-        opens = enumerate_opens(X)
-    except (NonFiniteCarrier, UnsupportedPresentation):
-        opens = _some_opens(X, 64)
-        exact = False
+    opens = listed_opens(X)
+    exact = opens is not None
+    if not exact:
+        opens = _drawn_opens(X, 64, 13)
     members = B.sample_members(4)
     for O in opens:
         if not sx.is_subset(O, union_all):
@@ -310,15 +307,13 @@ def _stream_coverable(B: FamilyExpr, O: SetExpr) -> bool:
 
 def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Verdict:
     """Does the image of every open (or closed) set stay open (closed)?"""
-    try:
-        opens = enumerate_opens(f.domain)
-        exact = True
-    except (NonFiniteCarrier, UnsupportedPresentation):
+    opens = listed_opens(f.domain)
+    exact = opens is not None
+    if not exact:
         structural = _structural_image_flag(f, closed)
         if structural is not None:
             return structural
-        opens = _some_opens(f.domain, budget, seed)
-        exact = False
+        opens = _drawn_opens(f.domain, budget, seed)
     for O in opens:
         S = sx.minus(f.domain.support, O) if closed else O
         img = f.image(S)
