@@ -57,6 +57,23 @@ class Rule:
         """The rule of f's inverse, where it is computable; f has this rule."""
         return None
 
+    def keeps_opens(self, f: "SpaceMap", way: str) -> str | None:
+        """Why f, which has this rule, keeps opens open the given way for
+        every open at once; None where the rule's structure does not decide.
+
+        ``way`` is "preimage" (the preimage of every codomain open is
+        open), "image" (the image of every open is open) or "closed image"
+        (the image of every closed set is closed).  It is asked only where
+        the opens it ranges over cannot be listed.
+        """
+        return None
+
+
+def _onto_all_sets(f: "SpaceMap") -> str | None:
+    if f.codomain.opens == AllSets():
+        return "every codomain subset is open and closed"
+    return None
+
 
 def _need_naturals(dc, cc):
     if (dc, cc) != (NatFC(), NatFC()):
@@ -82,6 +99,11 @@ class Identity(Rule):
 
     def inverse(self, f):
         return self
+
+    def keeps_opens(self, f, way):
+        if way == "preimage":
+            return "the same opens" if f.domain.opens == f.codomain.opens else None
+        return _onto_all_sets(f)
 
 
 @dataclass(frozen=True)
@@ -187,6 +209,18 @@ class PiecewiseAffine(Rule):
         except ValueError:  # the images overlap or miss part of the line
             return None
 
+    def keeps_opens(self, f, way):
+        if not f.domain.opens == f.codomain.opens == AllCanonicalOpen():
+            return None
+        if way == "preimage":
+            if all(p != 0 for _, p, _ in self.pieces) and \
+                    all(is_open(f.domain, P) for P, _, _ in self.pieces):
+                return "open pieces with nonzero slopes pull open intervals back to opens"
+            return None
+        if len(self.pieces) == 1 and self.pieces[0][1] != 0:
+            return "a global affine bijection preserves interval shape"
+        return None
+
 
 @dataclass(frozen=True)
 class NatShift(Rule):
@@ -211,6 +245,9 @@ class NatShift(Rule):
         elems, co = T.form
         pulled = {x - self.k for x in elems if x >= self.k}
         return sx.nat_cofinite(pulled) if co else sx.nat_finite(pulled)
+
+    def keeps_opens(self, f, way):
+        return None if way == "preimage" else _onto_all_sets(f)
 
 
 @dataclass(frozen=True)
@@ -240,6 +277,9 @@ class NatPerm(Rule):
 
     def inverse(self, f):
         return NatPerm(tuple((b, a) for a, b in self.table))
+
+    def keeps_opens(self, f, way):
+        return None if way == "preimage" else _onto_all_sets(f)
 
 
 @dataclass(frozen=True)
@@ -274,6 +314,13 @@ class Projection(Rule):
         if self.side == "left":
             return sx.box(T, sx.whole(dc.right))
         return sx.box(sx.whole(dc.left), T)
+
+    def keeps_opens(self, f, way):
+        if way == "preimage":
+            return "an open pulls back to an open cylinder"
+        if way == "image" and f.codomain.opens in (AllSets(), AllCanonicalOpen()):
+            return "images of product opens are unions of factor opens"
+        return None
 
 
 @dataclass(frozen=True)
@@ -487,21 +534,8 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
     opens = listed_opens(f.codomain)
     if opens is not None:
         return all(is_open(f.domain, f.preimage(O)) for O in opens)
-    dop = f.domain.opens
-    cop = f.codomain.opens
-    if isinstance(dop, AllSets):
-        return True
-    r = f.rule
-    if isinstance(r, Identity):
-        return True if dop == cop else None
-    if isinstance(r, PiecewiseAffine) and isinstance(dop, AllCanonicalOpen) \
-            and isinstance(cop, AllCanonicalOpen):
-        # open pieces with nonzero slopes pull open intervals back to opens
-        if all(p != 0 for _, p, _ in r.pieces) and \
-                all(is_open(f.domain, P) for P, _, _ in r.pieces):
-            return True
-        return None
-    if isinstance(r, Projection):
+    # where every domain set is open, so is every preimage
+    if f.domain.opens == AllSets() or f.rule.keeps_opens(f, "preimage") is not None:
         return True
     return None
 

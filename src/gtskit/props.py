@@ -10,15 +10,7 @@ from .carriers import NatFC, QLine
 from .errors import UnsupportedPresentation
 from .families import FamilyExpr, clip_family, family_union
 from .layers import LayerReport, weak_closure, weakly_open
-from .maps import (
-    Identity,
-    NatPerm,
-    NatShift,
-    PiecewiseAffine,
-    Projection,
-    SpaceMap,
-    check_strict_continuity,
-)
+from .maps import SpaceMap, check_strict_continuity
 from .presentation import (
     AllCanonicalOpen,
     AllSets,
@@ -310,9 +302,9 @@ def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Verdi
     opens = listed_opens(f.domain)
     exact = opens is not None
     if not exact:
-        structural = _structural_image_flag(f, closed)
-        if structural is not None:
-            return structural
+        why = f.rule.keeps_opens(f, "closed image" if closed else "image")
+        if why is not None:
+            return Verdict("Yes", why)
         opens = _drawn_opens(f.domain, budget, seed)
     for O in opens:
         S = sx.minus(f.domain.support, O) if closed else O
@@ -322,22 +314,6 @@ def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Verdi
         if not ok:
             return Verdict("No", witness=S)
     return Verdict("Yes" if exact else "Checked")
-
-
-def _structural_image_flag(f: SpaceMap, closed: bool) -> Verdict | None:
-    r = f.rule
-    dop, cop = f.domain.opens, f.codomain.opens
-    if isinstance(r, (Identity, NatShift, NatPerm)) and isinstance(cop, AllSets):
-        return Verdict("Yes", "every codomain subset is open and closed")
-    if isinstance(r, PiecewiseAffine) and isinstance(cop, AllCanonicalOpen) \
-            and isinstance(dop, AllCanonicalOpen):
-        if len(r.pieces) == 1 and r.pieces[0][1] != 0:
-            return Verdict("Yes", "a global affine bijection preserves interval shape")
-        return None
-    if isinstance(r, Projection) and not closed:
-        if isinstance(cop, (AllSets, AllCanonicalOpen)):
-            return Verdict("Yes", "images of product opens are unions of factor opens")
-    return None
 
 
 def _is_bijective(f: SpaceMap) -> bool | None:
