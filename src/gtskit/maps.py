@@ -583,7 +583,7 @@ def _probe_pullbacks(f: SpaceMap) -> tuple:
     how many pulled back admissibly before it.  A probe whose pullback has
     no presentation is skipped."""
     checked = 0
-    for F in _default_probes(f.codomain):
+    for F in _PROBES[type(f.codomain.carrier)](f.codomain):
         if not is_admissible(f.codomain, F).yes:
             continue
         try:
@@ -596,18 +596,17 @@ def _probe_pullbacks(f: SpaceMap) -> tuple:
     return None, checked
 
 
-def _default_probes(X: GtsPresentation) -> list[FamilyExpr]:
-    """Library families likely to separate policies on the codomain."""
-    c = X.carrier
-    out = []
-    if isinstance(c, QLine):
-        out.append(FamilyExpr(c, (), (shrink(0, 1, "both", 3),)))
-        out.append(FamilyExpr(c, (), (GrowBalls(1),)))
-    if isinstance(c, NatFC):
-        out.append(FamilyExpr(c, (), (Singletons(),)))
-        out.append(FamilyExpr(c, (sx.whole(c),)))
-    if isinstance(c, FiniteEnum):
-        opens = listed_opens(X)
-        if opens is not None:
-            out.append(FamilyExpr(c, tuple(opens)))
-    return out
+def _listed_probe(X: GtsPresentation) -> list[FamilyExpr]:
+    opens = listed_opens(X)
+    return [] if opens is None else [FamilyExpr(X.carrier, tuple(opens))]
+
+
+# library families likely to separate policies on a codomain, by carrier class
+_PROBES = {
+    QLine: lambda X: [FamilyExpr(X.carrier, (), (shrink(0, 1, "both", 3),)),
+                      FamilyExpr(X.carrier, (), (GrowBalls(1),))],
+    NatFC: lambda X: [FamilyExpr(X.carrier, (), (Singletons(),)),
+                      FamilyExpr(X.carrier, (sx.whole(X.carrier),))],
+    FiniteEnum: _listed_probe,
+    Product: lambda X: [],
+}

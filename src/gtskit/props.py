@@ -124,22 +124,17 @@ def separation_report(X: GtsPresentation) -> LayerReport:
     rep = LayerReport()
     if X.support.is_finite_pointset():
         _finite_separation(X, rep)
-    elif isinstance(X.carrier, QLine) and isinstance(X.opens, AllCanonicalOpen):
-        for name in SEPARATION_FLAGS:
-            rep.flags[name] = Verdict("Yes", "interval gap separation")
-    elif isinstance(X.carrier, NatFC) and isinstance(X.opens, AllSets):
-        for name in SEPARATION_FLAGS:
-            rep.flags[name] = Verdict("Yes", "every subset is open")
-    elif isinstance(X.carrier, NatFC) and isinstance(X.opens, FiniteOrWhole):
-        _finite_or_whole_separation(X, rep)
     else:
-        for name in SEPARATION_FLAGS:
-            rep.flags[name] = Verdict("Unknown")
+        _SEPARATION.get((type(X.carrier), type(X.opens)), _every_flag("Unknown"))(rep)
     _enforce_implications(rep)
     return rep
 
 
-def _finite_or_whole_separation(X, rep):
+def _every_flag(status, reason=""):
+    return lambda rep: rep.flags.update(dict.fromkeys(SEPARATION_FLAGS, Verdict(status, reason)))
+
+
+def _finite_or_whole_separation(rep):
     x = sx.nat_finite([0])
     cof = sx.nat_cofinite([0])
     rep.flags["weakly_T1"] = Verdict("Yes", "singletons are open")
@@ -152,6 +147,14 @@ def _finite_or_whole_separation(X, rep):
     rep.flags["strongly_regular"] = Verdict("No", witness=(x, cof))
     rep.flags["weakly_normal"] = Verdict("No", witness=(x, cof))
     rep.flags["strongly_normal"] = Verdict("No", witness=(x, cof))
+
+
+# the flags of a presentation on an infinite support, by carrier and opens class
+_SEPARATION = {
+    (QLine, AllCanonicalOpen): _every_flag("Yes", "interval gap separation"),
+    (NatFC, AllSets): _every_flag("Yes", "every subset is open"),
+    (NatFC, FiniteOrWhole): _finite_or_whole_separation,
+}
 
 
 def _finite_separation(X, rep):
