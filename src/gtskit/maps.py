@@ -13,7 +13,6 @@ from .errors import (
 )
 from .families import FamilyExpr
 from .presentation import (
-    All,
     AllCanonicalOpen,
     AllSets,
     GtsPresentation,
@@ -565,7 +564,7 @@ def check_strict_continuity(f: SpaceMap) -> Verdict:
     if bad is not None:
         probe = "admissible codomain family" if every_family else "a library family"
         return Verdict("No", probe + " pulls back inadmissibly", bad)
-    if every_family and isinstance(f.domain.policy, All):
+    if every_family and f.domain.policy.every_open_family:
         ok = preimages_of_opens_open(f)
         if ok is True:
             return Verdict(

@@ -458,14 +458,17 @@ class EssCountable(Policy):
     """Admissible iff a countable subfamily has the same union.
 
     Every presentable family is countable, so this policy accepts all
-    open families; it is kept separate because spaces carrying it are
-    not interchangeable with All-policy spaces under refinement.
+    open families, and a set is small under it exactly when it is under
+    All; it is kept separate because spaces carrying it are not
+    interchangeable with All-policy spaces under refinement.
     """
 
     every_open_family = True
 
     def admits(self, F):
         return Verdict("Yes", "every presentable family is countable")
+
+    smallness = All.smallness
 
 
 @dataclass(frozen=True)

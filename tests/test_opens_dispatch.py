@@ -40,9 +40,8 @@ CARRIER_BUDGET = {"audit.py": 7, "constructions.py": 4, "dsl.py": 7, "layers.py"
 
 POLICY_CLASSES = {"All", "EssFin", "EssCountable", "LocallyEssFin", "PiecewiseEssFin"}
 
-# cli.py and layers.py: reads of a policy's base or exhaustion; maps.py: a
-# domain that admits every open family, which EssCountable does not stand in for
-POLICY_BUDGET = {"cli.py": 1, "dsl.py": 3, "layers.py": 4, "maps.py": 1}
+# cli.py and layers.py: reads of a policy's base or exhaustion
+POLICY_BUDGET = {"cli.py": 1, "dsl.py": 3, "layers.py": 4}
 
 STREAM_CLASSES = {"ShrinkIntervals", "GrowBalls", "InitialSegments", "Singletons",
                   "DerivedStream"}

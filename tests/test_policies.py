@@ -244,6 +244,16 @@ def collect():
     return [record(name, X, cases) for name, X in cases]
 
 
+def test_esscountable_answers_as_all():
+    # both admit every open family, so both find the same witnesses
+    for pol in (All(), EssCountable()):
+        X = GtsPresentation(N, AllSets(), pol)
+        v = smallness(X, sx.nat_cofinite([0, 2]))
+        assert (v.status, v.witness.render()) == ("NotSmall", "{} + stream singletons")
+        v = check_strict_continuity(SpaceMap(X, X, Identity()))
+        assert (v.status, v.reason) == ("Yes", "every open family is admissible on both sides")
+
+
 @pytest.mark.parametrize("name", [name for name, _ in spaces()])
 def test_policies_match_golden(name):
     # read here, not at import, so that regenerating may truncate the file first
