@@ -111,6 +111,14 @@ def test_random_admissible_family_is_admissible():
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
 
+def test_exhaustive_counts_do_not_depend_on_the_budget():
+    X = parse_document((CORPUS / "spaces.gts").read_text()).spaces["Chain3"]
+    low, high = audit_axioms(X, budget=1), audit_axioms(X, budget=1000)
+    assert low.exhaustive and high.exhaustive
+    assert low.pass_counts == high.pass_counts
+    assert low.used == high.used == 277
+
+
 def test_stream_free_family_admissible_iff_members_open():
     """The rule the exhaustive audit decides admissibility by, on every
     shipped presentation and every space of the corpus."""
