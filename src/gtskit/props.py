@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .carriers import NatFC, QLine
-from .errors import UnsupportedPresentation
+from .errors import NonFiniteCarrier, UnsupportedPresentation
 from .families import FamilyExpr, clip_family, family_union
 from .layers import LayerReport, weak_closure, weakly_open
 from .maps import SpaceMap, check_strict_continuity
@@ -311,7 +311,10 @@ def _image_preserves(f: SpaceMap, closed: bool, budget: int, seed: int) -> Verdi
         opens = _drawn_opens(f.domain, budget, seed)
     for O in opens:
         S = sx.minus(f.domain.support, O) if closed else O
-        img = f.image(S)
+        try:
+            img = f.image(S)
+        except NonFiniteCarrier:  # a rule that maps point by point meets an infinite set
+            return Verdict("Unknown", "the image of an infinite set is not computable")
         ok = is_open(f.codomain, sx.minus(f.codomain.support, img)) if closed \
             else is_open(f.codomain, img)
         if not ok:

@@ -7,14 +7,18 @@ from gtskit.carriers import FiniteEnum
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 import gtskit.presentation
+from gtskit.constructions import product
 from gtskit.maps import (
     Const,
     FiniteTable,
     Identity,
     NatPerm,
+    NatShift,
+    Pairing,
     PiecewiseAffine,
     SpaceMap,
     check_strict_continuity,
+    identity_map,
 )
 from gtskit.presentation import (
     All,
@@ -207,6 +211,16 @@ def test_collapse_not_homeo():
     f = SpaceMap(lib.sierpinski(), lib.point_space(), Const("p"))
     cls = classify_map(f)
     assert cls["strict_homeo"].status == "No"
+
+
+def test_pointwise_images_of_infinite_opens_are_unknown():
+    # z -> (z, z + 1) has no image of a cofinite set
+    N = lib.discrete_small_nat()
+    f = SpaceMap(N, product([N, N])[0],
+                 Pairing(identity_map(N), SpaceMap(N, N, NatShift(1))))
+    cls = classify_map(f)
+    assert cls["open_map"].status == cls["closed_map"].status == "Unknown"
+    assert "infinite set" in cls["open_map"].reason
 
 
 def test_enumeration_faults_are_not_fallbacks(monkeypatch):
