@@ -68,8 +68,8 @@ class Rule:
         return None
 
 
-def _onto_all_sets(f: "SpaceMap") -> str | None:
-    if f.codomain.opens == AllSets():
+def _images_onto_all_sets(rule: Rule, f: "SpaceMap", way: str) -> str | None:
+    if way != "preimage" and f.codomain.opens == AllSets():
         return "every codomain subset is open and closed"
     return None
 
@@ -102,7 +102,7 @@ class Identity(Rule):
     def keeps_opens(self, f, way):
         if way == "preimage":
             return "the same opens" if f.domain.opens == f.codomain.opens else None
-        return _onto_all_sets(f)
+        return _images_onto_all_sets(self, f, way)
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,7 @@ class NatShift(Rule):
         pulled = {x - self.k for x in elems if x >= self.k}
         return sx.nat_cofinite(pulled) if co else sx.nat_finite(pulled)
 
-    def keeps_opens(self, f, way):
-        return None if way == "preimage" else _onto_all_sets(f)
+    keeps_opens = _images_onto_all_sets
 
 
 @dataclass(frozen=True)
@@ -277,8 +276,7 @@ class NatPerm(Rule):
     def inverse(self, f):
         return NatPerm(tuple((b, a) for a, b in self.table))
 
-    def keeps_opens(self, f, way):
-        return None if way == "preimage" else _onto_all_sets(f)
+    keeps_opens = _images_onto_all_sets
 
 
 @dataclass(frozen=True)
