@@ -126,7 +126,6 @@ def separation_report(X: GtsPresentation) -> LayerReport:
         _finite_separation(X, rep)
     else:
         _SEPARATION.get((type(X.carrier), type(X.opens)), _every_flag("Unknown"))(rep)
-    _enforce_implications(rep)
     return rep
 
 
@@ -210,22 +209,6 @@ def _finite_separation(X, rep):
         else:
             bad = rep.flags[weak] if not rep.flags[weak].yes else rep.flags["strongly_T1"]
             rep.flags[strong] = Verdict("No", witness=bad.witness)
-
-
-def _enforce_implications(rep: LayerReport):
-    """Strong flags never exceed their weak versions or strongly T1."""
-    pairs = (
-        ("strongly_hausdorff", "weakly_hausdorff"),
-        ("strongly_regular", "weakly_regular"),
-        ("strongly_normal", "weakly_normal"),
-    )
-    for strong, weak in pairs:
-        if rep.flags[strong].yes and not (
-            rep.flags[weak].yes and rep.flags["strongly_T1"].yes
-        ):
-            rep.flags[strong] = Verdict("Unknown", "implication guard")
-    if rep.flags["strongly_T1"].yes and rep.flags["weakly_T1"].status == "No":
-        rep.flags["weakly_T1"] = Verdict("Yes", "closed singletons separate points")
 
 
 # -- density and bases ----------------------------------------------------

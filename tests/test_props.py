@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -8,6 +9,7 @@ from gtskit.families import FamilyExpr
 from gtskit import library as lib
 import gtskit.presentation
 from gtskit.constructions import product
+from gtskit.dsl import parse_document
 from gtskit.maps import (
     Const,
     FiniteTable,
@@ -40,6 +42,10 @@ from gtskit.props import (
 )
 from gtskit import setexpr as sx
 from gtskit.streams import Singletons
+
+from conftest import mask_space, mask_topologies
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
 
 # -- separation: brute-force oracle on finite spaces ----------------------
@@ -115,8 +121,15 @@ def test_line_fully_separated():
 
 
 def test_strong_implies_weak_everywhere():
-    for X in lib.shipped().values():
+    # no guard reconciles the flags afterwards, so each procedure must
+    # keep the implications itself
+    spaces = list(lib.shipped().values())
+    for path in sorted(CORPUS.glob("*.gts")):
+        spaces += parse_document(path.read_text()).spaces.values()
+    for X in spaces + [mask_space("p", 4, T) for T in mask_topologies(4)]:
         rep = separation_report(X)
+        if rep.flags["strongly_T1"].yes:
+            assert rep.flags["weakly_T1"].yes
         for strong, weak in (("strongly_hausdorff", "weakly_hausdorff"),
                              ("strongly_regular", "weakly_regular"),
                              ("strongly_normal", "weakly_normal")):
