@@ -254,6 +254,11 @@ def test_esscountable_answers_as_all():
         assert (v.status, v.reason) == ("Yes", "every open family is admissible on both sides")
 
 
+def test_policy_names_are_distinct():
+    names = [name for name, _ in spaces()]
+    assert len(names) == len(set(names))
+
+
 @pytest.mark.parametrize("name", [name for name, _ in spaces()])
 def test_policies_match_golden(name):
     # read here, not at import, so that regenerating may truncate the file first
