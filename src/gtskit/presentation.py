@@ -10,20 +10,22 @@ the questions below; where it has no procedure, the ``Opens`` default
 raises.  "finite" means only on a finite support (a finite carrier, for
 ExplicitList as a left factor).  A trace answers the left-factor and
 weak-openness questions as AllSets does where its parent's singletons are
-open; otherwise it raises, or answers as open.
+open; otherwise it raises, or answers as open.  "draw" is the open that
+``draw`` takes at random for the audit's seeded grammar; "random set" is
+``setexpr.random_set`` clipped to the support.
 
-================  =============  =========  ===========  ==============  ===========
-description       open           enumerate  product      trace           weakly
+================  =============  =========  ===========  ==============  ===========  =============
+description       open           enumerate  product      trace           weakly       draw
                                             left factor  parent          open
-================  =============  =========  ===========  ==============  ===========
-ExplicitList      listed         the list   finite       enumerated      as open
-AllCanonicalOpen  open interval  raises     interior     closure         as open
-FiniteOrWhole     finite, whole  raises     containment  finite, window  every set
-AllSets           every set      finite     containment  every set       as open
-ProductOpens      cell test      finite     raises       enumerated      raises
-TraceOpens        by parent      traced     see above    flattened       see above
-GluedOpens        every piece    finite     raises       enumerated      every piece
-================  =============  =========  ===========  ==============  ===========
+================  =============  =========  ===========  ==============  ===========  =============
+ExplicitList      listed         the list   finite       enumerated      as open      listed
+AllCanonicalOpen  open interval  raises     interior     closure         as open      0-3 intervals
+FiniteOrWhole     finite, whole  raises     containment  finite, window  every set    finite, whole
+AllSets           every set      finite     containment  every set       as open      random set
+ProductOpens      cell test      finite     raises       enumerated      raises       0-2 boxes
+TraceOpens        by parent      traced     see above    flattened       see above    traced
+GluedOpens        every piece    finite     raises       enumerated      every piece  by pieces
+================  =============  =========  ===========  ==============  ===========  =============
 
 Each coverage policy is a ``Policy`` subclass and answers for itself too:
 whether a family of opens is admissible (``admits``), whether an infinite
