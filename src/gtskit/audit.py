@@ -108,14 +108,14 @@ def _nat_stream(rng: random.Random):
 
 
 # the carrier classes that have a stream grammar
-RANDOM_STREAM = {QLine: _line_stream, NatFC: _nat_stream}
+_RANDOM_STREAM = {QLine: _line_stream, NatFC: _nat_stream}
 
 
 def random_family(X: GtsPresentation, rng: random.Random,
                   allow_streams: bool = True) -> FamilyExpr:
     fin = tuple(X.opens.draw(X, rng) for _ in range(rng.randint(1, 6)))
     streams = []
-    stream = RANDOM_STREAM.get(type(X.carrier))
+    stream = _RANDOM_STREAM.get(type(X.carrier))
     if allow_streams and stream is not None:
         for _ in range(rng.randint(0, 2)):
             s = stream(rng)

@@ -101,7 +101,7 @@ class Identity(Rule):
 
     def keeps_opens(self, f, way):
         if way == "preimage":
-            return "the same opens" if f.domain.opens == f.codomain.opens else None
+            return "the same opens on both sides" if f.domain.opens == f.codomain.opens else None
         return _images_onto_all_sets(self, f, way)
 
 
