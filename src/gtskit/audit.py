@@ -356,8 +356,9 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
     covered = {union[g] for g in admissible}
     # transitivity: where every member has an admissible cover, the union of
     # the covers has only open members, so it is admissible
+    has_cover = sum(1 << i for i in idx if om[i] in covered)
     for f in admissible:
-        if all(om[i] in covered for i in _bits(f)):
+        if not f & ~has_cover:
             rep.record("transitivity", True)
     # regularity: all subsets W of the support when enumerable, else
     # weakly open candidates built from the opens
