@@ -8,6 +8,7 @@ from fractions import Fraction
 from .carriers import FiniteEnum, NatFC, Product, QLine
 from .errors import (
     CarrierMismatch,
+    NonFiniteCarrier,
     UnrepresentablePoint,
     UnsupportedPresentation,
 )
@@ -530,7 +531,10 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
     """
     opens = listed_opens(f.codomain)
     if opens is not None:
-        return all(is_open(f.domain, f.preimage(O)) for O in opens)
+        try:
+            return all(is_open(f.domain, f.preimage(O)) for O in opens)
+        except (NonFiniteCarrier, UnsupportedPresentation):
+            pass  # some preimage, or its openness, is not computable
     # where every domain set is open, so is every preimage
     if f.domain.opens == AllSets() or f.rule.keeps_opens(f, "preimage") is not None:
         return True

@@ -141,6 +141,18 @@ def test_identity_strictly_continuous_both_ways_on_same_space():
     assert check_strict_continuity(identity_map(X)).status == "Yes"
 
 
+def test_projection_off_three_factors_falls_back_to_its_rule():
+    # openness on a three-factor product is not decidable, so the listed
+    # codomain opens give no answer and the projection rule does
+    from gtskit.constructions import product
+    P, (_, _, pi3) = product([lib.discrete_small_pair(),
+                              lib.discrete_small_pair(), lib.sierpinski()])
+    v = check_strict_continuity(pi3)
+    assert (v.status, v.reason) == (
+        "Yes", "essentially finite codomain covers and open preimages")
+    assert classify_map(pi3).flags["strictly_continuous"].status == "Yes"
+
+
 def test_identity_between_different_traces_is_not_assumed_continuous():
     # both traces have TraceOpens, but {1/2} is open only in the codomain
     W = sx.interval(0, 1, False, False)
