@@ -409,8 +409,24 @@ class Policy:
         raise NotImplementedError
 
     def smallness(self, X: "GtsPresentation", K: SetExpr) -> Verdict:
-        """Is K, an infinite set inside X's support, small?"""
-        return Verdict("Unknown", "no finite-refinement criterion applies")
+        """Is K, an infinite set inside X's support, small?
+
+        The witnesses below are admissible where every open family is; a
+        policy that admits fewer answers its own way, or, being essentially
+        finite, is answered before it is asked.
+        """
+        c, op = X.carrier, X.opens
+        # the witness families below spread over the whole carrier
+        if isinstance(c, NatFC) and op.singletons_open and X.support.is_whole():
+            # K is infinite here; the singleton family never refines finitely
+            W = FamilyExpr(c, (), (Singletons(),))
+            return Verdict(
+                "NotSmall", "singleton cover admits no finite refinement over K", W
+            )
+        if isinstance(c, QLine) and (op.interval_opens or op.singletons_open) \
+                and X.support.is_whole():
+            return _qline_not_small_witness(K)
+        return Verdict("Unknown", "no witness procedure for this presentation")
 
     def restrict(self, Y: SetExpr) -> "Policy | None":
         """The policy on the trace on Y, where Y is not small; None where the
@@ -426,20 +442,6 @@ class All(Policy):
 
     def admits(self, F):
         return Verdict("Yes", "every open family is admissible")
-
-    def smallness(self, X, K):
-        c, op = X.carrier, X.opens
-        # the witness families below spread over the whole carrier
-        if isinstance(c, NatFC) and op.singletons_open and X.support.is_whole():
-            # K is infinite here; the singleton family never refines finitely
-            W = FamilyExpr(c, (), (Singletons(),))
-            return Verdict(
-                "NotSmall", "singleton cover admits no finite refinement over K", W
-            )
-        if isinstance(c, QLine) and (op.interval_opens or op.singletons_open) \
-                and X.support.is_whole():
-            return _qline_not_small_witness(K)
-        return Verdict("Unknown", "no witness procedure for this presentation")
 
 
 @dataclass(frozen=True)
@@ -469,8 +471,6 @@ class EssCountable(Policy):
 
     def admits(self, F):
         return Verdict("Yes", "every presentable family is countable")
-
-    smallness = All.smallness
 
 
 @dataclass(frozen=True)
