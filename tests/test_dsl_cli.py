@@ -58,12 +58,27 @@ def test_round_trip_on_corpus_files():
         assert parse_document(out) == doc, path.name
 
 
+MALFORMED = {
+    "ambiguous-carrier.gts": (ParseError, 1, 7,
+                              "carrier of the literal is ambiguous; annotate with : space"),
+    "bad-keyword.gts": (ParseError, 1, 1, "found 'wibble' (expected space, family, set, "
+                                          "map, exhaustion, site, presheaf)"),
+    "bad-side.gts": (ParseError, 1, 19, "bad side 'diag' (expected both, left, right, none)"),
+    "missing-semicolon.gts": (ParseError, 1, 25, "found 'opens' (expected ;)"),
+    "unknown-ref.gts": (ResolutionError, 2, 1, "unknown space: B"),
+}
+
+
 def test_malformed_corpus_gets_positioned_diagnostics():
     files = sorted((CORPUS / "malformed").glob("*.gts"))
-    assert files, "malformed corpus missing"
+    assert [p.name for p in files] == sorted(MALFORMED)
     for path in files:
-        with pytest.raises((ParseError, ResolutionError, ValidationError)):
+        kind, line, col, message = MALFORMED[path.name]
+        with pytest.raises((ParseError, ResolutionError, ValidationError)) as e:
             parse_document(path.read_text())
+        assert type(e.value) is kind, path.name
+        assert (e.value.line, e.value.col) == (line, col), path.name
+        assert str(e.value) == "line %d, column %d: %s" % (line, col, message), path.name
 
 
 def test_parse_error_positions():
