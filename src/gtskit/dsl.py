@@ -67,46 +67,48 @@ class ValidationError(GtsError):
 
 # -- tokens ---------------------------------------------------------------
 
+# one group per token kind, tried in this order; a character no other group
+# takes is unexpected
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
-      | (?P<arrow>->)
-      | (?P<inf>[+-]inf)
-      | (?P<int>-?\d+)
-      | (?P<name>[A-Za-z_]\w*(?:-[A-Za-z_]\w*)*)
-      | (?P<punct>[{}()\[\],;:|=+/])
+    r"""([ \t]+|\#[^\n]*)
+      | (\n)
+      | (->)
+      | ([+-]inf)
+      | (-?\d+)
+      | ([A-Za-z_]\w*(?:-[A-Za-z_]\w*)*)
+      | ([{}()\[\],;:|=+/])
+      | (.)
     """,
     re.VERBOSE,
 )
+_KINDS = (None, None, "nl", "arrow", "inf", "int", "name", "punct", "bad")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # name, int, inf, arrow, punct, end
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # name, int, inf, arrow, punct, end
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list:
-    out, line, col, pos = [], 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, "unexpected character %r" % text[pos])
-        kind = m.lastgroup
-        tok = m.group()
+    out, line, line_start = [], 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = _KINDS[m.lastindex]
+        if kind is None:  # whitespace or a comment
+            continue
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            out.append(Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    out.append(Token("end", "", line, col))
+            line_start = m.end()
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise ParseError(line, col, "unexpected character %r" % m.group())
+        out.append(Token(kind, m.group(), line, col))
+    out.append(Token("end", "", line, len(text) - line_start + 1))
     return out
 
 
@@ -243,10 +245,8 @@ class _SetAst:
         if self.kind == "intervals":
             if not isinstance(carrier, QLine):
                 raise ValidationError("interval literal outside the line")
-            out = sx.empty(carrier)
-            for lo, lo_open, hi, hi_open in self.parts:
-                out = sx.union(out, sx.interval(lo, hi, lo_open, hi_open))
-            return out
+            return sx.intervals((lo, hi, lo_open, hi_open)
+                                for lo, lo_open, hi, hi_open in self.parts)
         if self.kind == "cobrace":
             if not isinstance(carrier, NatFC):
                 raise ValidationError("cofinite literal outside the naturals")

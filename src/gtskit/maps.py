@@ -387,11 +387,11 @@ def _nat_image(S: SetExpr, f, surjective_off: set) -> SetExpr:
 
 
 def _scale_endpoint(v, p, q):
-    if v == NEG_INF:
+    if v is NEG_INF:
         return NEG_INF if p > 0 else POS_INF
-    if v == POS_INF:
+    if v is POS_INF:
         return POS_INF if p > 0 else NEG_INF
-    return p * Fraction(v) + q
+    return p * v + q
 
 
 def _affine_interval(iv: Interval, p: Fraction, q: Fraction) -> Interval:

@@ -742,9 +742,9 @@ def _qline_not_small_witness(K: SetExpr) -> Verdict:
     for iv in K.form:
         if iv.is_point():
             continue
-        if iv.hi != POS_INF:
+        if iv.hi is not POS_INF:
             b = iv.hi
-            a = b - 2 if iv.lo == NEG_INF else min(iv.lo, b - 1)
+            a = b - 2 if iv.lo is NEG_INF else min(iv.lo, b - 1)
             # first member (a, b - 1/n0) must be nonempty: n0 > 1/(b - a)
             n0 = max(2, int(1 / (b - a)) + 1)
             W = FamilyExpr(QLine(), (), (ShrinkIntervals(a, b, 0, 1, n0),))

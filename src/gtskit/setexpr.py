@@ -11,7 +11,10 @@ it returns.  The forms are:
 * ``FiniteEnum`` -- an explicit frozenset of atoms;
 * ``NatFC``      -- a finite set of naturals plus a complemented flag;
 * ``QLine``      -- a sorted tuple of maximal, pairwise disjoint, non-adjacent
-  intervals with endpoints in Q u {-inf, +inf} (degenerate points allowed);
+  intervals (degenerate points allowed).  A finite endpoint is always a
+  ``Fraction``; an infinite one is ``NEG_INF`` or ``POS_INF``, two
+  sentinels that order below and above every rational, are tested by
+  identity and are never floats.  An infinite endpoint is always open.
 * ``Product``    -- a tuple of boxes ``(cell, fiber)`` sorted by the rendered
   cell: the fiber of a left point is the set of right points paired with it,
   and each box pairs one non-empty fiber with all left points sharing it.
@@ -24,6 +27,7 @@ All decision procedures consult only rational endpoint/element arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -31,8 +35,39 @@ from typing import Iterable
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
 from .errors import CarrierMismatch, UnrepresentablePoint
 
-NEG_INF = float("-inf")
-POS_INF = float("inf")
+class _Infinity:
+    """An infinite end of the line: below (sign -1) or above every rational.
+
+    Equal only to itself; it hashes as the float infinity of its sign, so
+    sets holding it iterate in the same order as with that float.
+    """
+
+    __slots__ = ("sign",)
+
+    def __init__(self, sign: int):
+        self.sign = sign
+
+    def __hash__(self):
+        return hash(self.sign * math.inf)
+
+    def __lt__(self, other):
+        return self.sign < 0 and other is not self
+
+    def __gt__(self, other):
+        return self.sign > 0 and other is not self
+
+    def __le__(self, other):
+        return self.sign < 0 or other is self
+
+    def __ge__(self, other):
+        return self.sign > 0 or other is self
+
+    def __repr__(self):
+        return "-inf" if self.sign < 0 else "+inf"
+
+
+NEG_INF = _Infinity(-1)
+POS_INF = _Infinity(1)
 
 
 # the largest numerator and denominator of a random endpoint
@@ -41,11 +76,21 @@ MAX_NUM = 32
 
 def rq(x) -> str:
     """Render a rational endpoint (or +-inf)."""
-    if x == NEG_INF:
+    if x is NEG_INF:
         return "-inf"
-    if x == POS_INF:
+    if x is POS_INF:
         return "+inf"
     return str(Fraction(x))
+
+
+def endpoint(x):
+    """x as a line endpoint: a Fraction, or NEG_INF or POS_INF for an infinity
+    (a float infinity included)."""
+    if isinstance(x, (Fraction, _Infinity)):
+        return x
+    if isinstance(x, float) and math.isinf(x):
+        return NEG_INF if x < 0 else POS_INF
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -59,9 +104,9 @@ class Interval:
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
-        if lo == NEG_INF and not self.lo_open:
+        if lo is NEG_INF and not self.lo_open:
             raise ValueError("-inf endpoint must be open")
-        if hi == POS_INF and not self.hi_open:
+        if hi is POS_INF and not self.hi_open:
             raise ValueError("+inf endpoint must be open")
         if lo > hi:
             raise ValueError("empty interval")
@@ -123,12 +168,12 @@ def _complement_intervals(ivs: tuple[Interval, ...]) -> tuple[Interval, ...]:
     for iv in ivs:
         lo, hi = cursor, iv.lo
         lo_open, hi_open = cursor_open, not iv.lo_open
-        ok = lo < hi or (lo == hi and not lo_open and not hi_open and lo != NEG_INF)
+        ok = lo < hi or (lo == hi and not lo_open and not hi_open and lo is not NEG_INF)
         if ok:
             gaps.append(Interval(lo, hi, lo_open, hi_open))
         cursor = iv.hi
         cursor_open = not iv.hi_open
-    if cursor < POS_INF:
+    if cursor is not POS_INF:
         gaps.append(Interval(cursor, POS_INF, cursor_open, True))
     return tuple(gaps)
 
@@ -391,14 +436,14 @@ class _LineAlgebra(_Algebra):
         return normalize_intervals(Interval(x, x, False, False) for x in map(Fraction, pts))
 
     def random_set(self, c, rng):
-        out = empty(c)
+        parts = []
         for _ in range(rng.randint(0, 3)):
             a, b = sorted((random_fraction(rng), random_fraction(rng)))
-            out = union(out, interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
-        return out.form
+            parts.append((a, b, rng.random() < 0.5, rng.random() < 0.5))
+        return intervals(parts).form
 
     def endpoints(self, a):
-        return {Fraction(e) for iv in a for e in (iv.lo, iv.hi) if e not in (NEG_INF, POS_INF)}
+        return {e for iv in a for e in (iv.lo, iv.hi) if e is not NEG_INF and e is not POS_INF}
 
 
 class _ProductAlgebra(_Algebra):
@@ -514,16 +559,23 @@ def nat_cofinite(excluded: Iterable[int]) -> SetExpr:
     return SetExpr(NatFC(), (frozenset(excluded), True))
 
 
+def intervals(parts: Iterable[tuple]) -> SetExpr:
+    """The union of the intervals (lo, hi, lo_open, hi_open), normalized once;
+    an interval with no points adds none."""
+    ivs = []
+    for lo, hi, lo_open, hi_open in parts:
+        lo, hi = endpoint(lo), endpoint(hi)
+        if lo < hi or (lo == hi and not (lo_open or hi_open)):
+            ivs.append(Interval(lo, hi, lo_open, hi_open))
+    return SetExpr(QLine(), normalize_intervals(ivs), _normalized=True)
+
+
 def interval(lo, hi, lo_open=True, hi_open=True) -> SetExpr:
-    lo = lo if lo in (NEG_INF, POS_INF) else Fraction(lo)
-    hi = hi if hi in (NEG_INF, POS_INF) else Fraction(hi)
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
-        return empty(QLine())
-    return SetExpr(QLine(), (Interval(lo, hi, lo_open, hi_open),))
+    return intervals([(lo, hi, lo_open, hi_open)])
 
 
 def qpoint(x) -> SetExpr:
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     return SetExpr(QLine(), (Interval(x, x, False, False),))
 
 
@@ -598,7 +650,7 @@ def interval_closure(S: SetExpr) -> SetExpr:
     if not isinstance(S.carrier, QLine):
         raise CarrierMismatch("interval_closure only applies to the line")
     closed = [
-        Interval(iv.lo, iv.hi, iv.lo == NEG_INF, iv.hi == POS_INF)
+        Interval(iv.lo, iv.hi, iv.lo is NEG_INF, iv.hi is POS_INF)
         for iv in S.form
     ]
     return SetExpr(S.carrier, normalize_intervals(closed), _normalized=True)

@@ -57,7 +57,7 @@ class Stream:
 
 
 def _fin(x):
-    return x not in (NEG_INF, POS_INF)
+    return x is not NEG_INF and x is not POS_INF
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +78,7 @@ class ShrinkIntervals(Stream):
     monotone = True
 
     def __post_init__(self):
-        a = self.a if self.a == NEG_INF else Fraction(self.a)
-        b = self.b if self.b == POS_INF else Fraction(self.b)
+        a, b = sx.endpoint(self.a), sx.endpoint(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "rate_left", Fraction(self.rate_left))
@@ -106,9 +105,9 @@ class ShrinkIntervals(Stream):
     def critical_endpoints(self) -> set:
         out = set()
         if self.rate_left:
-            out.add(Fraction(self.a))
+            out.add(self.a)
         if self.rate_right:
-            out.add(Fraction(self.b))
+            out.add(self.b)
         return out
 
     def stage_sufficient(self, eps: Fraction, radius: Fraction) -> int:
