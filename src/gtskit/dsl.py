@@ -67,21 +67,22 @@ class ValidationError(GtsError):
 
 # -- tokens ---------------------------------------------------------------
 
-# one group per token kind, tried in this order; a character no other group
-# takes is unexpected
+# blanks and comments, then one group per token kind, tried in this order;
+# a character no other group takes is unexpected
 _TOKEN_RE = re.compile(
-    r"""([ \t]+|\#[^\n]*)
-      | (\n)
-      | (->)
-      | ([+-]inf)
-      | (-?\d+)
-      | ([A-Za-z_]\w*(?:-[A-Za-z_]\w*)*)
-      | ([{}()\[\],;:|=+/])
-      | (.)
+    r"""(?:[ \t]+|\#[^\n]*)*
+        (?: (\n)
+          | (->)
+          | ([+-]inf)
+          | (-?\d+)
+          | ([A-Za-z_]\w*(?:-[A-Za-z_]\w*)*)
+          | ([{}()\[\],;:|=+/])
+          | (.)
+          | \Z)
     """,
     re.VERBOSE,
 )
-_KINDS = (None, None, "nl", "arrow", "inf", "int", "name", "punct", "bad")
+_KINDS = (None, "nl", "arrow", "inf", "int", "name", "punct", "bad")
 
 
 class Token:
@@ -97,17 +98,18 @@ class Token:
 def _tokenize(text: str) -> list:
     out, line, line_start = [], 1, 0
     for m in _TOKEN_RE.finditer(text):
-        kind = _KINDS[m.lastindex]
-        if kind is None:  # whitespace or a comment
+        i = m.lastindex
+        if i is None:  # blanks at the end of the text
             continue
+        kind = _KINDS[i]
         if kind == "nl":
             line += 1
             line_start = m.end()
             continue
-        col = m.start() - line_start + 1
+        col = m.start(i) - line_start + 1
         if kind == "bad":
-            raise ParseError(line, col, "unexpected character %r" % m.group())
-        out.append(Token(kind, m.group(), line, col))
+            raise ParseError(line, col, "unexpected character %r" % m.group(i))
+        out.append(Token(kind, m.group(i), line, col))
     out.append(Token("end", "", line, len(text) - line_start + 1))
     return out
 

@@ -30,13 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from typing import Iterable
 
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
 from .errors import CarrierMismatch, UnrepresentablePoint
 
+
+@total_ordering
 class _Infinity:
-    """An infinite end of the line: below (sign -1) or above every rational.
+    """An infinite end of the line: below (sign -1) or above (sign 1) every
+    rational.
 
     Equal only to itself; it hashes as the float infinity of its sign, so
     sets holding it iterate in the same order as with that float.
@@ -55,12 +59,6 @@ class _Infinity:
 
     def __gt__(self, other):
         return self.sign > 0 and other is not self
-
-    def __le__(self, other):
-        return self.sign < 0 or other is self
-
-    def __ge__(self, other):
-        return self.sign > 0 or other is self
 
     def __repr__(self):
         return "-inf" if self.sign < 0 else "+inf"
@@ -95,23 +93,14 @@ def endpoint(x):
 
 @dataclass(frozen=True)
 class Interval:
-    """One maximal interval; infinite endpoints are always on an open side."""
+    """One maximal interval, with at least one point; infinite endpoints are
+    always on an open side.  ``intervals`` checks what it is given; the
+    kernel builds only intervals that hold these conditions."""
 
-    lo: object  # Fraction or -inf
-    hi: object  # Fraction or +inf
+    lo: object  # Fraction or NEG_INF
+    hi: object  # Fraction or POS_INF
     lo_open: bool
     hi_open: bool
-
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if lo is NEG_INF and not self.lo_open:
-            raise ValueError("-inf endpoint must be open")
-        if hi is POS_INF and not self.hi_open:
-            raise ValueError("+inf endpoint must be open")
-        if lo > hi:
-            raise ValueError("empty interval")
-        if lo == hi and (self.lo_open or self.hi_open):
-            raise ValueError("degenerate interval must be closed on both sides")
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -401,13 +390,15 @@ class _LineAlgebra(_Algebra):
         return normalize_intervals(a + b)
 
     def intersect(self, c, a, b):
+        # the pieces come out sorted, and pieces of intervals that cannot
+        # merge cannot merge either: the form needs no normalizing
         out = []
         for ia in a:
             for ib in b:
                 r = _intersect_two(ia, ib)
                 if r is not None:
                     out.append(r)
-        return normalize_intervals(out)
+        return tuple(out)
 
     def complement(self, c, a):
         return _complement_intervals(a)
@@ -566,6 +557,10 @@ def intervals(parts: Iterable[tuple]) -> SetExpr:
     for lo, hi, lo_open, hi_open in parts:
         lo, hi = endpoint(lo), endpoint(hi)
         if lo < hi or (lo == hi and not (lo_open or hi_open)):
+            if lo is NEG_INF and not lo_open:
+                raise ValueError("-inf endpoint must be open")
+            if hi is POS_INF and not hi_open:
+                raise ValueError("+inf endpoint must be open")
             ivs.append(Interval(lo, hi, lo_open, hi_open))
     return SetExpr(QLine(), normalize_intervals(ivs), _normalized=True)
 
