@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .carriers import Carrier
@@ -18,6 +18,8 @@ class FamilyExpr:
     carrier: Carrier
     finite_part: tuple[SetExpr, ...] = ()
     streams: tuple[Stream, ...] = ()
+    # family_union's answer, once it is asked
+    _union: SetExpr = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "finite_part", tuple(self.finite_part))
@@ -44,12 +46,14 @@ class FamilyExpr:
 
 
 def family_union(F: FamilyExpr) -> SetExpr:
-    u = sx.empty(F.carrier)
-    for m in F.finite_part:
-        u = sx.union(u, m)
-    for s in F.streams:
-        u = sx.union(u, s.union())
-    return u
+    if F._union is None:
+        u = sx.empty(F.carrier)
+        for m in F.finite_part:
+            u = sx.union(u, m)
+        for s in F.streams:
+            u = sx.union(u, s.union())
+        object.__setattr__(F, "_union", u)
+    return F._union
 
 
 def clip_family(F: FamilyExpr, V: SetExpr) -> FamilyExpr:
