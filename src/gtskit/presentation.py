@@ -27,6 +27,10 @@ TraceOpens        by parent      traced     see above    flattened       see abo
 GluedOpens        every piece    finite     raises       enumerated      every piece  by pieces
 ================  =============  =========  ===========  ==============  ===========  =============
 
+``non_open_member`` decides the members of a stream on a few stages, as
+members share one shape; ExplicitList scans the stages instead, until a
+member is not listed or the members have covered the stream's union.
+
 Each coverage policy is a ``Policy`` subclass and answers for itself too:
 whether a family of opens is admissible (``admits``), whether an infinite
 set inside the support is small (``smallness``) and which policy the trace
@@ -120,6 +124,12 @@ class Opens:
         """A random open of X from the audit's seeded grammar."""
         raise NotImplementedError
 
+    def non_open_member(self, X: "GtsPresentation", s: Stream, stages) -> SetExpr | None:
+        """A member of stream s, whose members lie in X's support, that is not
+        open; None where every member is.  Stream members share one shape
+        here, so the members at the given stages decide all of them."""
+        return next((m for m in map(s.member, stages) if not is_open(X, m)), None)
+
 
 @dataclass(frozen=True)
 class ExplicitList(Opens):
@@ -177,6 +187,17 @@ class ExplicitList(Opens):
 
     def draw(self, X, rng):
         return rng.choice(self.sets)
+
+    def non_open_member(self, X, s, stages):
+        # of len(sets) + 1 distinct members one is not listed, and a stream
+        # whose members have covered its union has no new member left
+        union, covered, n = s.union(), sx.empty(X.carrier), s.n0
+        while covered != union:
+            m = s.member(n)
+            if m not in self.lookup:
+                return m
+            covered, n = sx.union(covered, m), n + 1
+        return None
 
 
 @dataclass(frozen=True)
@@ -690,11 +711,9 @@ def check_members_open(X: GtsPresentation, F: FamilyExpr):
                     if idx is not None:
                         raise NonOpenMember(s.member(idx))
             raise NonOpenMember(s.union())
-        # stream members share one shape, so probing stages decides all of them
-        for n in stages:
-            m = s.member(n)
-            if not is_open(X, m):
-                raise NonOpenMember(m)
+        m = X.opens.non_open_member(X, s, stages)
+        if m is not None:
+            raise NonOpenMember(m)
 
 
 def is_admissible(X: GtsPresentation, F: FamilyExpr) -> Verdict:

@@ -24,7 +24,7 @@ from gtskit.presentation import (
 )
 from gtskit.props import components
 from gtskit import setexpr as sx
-from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons
+from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons, clip_stream
 
 
 def shrink01(n0=3):
@@ -107,6 +107,27 @@ def test_admissibility_rejects_non_open_member():
     v = is_admissible(X, F)
     assert not v.admissible
     assert sx.render(v.offending) == "[0,1)"
+
+
+def test_listed_opens_miss_a_late_stream_member():
+    # members (0, 1 - 1/n); the first three are listed, the fourth is not,
+    # though large_stage of the stream alone is 4
+    s = ShrinkIntervals(0, 1, 0, 1, 2)
+    q = QLine()
+    X = GtsPresentation(q, ExplicitList(
+        (sx.empty(q), sx.whole(q), s.member(2), s.member(3), s.member(4))), All())
+    v = is_admissible(X, FamilyExpr(q, (), (s,)))
+    assert (v.status, v.reason, v.witness) == ("No", "a member is not open", s.member(5))
+
+
+def test_listed_opens_hold_a_stream_that_reaches_its_union():
+    s = clip_stream(GrowBalls(1), sx.interval(0, 3))  # members (0, n) up to (0, 3)
+    q = QLine()
+    listed = [sx.empty(q), sx.whole(q)] + [sx.interval(0, n) for n in (1, 2, 3)]
+    X = GtsPresentation(q, ExplicitList(tuple(listed)), All())
+    assert is_admissible(X, FamilyExpr(q, (), (s,))).yes
+    Y = GtsPresentation(q, ExplicitList(tuple(listed[:-2] + listed[-1:])), All())
+    assert is_admissible(Y, FamilyExpr(q, (), (s,))).witness == sx.interval(0, 2)
 
 
 def test_locally_essfin_balls():
