@@ -125,7 +125,10 @@ def separation_report(X: GtsPresentation) -> LayerReport:
     if X.support.is_finite_pointset():
         _finite_separation(X, rep)
     else:
-        _SEPARATION.get((type(X.carrier), type(X.opens)), _every_flag("Unknown"))(rep)
+        key = type(X.opens)
+        if key not in _SEPARATION:
+            key = (type(X.carrier), key)
+        _SEPARATION.get(key, _every_flag("Unknown"))(rep)
     return rep
 
 
@@ -148,10 +151,11 @@ def _finite_or_whole_separation(rep):
     rep.flags["strongly_normal"] = Verdict("No", witness=(x, cof))
 
 
-# the flags of a presentation on an infinite support, by carrier and opens class
+# the flags of a presentation on an infinite support, by opens class on
+# every carrier, else by carrier and opens class
 _SEPARATION = {
+    AllSets: _every_flag("Yes", "every subset is open"),
     (QLine, AllCanonicalOpen): _every_flag("Yes", "interval gap separation"),
-    (NatFC, AllSets): _every_flag("Yes", "every subset is open"),
     (NatFC, FiniteOrWhole): _finite_or_whole_separation,
 }
 

@@ -4,7 +4,7 @@ from itertools import combinations, product as iproduct
 
 import pytest
 
-from gtskit.carriers import FiniteEnum
+from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 import gtskit.presentation
@@ -24,6 +24,8 @@ from gtskit.maps import (
 )
 from gtskit.presentation import (
     All,
+    AllSets,
+    EssFin,
     GtsPresentation,
     enumerate_opens,
     from_points,
@@ -117,6 +119,13 @@ def test_weakly_discrete_nat_flags():
 
 def test_line_fully_separated():
     rep = separation_report(lib.rational_interval_line())
+    assert all(rep.flags[k].yes for k in SEPARATION_FLAGS)
+
+
+@pytest.mark.parametrize("carrier", [QLine(), NatFC()], ids=["line", "nat"])
+def test_all_sets_open_separate_on_every_carrier(carrier):
+    rep = separation_report(GtsPresentation(carrier, AllSets(), EssFin()))
+    assert {rep.flags[k].reason for k in SEPARATION_FLAGS} == {"every subset is open"}
     assert all(rep.flags[k].yes for k in SEPARATION_FLAGS)
 
 
