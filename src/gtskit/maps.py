@@ -64,15 +64,13 @@ class Rule:
         ``way`` is "preimage" (the preimage of every codomain open is
         open), "image" (the image of every open is open) or "closed image"
         (the image of every closed set is closed).  It is asked only where
-        the opens it ranges over cannot be listed.
+        the opens it ranges over cannot be listed.  This default decides
+        the images where every codomain subset is open; a rule that
+        overrides it falls back to it.
         """
+        if way != "preimage" and f.codomain.opens == AllSets():
+            return "every codomain subset is open and closed"
         return None
-
-
-def _images_onto_all_sets(rule: Rule, f: "SpaceMap", way: str) -> str | None:
-    if way != "preimage" and f.codomain.opens == AllSets():
-        return "every codomain subset is open and closed"
-    return None
 
 
 def _need_naturals(dc, cc):
@@ -101,9 +99,9 @@ class Identity(Rule):
         return self
 
     def keeps_opens(self, f, way):
-        if way == "preimage":
-            return "the same opens on both sides" if f.domain.opens == f.codomain.opens else None
-        return _images_onto_all_sets(self, f, way)
+        if way == "preimage" and f.domain.opens == f.codomain.opens:
+            return "the same opens on both sides"
+        return super().keeps_opens(f, way)
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ class PiecewiseAffine(Rule):
 
     def keeps_opens(self, f, way):
         if not f.domain.opens == f.codomain.opens == AllCanonicalOpen():
-            return None
+            return super().keeps_opens(f, way)
         if way == "preimage":
             if all(p != 0 for _, p, _ in self.pieces) and \
                     all(is_open(f.domain, P) for P, _, _ in self.pieces):
@@ -246,8 +244,6 @@ class NatShift(Rule):
         pulled = {x - self.k for x in elems if x >= self.k}
         return sx.nat_cofinite(pulled) if co else sx.nat_finite(pulled)
 
-    keeps_opens = _images_onto_all_sets
-
 
 @dataclass(frozen=True)
 class NatPerm(Rule):
@@ -276,8 +272,6 @@ class NatPerm(Rule):
 
     def inverse(self, f):
         return NatPerm(tuple((b, a) for a, b in self.table))
-
-    keeps_opens = _images_onto_all_sets
 
 
 @dataclass(frozen=True)
@@ -318,7 +312,7 @@ class Projection(Rule):
             return "an open pulls back to an open cylinder"
         if way == "image" and f.codomain.opens in (AllSets(), AllCanonicalOpen()):
             return "images of product opens are unions of factor opens"
-        return None
+        return super().keeps_opens(f, way)
 
 
 @dataclass(frozen=True)
