@@ -89,10 +89,8 @@ class Token:
     __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind  # name, int, inf, arrow, punct, end
-        self.text = text
-        self.line = line
-        self.col = col
+        # kind is name, int, inf, arrow, punct or end
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def _tokenize(text: str) -> list:
@@ -332,8 +330,12 @@ def _build_set(ast: _SetAst, doc: Document, annotation, where: Token) -> SetExpr
 
 # -- declarations ---------------------------------------------------------
 
-_OPENS_WORDS = ("canonical-open", "all-sets", "finite-or-whole", "explicit")
-_POLICY_WORDS = ("essfin", "all", "esscountable", "locally", "piecewise")
+# the descriptions and policies written as one word, both ways
+_OPENS = {"canonical-open": AllCanonicalOpen(), "all-sets": AllSets(),
+          "finite-or-whole": FiniteOrWhole()}
+_POLICIES = {"essfin": EssFin(), "all": All(), "esscountable": EssCountable()}
+_OPENS_WORDS = tuple(_OPENS) + ("explicit",)
+_POLICY_WORDS = tuple(_POLICIES) + ("locally", "piecewise")
 
 
 def _parse_space(cur: _Cursor, doc: Document):
@@ -387,15 +389,9 @@ def _parse_carrier(cur: _Cursor):
 
 def _parse_opens(cur: _Cursor, carrier):
     t = cur.peek()
-    if t.text == "canonical-open":
+    if t.text in _OPENS:
         cur.next()
-        return AllCanonicalOpen()
-    if t.text == "all-sets":
-        cur.next()
-        return AllSets()
-    if t.text == "finite-or-whole":
-        cur.next()
-        return FiniteOrWhole()
+        return _OPENS[t.text]
     if t.text == "explicit":
         cur.next()
         cur.expect("{")
@@ -410,15 +406,9 @@ def _parse_opens(cur: _Cursor, carrier):
 
 def _parse_policy(cur: _Cursor, doc: Document):
     t = cur.peek()
-    if t.text == "essfin":
+    if t.text in _POLICIES:
         cur.next()
-        return EssFin(), None
-    if t.text == "all":
-        cur.next()
-        return All(), None
-    if t.text == "esscountable":
-        cur.next()
-        return EssCountable(), None
+        return _POLICIES[t.text], None
     if t.text in ("locally", "piecewise"):
         cur.next()
         cur.expect("(")
@@ -713,24 +703,18 @@ def _emit_carrier(c) -> str:
 
 
 def _emit_opens(op) -> str:
-    if isinstance(op, AllCanonicalOpen):
-        return "canonical-open"
-    if isinstance(op, AllSets):
-        return "all-sets"
-    if isinstance(op, FiniteOrWhole):
-        return "finite-or-whole"
     if isinstance(op, ExplicitList):
         return "explicit { %s }" % ", ".join(sx.render(S) for S in op.sets)
+    for word, named in _OPENS.items():
+        if op == named:
+            return word
     raise ValidationError("opens description has no textual form")
 
 
 def _emit_policy(p) -> str:
-    if isinstance(p, EssFin):
-        return "essfin"
-    if isinstance(p, All):
-        return "all"
-    if isinstance(p, EssCountable):
-        return "esscountable"
+    for word, named in _POLICIES.items():
+        if p == named:
+            return word
     raise ValidationError("policy has no standalone textual form")
 
 
