@@ -27,7 +27,7 @@ from gtskit.carriers import FiniteEnum, NatFC, Product, QLine
 from gtskit.errors import CarrierMismatch, GtsError, UnrepresentablePoint
 from gtskit.presentation import from_points, points_of
 from gtskit import setexpr as sx
-from gtskit.streams import set_endpoints
+from gtskit.streams import ShrinkIntervals, set_endpoints
 
 from conftest import (
     ENUM2,
@@ -186,6 +186,31 @@ def test_normalization_is_canonical(a):
         )
     assert rebuilt == a
     assert hash(rebuilt) == hash(a)
+    assert sx.intervals((p.lo, p.hi, p.lo_open, p.hi_open) for p in reversed(a.form)) == a
+
+
+def _endpoints_are_exact(S):
+    return all(type(e) is Fraction or e is sx.NEG_INF or e is sx.POS_INF
+               for iv in S.form for e in (iv.lo, iv.hi))
+
+
+@given(qline_sets(), qline_sets())
+@settings(max_examples=60)
+def test_line_forms_hold_fractions_and_the_two_infinities(a, b):
+    for S in (a, b, sx.union(a, b), sx.intersect(a, b), sx.complement(a), sx.minus(a, b),
+              sx.interval_closure(a), sx.interval_interior(a)):
+        assert _endpoints_are_exact(S), sx.render(S)
+
+
+def test_float_infinities_enter_as_the_two_infinities():
+    S = sx.intervals([(float("-inf"), 0, True, False), (1, float("inf"), True, True)])
+    assert S == sx.union(sx.interval(sx.NEG_INF, 0, True, False), sx.interval(1, sx.POS_INF))
+    assert _endpoints_are_exact(S) and sx.render(S) == "(-inf,0] u (1,+inf)"
+    assert ShrinkIntervals(float("-inf"), 1, 0, 1, 2).a is sx.NEG_INF
+    # the sentinels hash as the floats did, so sets iterate in the same order
+    assert (hash(sx.NEG_INF), hash(sx.POS_INF)) == (hash(float("-inf")), hash(float("inf")))
+    assert sx.NEG_INF < Fraction(-10**9) < 0 < Fraction(10**9) < sx.POS_INF
+    assert sx.NEG_INF <= sx.NEG_INF < sx.POS_INF and not sx.POS_INF <= 0
 
 
 @given(same_carrier_pairs())

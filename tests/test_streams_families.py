@@ -194,6 +194,45 @@ def test_refines_agrees_with_brute_force_on_derived_streams():
     assert wrong == []
 
 
+# -- essential finiteness against brute force -----------------------------
+
+EF_HORIZON = 200
+
+
+def _essentially_finite_by_scan(F, K):
+    """Do the finite part and the stream members up to some stage <= 200
+    cover K n union(F)?  Any finite subfamily lies among those of one stage."""
+    target = sx.intersect(K, family_union(F))
+    cover = sx.empty(F.carrier)
+    for m in F.finite_part:
+        cover = sx.union(cover, m)
+    for n in range(EF_HORIZON + 1):
+        for s in F.streams:
+            if n >= s.n0:
+                cover = sx.union(cover, s.member(n))
+        if sx.is_subset(target, cover):
+            return True
+    return False
+
+
+def _ef_targets(c):
+    if c == QLine():
+        return [sx.whole(c), sx.interval(0, 1), sx.interval(0, 1, False, False),
+                sx.interval(0, Fraction(1, 2)), sx.interval(-5, 5), sx.interval(5, 6, True, False),
+                sx.interval(Fraction(1, 2), 1, False, True), sx.qpoint(0),
+                sx.interval(1, sx.POS_INF)]
+    return [sx.whole(c), sx.nat_finite([0, 1, 2]), sx.nat_cofinite([0]), sx.nat_finite([5]),
+            sx.nat_finite([0]), sx.empty(c), sx.nat_cofinite([0, 1])]
+
+
+def test_essentially_finite_agrees_with_a_stage_scan_on_the_grid():
+    families = {F for F, _ in _refines_grid()}
+    assert len(families) == 31
+    wrong = [(F.render(), sx.render(K)) for F in families for K in _ef_targets(F.carrier)
+             if essentially_finite_on(F, K).yes != _essentially_finite_by_scan(F, K)]
+    assert wrong == []
+
+
 # -- essential finiteness -------------------------------------------------
 
 def test_shrink_alone_not_essentially_finite():
