@@ -427,11 +427,11 @@ class _LineAlgebra(_Algebra):
         return normalize_intervals(Interval(x, x, False, False) for x in map(Fraction, pts))
 
     def random_set(self, c, rng):
-        parts = []
+        out = empty(c)
         for _ in range(rng.randint(0, 3)):
             a, b = sorted((random_fraction(rng), random_fraction(rng)))
-            parts.append((a, b, rng.random() < 0.5, rng.random() < 0.5))
-        return intervals(parts).form
+            out = union(out, interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
+        return out.form
 
     def endpoints(self, a):
         return {e for iv in a for e in (iv.lo, iv.hi) if e is not NEG_INF and e is not POS_INF}
