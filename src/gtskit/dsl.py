@@ -116,25 +116,24 @@ class _Cursor:
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
-
-    def peek(self) -> Token:
-        return self.toks[self.i]
+        self.tok = tokens[0]  # the next token
 
     def next(self) -> Token:
-        t = self.toks[self.i]
+        t = self.tok
         if t.kind != "end":
             self.i += 1
+            self.tok = self.toks[self.i]
         return t
 
     def expect(self, text: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.text != text:
             raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
                              expected=(text,))
         return self.next()
 
     def expect_kind(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.kind != kind:
             raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
                              expected=(kind,))
@@ -184,8 +183,8 @@ def parse_document(text: str) -> Document:
         "map": _parse_map, "exhaustion": _parse_exhaustion,
         "site": _parse_site, "presheaf": _parse_presheaf,
     }
-    while cur.peek().kind != "end":
-        t = cur.peek()
+    while cur.tok.kind != "end":
+        t = cur.tok
         handler = handlers.get(t.text)
         if handler is not None:
             try:
@@ -207,12 +206,12 @@ def parse_document(text: str) -> Document:
 # -- rationals and set literals ------------------------------------------
 
 def _parse_rat(cur: _Cursor):
-    t = cur.peek()
+    t = cur.tok
     if t.kind == "inf":
         cur.next()
         return NEG_INF if t.text == "-inf" else POS_INF
     num = int(cur.expect_kind("int").text)
-    if cur.peek().text == "/":
+    if cur.tok.text == "/":
         cur.next()
         den = int(cur.expect_kind("int").text)
         if den == 0:
@@ -261,7 +260,7 @@ class _SetAst:
 
 
 def _parse_set_literal(cur: _Cursor) -> _SetAst:
-    t = cur.peek()
+    t = cur.tok
     if t.text == "empty":
         cur.next()
         return _SetAst("empty")
@@ -274,7 +273,7 @@ def _parse_set_literal(cur: _Cursor) -> _SetAst:
             cur.next()
         cur.expect("{")
         parts = []
-        while cur.peek().text != "}":
+        while cur.tok.text != "}":
             e = cur.next()
             if e.kind == "int":
                 parts.append(int(e.text))
@@ -283,13 +282,13 @@ def _parse_set_literal(cur: _Cursor) -> _SetAst:
             else:
                 raise ParseError(e.line, e.col, "found %r" % e.text,
                                  expected=("element",))
-            if cur.peek().text == ",":
+            if cur.tok.text == ",":
                 cur.next()
         cur.expect("}")
         return _SetAst("cobrace" if co else "brace", tuple(parts))
     if t.text in ("(", "["):
         parts = [_parse_interval(cur)]
-        while cur.peek().text == "u":
+        while cur.tok.text == "u":
             cur.next()
             parts.append(_parse_interval(cur))
         return _SetAst("intervals", tuple(parts))
@@ -298,7 +297,7 @@ def _parse_set_literal(cur: _Cursor) -> _SetAst:
 
 
 def _parse_interval(cur: _Cursor):
-    t = cur.peek()
+    t = cur.tok
     if t.text not in ("(", "["):
         raise ParseError(t.line, t.col, "found %r" % t.text, expected=("(", "["))
     lo_open = t.text == "("
@@ -306,7 +305,7 @@ def _parse_interval(cur: _Cursor):
     lo = _parse_rat(cur)
     cur.expect(",")
     hi = _parse_rat(cur)
-    close = cur.peek()
+    close = cur.tok
     if close.text not in (")", "]"):
         raise ParseError(close.line, close.col, "found %r" % close.text,
                          expected=(")", "]"))
@@ -351,10 +350,10 @@ def _parse_space(cur: _Cursor, doc: Document):
     cur.expect("cov")
     policy, polref = _parse_policy(cur, doc)
     support = None
-    if cur.peek().text == ";":
+    if cur.tok.text == ";":
         cur.next()
         cur.expect("support")
-        t = cur.peek()
+        t = cur.tok
         support = _parse_set_literal(cur).build(carrier)
     cur.expect("}")
     try:
@@ -367,7 +366,7 @@ def _parse_space(cur: _Cursor, doc: Document):
 
 
 def _parse_carrier(cur: _Cursor):
-    t = cur.peek()
+    t = cur.tok
     if t.text == "qline":
         cur.next()
         return QLine()
@@ -378,7 +377,7 @@ def _parse_carrier(cur: _Cursor):
         cur.next()
         cur.expect("(")
         atoms = [cur.expect_kind("name").text]
-        while cur.peek().text == ",":
+        while cur.tok.text == ",":
             cur.next()
             atoms.append(cur.expect_kind("name").text)
         cur.expect(")")
@@ -388,7 +387,7 @@ def _parse_carrier(cur: _Cursor):
 
 
 def _parse_opens(cur: _Cursor, carrier):
-    t = cur.peek()
+    t = cur.tok
     if t.text in _OPENS:
         cur.next()
         return _OPENS[t.text]
@@ -396,7 +395,7 @@ def _parse_opens(cur: _Cursor, carrier):
         cur.next()
         cur.expect("{")
         sets = [_parse_set_literal(cur).build(carrier)]
-        while cur.peek().text == ",":
+        while cur.tok.text == ",":
             cur.next()
             sets.append(_parse_set_literal(cur).build(carrier))
         cur.expect("}")
@@ -405,7 +404,7 @@ def _parse_opens(cur: _Cursor, carrier):
 
 
 def _parse_policy(cur: _Cursor, doc: Document):
-    t = cur.peek()
+    t = cur.tok
     if t.text in _POLICIES:
         cur.next()
         return _POLICIES[t.text], None
@@ -428,27 +427,27 @@ def _parse_family(cur: _Cursor, doc: Document):
     cur.expect("family")
     name = cur.expect_kind("name").text
     annotation = None
-    if cur.peek().text == ":":
+    if cur.tok.text == ":":
         cur.next()
         annotation = cur.expect_kind("name").text
     eq = cur.expect("=")
     asts, streams = [], []
     while True:
-        t = cur.peek()
+        t = cur.tok
         if t.text == "stream":
             cur.next()
             streams.append(_parse_stream(cur))
         elif t.text == "{":
             cur.next()
-            while cur.peek().text != "}":
+            while cur.tok.text != "}":
                 asts.append(_parse_set_literal(cur))
-                if cur.peek().text == ",":
+                if cur.tok.text == ",":
                     cur.next()
             cur.expect("}")
         else:
             raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
                              expected=("{", "stream"))
-        if cur.peek().text == "+":
+        if cur.tok.text == "+":
             cur.next()
             continue
         break
@@ -479,7 +478,7 @@ _SIDES = {"both": (1, 1), "left": (1, 0), "right": (0, 1), "none": (0, 0)}
 
 
 def _parse_stream(cur: _Cursor):
-    t = cur.peek()
+    t = cur.tok
     if t.text == "shrink":
         cur.next()
         cur.expect("(")
@@ -519,7 +518,7 @@ def _parse_set(cur: _Cursor, doc: Document):
     cur.expect("set")
     name = cur.expect_kind("name").text
     annotation = None
-    if cur.peek().text == ":":
+    if cur.tok.text == ":":
         cur.next()
         annotation = cur.expect_kind("name").text
     where = cur.expect("=")
@@ -552,7 +551,7 @@ def _parse_map(cur: _Cursor, doc: Document):
 
 
 def _parse_rule(cur: _Cursor, dom: GtsPresentation):
-    t = cur.peek()
+    t = cur.tok
     if t.text == "identity":
         cur.next()
         return Identity()
@@ -572,7 +571,7 @@ def _parse_rule(cur: _Cursor, dom: GtsPresentation):
         cur.next()
         cur.expect("{")
         pairs = []
-        while cur.peek().text != "}":
+        while cur.tok.text != "}":
             a = cur.next()
             cur.expect(":")
             b = cur.next()
@@ -580,7 +579,7 @@ def _parse_rule(cur: _Cursor, dom: GtsPresentation):
                 pairs.append((int(a.text), int(b.text)))
             else:
                 pairs.append((a.text, b.text))
-            if cur.peek().text == ",":
+            if cur.tok.text == ",":
                 cur.next()
         cur.expect("}")
         return NatPerm(tuple(pairs)) if t.text == "perm" else FiniteTable(tuple(pairs))
@@ -595,7 +594,7 @@ def _parse_rule(cur: _Cursor, dom: GtsPresentation):
             cur.expect(",")
             q = _parse_rat(cur)
             pieces.append((ast.build(dom.carrier), p, q))
-            if cur.peek().text == ";":
+            if cur.tok.text == ";":
                 cur.next()
                 continue
             break
