@@ -199,7 +199,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
             ("space E { carrier enum(a,a); opens all-sets; cov all }",
              "pairwise distinct"),
             (nat_space + "map s : N -> N = shift(-1)", "shift must be nonnegative"),
-            ("family U = stream shrink(1,0,both,1)", "first member is empty")):
+            ("family U = stream shrink(1,0,both,1)", "first member is empty"),
+            ("family U = stream shrink(+inf,1,none,3)", "first member is empty"),
+            ("family U = stream shrink(0,-inf,none,3)", "first member is empty")):
         bad.write_text(text)
         assert cli.main(["audit", str(bad), "X"]) == 2
         err = capsys.readouterr().err
