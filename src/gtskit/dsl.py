@@ -244,8 +244,7 @@ class _SetAst:
         if self.kind == "intervals":
             if not isinstance(carrier, QLine):
                 raise ValidationError("interval literal outside the line")
-            return sx.intervals((lo, hi, lo_open, hi_open)
-                                for lo, lo_open, hi, hi_open in self.parts)
+            return sx.intervals(self.parts)
         if self.kind == "cobrace":
             if not isinstance(carrier, NatFC):
                 raise ValidationError("cofinite literal outside the naturals")
@@ -310,7 +309,7 @@ def _parse_interval(cur: _Cursor):
         raise ParseError(close.line, close.col, "found %r" % close.text,
                          expected=(")", "]"))
     cur.next()
-    return (lo, lo_open, hi, close.text == ")")
+    return (lo, hi, lo_open, close.text == ")")
 
 
 def _build_set(ast: _SetAst, doc: Document, annotation, where: Token) -> SetExpr:
