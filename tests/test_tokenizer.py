@@ -58,7 +58,7 @@ def _reference_tokenize(text):
 
 def _outcome(tokenize, text):
     try:
-        return [tuple(t) if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
+        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
                 for t in tokenize(text)]
     except ParseError as e:
         return ("error", e.line, e.col, str(e))
