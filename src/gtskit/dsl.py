@@ -42,27 +42,29 @@ from .sites import function_presheaf, gts_to_site
 from .streams import GrowBalls, InitialSegments, ShrinkIntervals, Singletons
 
 
-class ParseError(GtsError):
+class _PositionedError(GtsError):
+    """An error in a document, at a line and column once one is known."""
+
+    def __init__(self, message, line=0, col=0):
+        self.line, self.col = line, col
+        if line:
+            message = "line %d, column %d: %s" % (line, col, message)
+        super().__init__(message)
+
+
+class ParseError(_PositionedError):
     def __init__(self, line, col, message, expected=()):
-        self.line, self.col, self.expected = line, col, tuple(expected)
+        self.expected = tuple(expected)
         tail = (" (expected %s)" % ", ".join(expected)) if expected else ""
-        super().__init__("line %d, column %d: %s%s" % (line, col, message, tail))
+        super().__init__(message + tail, line, col)
 
 
-class ResolutionError(GtsError):
-    def __init__(self, message, line=0, col=0):
-        self.line, self.col = line, col
-        if line:
-            message = "line %d, column %d: %s" % (line, col, message)
-        super().__init__(message)
+class ResolutionError(_PositionedError):
+    pass
 
 
-class ValidationError(GtsError):
-    def __init__(self, message, line=0, col=0):
-        self.line, self.col = line, col
-        if line:
-            message = "line %d, column %d: %s" % (line, col, message)
-        super().__init__(message)
+class ValidationError(_PositionedError):
+    pass
 
 
 # -- tokens ---------------------------------------------------------------
@@ -112,6 +114,10 @@ def _tokenize(text: str) -> list:
     return out
 
 
+def _unexpected(t: Token, *expected) -> ParseError:
+    return ParseError(t.line, t.col, "found %r" % (t.text or "end of input"), expected)
+
+
 class _Cursor:
     def __init__(self, tokens):
         self.toks = tokens
@@ -125,19 +131,45 @@ class _Cursor:
             self.tok = self.toks[self.i]
         return t
 
-    def expect(self, text: str) -> Token:
-        t = self.tok
-        if t.text != text:
-            raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
-                             expected=(text,))
+    def expect(self, *texts) -> Token:
+        """The next token, which must have one of these texts."""
+        if self.tok.text not in texts:
+            raise _unexpected(self.tok, *texts)
         return self.next()
 
     def expect_kind(self, kind: str) -> Token:
-        t = self.tok
-        if t.kind != kind:
-            raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
-                             expected=(kind,))
+        if self.tok.kind != kind:
+            raise _unexpected(self.tok, kind)
         return self.next()
+
+
+def _separated(cur: _Cursor, item, sep: str, *args) -> list:
+    """item (sep item)*, each item read by item(cur, *args)."""
+    items = [item(cur, *args)]
+    while cur.tok.text == sep:
+        cur.next()
+        items.append(item(cur, *args))
+    return items
+
+
+def _until(cur: _Cursor, item, close: str, *args) -> list:
+    """item* close, the items read by item(cur, *args) and optionally
+    separated by commas."""
+    items = []
+    while cur.tok.text != close:
+        items.append(item(cur, *args))
+        if cur.tok.text == ",":
+            cur.next()
+    cur.next()  # the close
+    return items
+
+
+def _parse_int_arg(cur: _Cursor) -> int:
+    """( int )"""
+    cur.expect("(")
+    n = int(cur.expect_kind("int").text)
+    cur.expect(")")
+    return n
 
 
 # -- documents ------------------------------------------------------------
@@ -155,18 +187,22 @@ class Document:
     annotations: dict = field(default_factory=dict)  # name -> space annotation
 
     def lookup(self, name: str):
-        for kind in ("spaces", "families", "sets", "maps",
-                     "exhaustions", "sites", "presheaves"):
+        for kind, _ in _DECLARATIONS.values():
             table = getattr(self, kind)
             if name in table:
                 return kind, table[name]
         raise ResolutionError("unknown name: " + name)
 
+    def _ref(self, keyword: str, name: str):
+        """The declared object called name, of the kind keyword declares."""
+        table = getattr(self, _DECLARATIONS[keyword][0])
+        if name not in table:
+            raise ResolutionError("unknown %s: %s" % (keyword, name))
+        return table[name]
+
     def _declare(self, kind: str, name: str, value):
-        for table in ("spaces", "families", "sets", "maps",
-                      "exhaustions", "sites", "presheaves"):
-            if name in getattr(self, table):
-                raise ValidationError("duplicate name: " + name)
+        if any(name in getattr(self, table) for table, _ in _DECLARATIONS.values()):
+            raise ValidationError("duplicate name: " + name)
         getattr(self, kind)[name] = value
         self.order.append((kind, name))
 
@@ -178,28 +214,16 @@ class Document:
 def parse_document(text: str) -> Document:
     cur = _Cursor(_tokenize(text))
     doc = Document()
-    handlers = {
-        "space": _parse_space, "family": _parse_family, "set": _parse_set,
-        "map": _parse_map, "exhaustion": _parse_exhaustion,
-        "site": _parse_site, "presheaf": _parse_presheaf,
-    }
     while cur.tok.kind != "end":
-        t = cur.tok
-        handler = handlers.get(t.text)
-        if handler is not None:
-            try:
-                handler(cur, doc)
-            except (ResolutionError, ValidationError) as e:
-                if e.line:
-                    raise
-                raise type(e)(str(e), t.line, t.col) from None
-            except ValueError as e:
-                raise ValidationError(str(e), t.line, t.col) from None
-        else:
-            raise ParseError(
-                t.line, t.col, "found %r" % (t.text or "end of input"),
-                expected=("space", "family", "set", "map", "exhaustion",
-                          "site", "presheaf"))
+        t = cur.expect(*_DECLARATIONS)
+        try:
+            _DECLARATIONS[t.text][1](cur, doc)
+        except _PositionedError as e:
+            if e.line:
+                raise
+            raise type(e)(str(e), t.line, t.col) from None
+        except ValueError as e:
+            raise ValidationError(str(e), t.line, t.col) from None
     return doc
 
 
@@ -271,59 +295,32 @@ def _parse_set_literal(cur: _Cursor) -> _SetAst:
         if co:
             cur.next()
         cur.expect("{")
-        parts = []
-        while cur.tok.text != "}":
-            e = cur.next()
-            if e.kind == "int":
-                parts.append(int(e.text))
-            elif e.kind == "name":
-                parts.append(e.text)
-            else:
-                raise ParseError(e.line, e.col, "found %r" % e.text,
-                                 expected=("element",))
-            if cur.tok.text == ",":
-                cur.next()
-        cur.expect("}")
+        parts = _until(cur, _parse_element, "}")
         return _SetAst("cobrace" if co else "brace", tuple(parts))
     if t.text in ("(", "["):
-        parts = [_parse_interval(cur)]
-        while cur.tok.text == "u":
-            cur.next()
-            parts.append(_parse_interval(cur))
-        return _SetAst("intervals", tuple(parts))
-    raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
-                     expected=("set literal",))
+        return _SetAst("intervals", tuple(_separated(cur, _parse_interval, "u")))
+    raise _unexpected(t, "set literal")
+
+
+def _parse_element(cur: _Cursor):
+    e = cur.next()
+    if e.kind == "int":
+        return int(e.text)
+    if e.kind == "name":
+        return e.text
+    raise _unexpected(e, "element")
 
 
 def _parse_interval(cur: _Cursor):
-    t = cur.tok
-    if t.text not in ("(", "["):
-        raise ParseError(t.line, t.col, "found %r" % t.text, expected=("(", "["))
-    lo_open = t.text == "("
-    cur.next()
+    lo_open = cur.expect("(", "[").text == "("
     lo = _parse_rat(cur)
     cur.expect(",")
     hi = _parse_rat(cur)
-    close = cur.tok
-    if close.text not in (")", "]"):
-        raise ParseError(close.line, close.col, "found %r" % close.text,
-                         expected=(")", "]"))
-    cur.next()
-    return (lo, hi, lo_open, close.text == ")")
+    return (lo, hi, lo_open, cur.expect(")", "]").text == ")")
 
 
-def _build_set(ast: _SetAst, doc: Document, annotation, where: Token) -> SetExpr:
-    carrier = None
-    if annotation is not None:
-        if annotation not in doc.spaces:
-            raise ResolutionError("unknown space: " + annotation)
-        carrier = doc.spaces[annotation].carrier
-    else:
-        carrier = ast.infer_carrier()
-    if carrier is None:
-        raise ParseError(where.line, where.col,
-                         "carrier of the literal is ambiguous; annotate with : space")
-    return ast.build(carrier)
+def _parse_set_in(cur: _Cursor, carrier) -> SetExpr:
+    return _parse_set_literal(cur).build(carrier)
 
 
 # -- declarations ---------------------------------------------------------
@@ -336,8 +333,27 @@ _OPENS_WORDS = tuple(_OPENS) + ("explicit",)
 _POLICY_WORDS = tuple(_POLICIES) + ("locally", "piecewise")
 
 
+def _parse_header(cur: _Cursor):
+    """name [: space] =, as the name, the space's name or None, and the =."""
+    name = cur.expect_kind("name").text
+    annotation = None
+    if cur.tok.text == ":":
+        cur.next()
+        annotation = cur.expect_kind("name").text
+    return name, annotation, cur.expect("=")
+
+
+def _resolve_carrier(doc: Document, annotation, inferred, eq: Token, what: str):
+    """The annotated space's carrier, else the one the literals imply."""
+    if annotation is not None:
+        return doc._ref("space", annotation).carrier
+    if inferred is None:
+        raise ParseError(eq.line, eq.col,
+                         "carrier of the %s is ambiguous; annotate with : space" % what)
+    return inferred
+
+
 def _parse_space(cur: _Cursor, doc: Document):
-    cur.expect("space")
     name = cur.expect_kind("name").text
     cur.expect("{")
     cur.expect("carrier")
@@ -352,8 +368,7 @@ def _parse_space(cur: _Cursor, doc: Document):
     if cur.tok.text == ";":
         cur.next()
         cur.expect("support")
-        t = cur.tok
-        support = _parse_set_literal(cur).build(carrier)
+        support = _parse_set_in(cur, carrier)
     cur.expect("}")
     try:
         X = GtsPresentation(carrier, opens, policy, support, name)
@@ -365,110 +380,63 @@ def _parse_space(cur: _Cursor, doc: Document):
 
 
 def _parse_carrier(cur: _Cursor):
-    t = cur.tok
+    t = cur.expect("qline", "nat", "enum")
     if t.text == "qline":
-        cur.next()
         return QLine()
     if t.text == "nat":
-        cur.next()
         return NatFC()
-    if t.text == "enum":
-        cur.next()
-        cur.expect("(")
-        atoms = [cur.expect_kind("name").text]
-        while cur.tok.text == ",":
-            cur.next()
-            atoms.append(cur.expect_kind("name").text)
-        cur.expect(")")
-        return FiniteEnum(tuple(atoms))
-    raise ParseError(t.line, t.col, "found %r" % t.text,
-                     expected=("qline", "nat", "enum"))
+    cur.expect("(")
+    atoms = _separated(cur, _parse_name, ",")
+    cur.expect(")")
+    return FiniteEnum(tuple(atoms))
+
+
+def _parse_name(cur: _Cursor) -> str:
+    return cur.expect_kind("name").text
 
 
 def _parse_opens(cur: _Cursor, carrier):
-    t = cur.tok
+    t = cur.expect(*_OPENS_WORDS)
     if t.text in _OPENS:
-        cur.next()
         return _OPENS[t.text]
-    if t.text == "explicit":
-        cur.next()
-        cur.expect("{")
-        sets = [_parse_set_literal(cur).build(carrier)]
-        while cur.tok.text == ",":
-            cur.next()
-            sets.append(_parse_set_literal(cur).build(carrier))
-        cur.expect("}")
-        return ExplicitList(tuple(sets))
-    raise ParseError(t.line, t.col, "found %r" % t.text, expected=_OPENS_WORDS)
+    cur.expect("{")
+    sets = _separated(cur, _parse_set_in, ",", carrier)
+    cur.expect("}")
+    return ExplicitList(tuple(sets))
 
 
 def _parse_policy(cur: _Cursor, doc: Document):
-    t = cur.tok
+    t = cur.expect(*_POLICY_WORDS)
     if t.text in _POLICIES:
-        cur.next()
         return _POLICIES[t.text], None
-    if t.text in ("locally", "piecewise"):
-        cur.next()
-        cur.expect("(")
-        ref = cur.expect_kind("name").text
-        cur.expect(")")
-        if t.text == "locally":
-            if ref not in doc.families:
-                raise ResolutionError("unknown family: " + ref)
-            return LocallyEssFin(doc.families[ref]), ("locally", ref)
-        if ref not in doc.exhaustions:
-            raise ResolutionError("unknown exhaustion: " + ref)
-        return PiecewiseEssFin(doc.exhaustions[ref]), ("piecewise", ref)
-    raise ParseError(t.line, t.col, "found %r" % t.text, expected=_POLICY_WORDS)
+    cur.expect("(")
+    ref = cur.expect_kind("name").text
+    cur.expect(")")
+    if t.text == "locally":
+        return LocallyEssFin(doc._ref("family", ref)), ("locally", ref)
+    return PiecewiseEssFin(doc._ref("exhaustion", ref)), ("piecewise", ref)
 
 
 def _parse_family(cur: _Cursor, doc: Document):
-    cur.expect("family")
-    name = cur.expect_kind("name").text
-    annotation = None
-    if cur.tok.text == ":":
-        cur.next()
-        annotation = cur.expect_kind("name").text
-    eq = cur.expect("=")
+    name, annotation, eq = _parse_header(cur)
     asts, streams = [], []
-    while True:
-        t = cur.tok
-        if t.text == "stream":
-            cur.next()
-            streams.append(_parse_stream(cur))
-        elif t.text == "{":
-            cur.next()
-            while cur.tok.text != "}":
-                asts.append(_parse_set_literal(cur))
-                if cur.tok.text == ",":
-                    cur.next()
-            cur.expect("}")
+
+    def term(cur):
+        if cur.expect("{", "stream").text == "{":
+            asts.extend(_until(cur, _parse_set_literal, "}"))
         else:
-            raise ParseError(t.line, t.col, "found %r" % (t.text or "end of input"),
-                             expected=("{", "stream"))
-        if cur.tok.text == "+":
-            cur.next()
-            continue
-        break
-    carrier = None
-    if annotation is not None:
-        if annotation not in doc.spaces:
-            raise ResolutionError("unknown space: " + annotation)
-        carrier = doc.spaces[annotation].carrier
-    elif streams:
-        carrier = streams[0].carrier
-    else:
-        for a in asts:
-            carrier = carrier or a.infer_carrier()
-    if carrier is None:
-        raise ParseError(eq.line, eq.col,
-                         "carrier of the family is ambiguous; annotate with : space")
+            streams.append(_parse_stream(cur))
+
+    _separated(cur, term, "+")
+    inferred = streams[0].carrier if streams else None
+    for a in asts:
+        inferred = inferred or a.infer_carrier()
+    carrier = _resolve_carrier(doc, annotation, inferred, eq, "family")
     members = tuple(a.build(carrier) for a in asts)
     for s in streams:
         if s.carrier != carrier:
             raise ValidationError("stream on the wrong carrier in family " + name)
-    fam = FamilyExpr(carrier, members, tuple(streams))
-    doc._declare("families", name, fam)
+    doc._declare("families", name, FamilyExpr(carrier, members, tuple(streams)))
     if annotation:
         doc.annotations[name] = annotation
 
@@ -477,69 +445,45 @@ _SIDES = {"both": (1, 1), "left": (1, 0), "right": (0, 1), "none": (0, 0)}
 
 
 def _parse_stream(cur: _Cursor):
-    t = cur.tok
-    if t.text == "shrink":
-        cur.next()
-        cur.expect("(")
-        a = _parse_rat(cur)
-        cur.expect(",")
-        b = _parse_rat(cur)
-        cur.expect(",")
-        side = cur.expect_kind("name").text
-        if side not in _SIDES:
-            raise ParseError(t.line, t.col, "bad side %r" % side,
-                             expected=tuple(_SIDES))
-        cur.expect(",")
-        n0 = int(cur.expect_kind("int").text)
-        cur.expect(")")
-        rl, rr = _SIDES[side]
-        return ShrinkIntervals(a, b, Fraction(rl), Fraction(rr), n0)
+    t = cur.expect("shrink", "growballs", "initseg", "singletons")
     if t.text == "growballs":
-        cur.next()
-        cur.expect("(")
-        n0 = int(cur.expect_kind("int").text)
-        cur.expect(")")
-        return GrowBalls(n0)
+        return GrowBalls(_parse_int_arg(cur))
     if t.text == "initseg":
-        cur.next()
-        cur.expect("(")
-        n0 = int(cur.expect_kind("int").text)
-        cur.expect(")")
-        return InitialSegments(n0)
+        return InitialSegments(_parse_int_arg(cur))
     if t.text == "singletons":
-        cur.next()
         return Singletons()
-    raise ParseError(t.line, t.col, "found %r" % t.text,
-                     expected=("shrink", "growballs", "initseg", "singletons"))
+    cur.expect("(")
+    a = _parse_rat(cur)
+    cur.expect(",")
+    b = _parse_rat(cur)
+    cur.expect(",")
+    side = cur.expect_kind("name").text
+    if side not in _SIDES:
+        raise ParseError(t.line, t.col, "bad side %r" % side, expected=tuple(_SIDES))
+    cur.expect(",")
+    n0 = int(cur.expect_kind("int").text)
+    cur.expect(")")
+    rl, rr = _SIDES[side]
+    return ShrinkIntervals(a, b, Fraction(rl), Fraction(rr), n0)
 
 
 def _parse_set(cur: _Cursor, doc: Document):
-    cur.expect("set")
-    name = cur.expect_kind("name").text
-    annotation = None
-    if cur.tok.text == ":":
-        cur.next()
-        annotation = cur.expect_kind("name").text
-    where = cur.expect("=")
+    name, annotation, eq = _parse_header(cur)
     ast = _parse_set_literal(cur)
-    S = _build_set(ast, doc, annotation, where)
-    doc._declare("sets", name, S)
+    carrier = _resolve_carrier(doc, annotation, ast.infer_carrier(), eq, "literal")
+    doc._declare("sets", name, ast.build(carrier))
     if annotation:
         doc.annotations[name] = annotation
 
 
 def _parse_map(cur: _Cursor, doc: Document):
-    cur.expect("map")
     name = cur.expect_kind("name").text
     cur.expect(":")
     dn = cur.expect_kind("name").text
     cur.expect_kind("arrow")
     cn = cur.expect_kind("name").text
     cur.expect("=")
-    for ref in (dn, cn):
-        if ref not in doc.spaces:
-            raise ResolutionError("unknown space: " + ref)
-    dom, cod = doc.spaces[dn], doc.spaces[cn]
+    dom, cod = doc._ref("space", dn), doc._ref("space", cn)
     rule = _parse_rule(cur, dom)
     try:
         f = SpaceMap(dom, cod, rule, name=name)
@@ -549,82 +493,64 @@ def _parse_map(cur: _Cursor, doc: Document):
     doc.annotations[name] = (dn, cn)
 
 
+# the rules written as pairs: how a pair's two texts read, and the rule
+_PAIR_RULES = {"perm": (int, NatPerm), "table": (str, FiniteTable)}
+
+
 def _parse_rule(cur: _Cursor, dom: GtsPresentation):
-    t = cur.tok
+    t = cur.expect("identity", "const", "shift", "perm", "table", "affine")
     if t.text == "identity":
-        cur.next()
         return Identity()
     if t.text == "const":
-        cur.next()
         cur.expect("(")
         v = cur.next()
         cur.expect(")")
         return Const(int(v.text) if v.kind == "int" else v.text)
     if t.text == "shift":
-        cur.next()
-        cur.expect("(")
-        k = int(cur.expect_kind("int").text)
-        cur.expect(")")
-        return NatShift(k)
-    if t.text in ("perm", "table"):
-        cur.next()
-        cur.expect("{")
-        pairs = []
-        while cur.tok.text != "}":
-            a = cur.next()
-            cur.expect(":")
-            b = cur.next()
-            if t.text == "perm":
-                pairs.append((int(a.text), int(b.text)))
-            else:
-                pairs.append((a.text, b.text))
-            if cur.tok.text == ",":
-                cur.next()
-        cur.expect("}")
-        return NatPerm(tuple(pairs)) if t.text == "perm" else FiniteTable(tuple(pairs))
-    if t.text == "affine":
-        cur.next()
-        cur.expect("{")
-        pieces = []
-        while True:
-            ast = _parse_set_literal(cur)
-            cur.expect(":")
-            p = _parse_rat(cur)
-            cur.expect(",")
-            q = _parse_rat(cur)
-            pieces.append((ast.build(dom.carrier), p, q))
-            if cur.tok.text == ";":
-                cur.next()
-                continue
-            break
-        cur.expect("}")
-        return PiecewiseAffine(tuple(pieces))
-    raise ParseError(t.line, t.col, "found %r" % t.text,
-                     expected=("identity", "const", "shift", "perm", "table", "affine"))
+        return NatShift(_parse_int_arg(cur))
+    cur.expect("{")
+    if t.text in _PAIR_RULES:
+        read, rule = _PAIR_RULES[t.text]
+        return rule(tuple(_until(cur, _parse_pair, "}", read)))
+    pieces = _separated(cur, _parse_affine_piece, ";", dom.carrier)
+    cur.expect("}")
+    return PiecewiseAffine(tuple(pieces))
+
+
+def _parse_pair(cur: _Cursor, read):
+    """a : b, two tokens of any kind, each text read by read."""
+    a = cur.next()
+    cur.expect(":")
+    b = cur.next()
+    return read(a.text), read(b.text)
+
+
+def _parse_affine_piece(cur: _Cursor, carrier):
+    """setlit : rat , rat"""
+    ast = _parse_set_literal(cur)
+    cur.expect(":")
+    p = _parse_rat(cur)
+    cur.expect(",")
+    q = _parse_rat(cur)
+    return ast.build(carrier), p, q
 
 
 def _parse_exhaustion(cur: _Cursor, doc: Document):
-    cur.expect("exhaustion")
     name = cur.expect_kind("name").text
     cur.expect("=")
     cur.expect("chain")
-    t = cur.expect("initseg")
-    cur.expect("(")
-    n0 = int(cur.expect_kind("int").text)
-    cur.expect(")")
-    doc._declare("exhaustions", name, Exhaustion(chain=InitialSegments(n0)))
+    cur.expect("initseg")
+    doc._declare("exhaustions", name, Exhaustion(chain=InitialSegments(_parse_int_arg(cur))))
 
 
 def _parse_site(cur: _Cursor, doc: Document):
-    cur.expect("site")
     name = cur.expect_kind("name").text
     cur.expect("=")
     cur.expect("of")
     ref = cur.expect_kind("name").text
-    if ref not in doc.spaces:
-        raise ResolutionError("unknown space: " + ref)
+    X = doc._ref("space", ref)
     try:
-        st = gts_to_site(doc.spaces[ref])
+        st = gts_to_site(X)
     except GtsError as e:
         raise ValidationError("site %s: %s" % (name, e))
     doc._declare("sites", name, st)
@@ -632,7 +558,6 @@ def _parse_site(cur: _Cursor, doc: Document):
 
 
 def _parse_presheaf(cur: _Cursor, doc: Document):
-    cur.expect("presheaf")
     name = cur.expect_kind("name").text
     cur.expect("=")
     cur.expect("functions")
@@ -641,13 +566,21 @@ def _parse_presheaf(cur: _Cursor, doc: Document):
     cur.expect(",")
     k = int(cur.expect_kind("int").text)
     cur.expect(")")
-    if ref not in doc.sites:
-        raise ResolutionError("unknown site: " + ref)
+    site = doc._ref("site", ref)
     if k < 1:
         raise ValidationError("presheaf needs at least one value")
-    F = function_presheaf(doc.sites[ref], tuple(str(i) for i in range(k)))
+    F = function_presheaf(site, tuple(str(i) for i in range(k)))
     doc._declare("presheaves", name, F)
     doc.annotations[name] = (ref, k)
+
+
+# each declaration's keyword, the Document table it fills and its parser
+_DECLARATIONS = {
+    "space": ("spaces", _parse_space), "family": ("families", _parse_family),
+    "set": ("sets", _parse_set), "map": ("maps", _parse_map),
+    "exhaustion": ("exhaustions", _parse_exhaustion), "site": ("sites", _parse_site),
+    "presheaf": ("presheaves", _parse_presheaf),
+}
 
 
 # -- emission -------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import setexpr as sx
+from .families import large_stage
 from .setexpr import SetExpr
 from .streams import InitialSegments, Stream
 
@@ -53,6 +54,25 @@ class Exhaustion:
             if i == idx:
                 return p
         raise KeyError(idx)
+
+    def least_stage(self, K: SetExpr) -> int | None:
+        """The least stage of a chain whose piece holds K; None where none does.
+
+        The pieces grow, so a piece past ``large_stage`` holds K only if the
+        piece at it does, and the least such stage is found by bisection.
+        """
+        s = self.chain
+        hi = large_stage([s], [K])
+        if not sx.is_subset(K, s.member(hi)):
+            return None
+        lo = s.n0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sx.is_subset(K, s.member(mid)):
+                hi = mid
+            else:
+                lo = mid + 1
+        return hi
 
     def indices(self, chain_cap: int = 32) -> list:
         if self.is_chain():

@@ -24,6 +24,7 @@ from .presentation import (
     _close,
     check_members_open,
     enumerate_opens,
+    from_points,
     is_admissible,
     is_open,
     listed_opens,
@@ -301,15 +302,14 @@ def _validate_poset(X, E, rep):
 
 
 def index_function(E: Exhaustion, x):
-    """The least index whose piece contains x, searched over 4096 chain stages."""
+    """The least index whose piece contains x."""
     if E.is_chain():
         s = E.chain
-        if not sx.contains(s.union(), x):
+        # the union test also refuses a point that is not of the carrier
+        n = E.least_stage(from_points(s.carrier, [x])) if sx.contains(s.union(), x) else None
+        if n is None:
             raise PointNotCovered(x)
-        for n in range(s.n0, s.n0 + 4096):
-            if sx.contains(s.member(n), x):
-                return n
-        raise PointNotCovered(x)
+        return n
     containing = [i for i, P in E.pieces if sx.contains(P, x)]
     if not containing:
         raise PointNotCovered(x)
@@ -387,10 +387,7 @@ def _piecewise_constructible(X, S, pieces) -> Verdict:
 # -- the piece-capture theorem --------------------------------------------
 
 def piece_capture(f, exhaustion: Exhaustion):
-    """The image of a small domain lands in one piece of the exhaustion.
-
-    A chain exhaustion is searched over its first 4096 stages.
-    """
+    """The image of a small domain lands in one piece of the exhaustion."""
     X = f.codomain
     rep = validate_exhaustion(X, exhaustion)
     if not rep.ok("W1", "W2", "W3", "W4", "W5"):
@@ -402,13 +399,12 @@ def piece_capture(f, exhaustion: Exhaustion):
         raise PreconditionUnmet("domain not certified small")
     image = f.image(f.domain.support)
     if exhaustion.is_chain():
-        s = exhaustion.chain
-        for n in range(s.n0, s.n0 + 4096):
-            if sx.is_subset(image, s.member(n)):
-                return n
-        raise TheoremViolation(
-            "no chain piece captured the image " + sx.render(image)
-        )
+        n = exhaustion.least_stage(image)
+        if n is None:
+            raise TheoremViolation(
+                "no chain piece captured the image " + sx.render(image)
+            )
+        return n
     containing = [i for i, P in exhaustion.pieces if sx.is_subset(image, P)]
     if not containing:
         raise TheoremViolation(

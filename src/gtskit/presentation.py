@@ -7,29 +7,34 @@ decision procedures of the family layer.
 
 Each opens description is an ``Opens`` subclass and answers for itself
 the questions below; where it has no procedure, the ``Opens`` default
-raises.  "finite" means only on a finite support (a finite carrier, for
-ExplicitList as a left factor).  A trace answers the left-factor and
-weak-openness questions as AllSets does where its parent's singletons are
-open; otherwise it raises, or answers as open.  "draw" is the open that
-``draw`` takes at random for the audit's seeded grammar; "random set" is
-``setexpr.random_set`` clipped to the support.
+raises.  "finite" means only on a finite support.  As a product left
+factor, "listed" takes the union of the listed opens inside a set as its
+interior, where the opens can be listed: on any carrier for ExplicitList,
+on a finite support for products and glues.  A trace answers the
+left-factor and weak-openness questions as AllSets does where its parent's
+singletons are open; otherwise it answers through its listed opens, and
+as open.  "draw" is the open that ``draw`` takes at random for the audit's
+seeded grammar; "random set" is ``setexpr.random_set`` clipped to the
+support.
 
 ================  =============  =========  ===========  ==============  ===========  =============
 description       open           enumerate  product      trace           weakly       draw
                                             left factor  parent          open
 ================  =============  =========  ===========  ==============  ===========  =============
-ExplicitList      listed         the list   finite       enumerated      as open      listed
+ExplicitList      listed         the list   listed       enumerated      as open      listed
 AllCanonicalOpen  open interval  raises     interior     closure         as open      0-3 intervals
 FiniteOrWhole     finite, whole  raises     containment  finite, window  every set    finite, whole
 AllSets           every set      finite     containment  every set       as open      random set
-ProductOpens      cell test      finite     raises       enumerated      raises       0-2 boxes
+ProductOpens      cell test      finite     listed       enumerated      raises       0-2 boxes
 TraceOpens        by parent      traced     see above    flattened       see above    traced
-GluedOpens        every piece    finite     raises       enumerated      every piece  by pieces
+GluedOpens        every piece    finite     listed       enumerated      every piece  by pieces
 ================  =============  =========  ===========  ==============  ===========  =============
 
 ``non_open_member`` decides the members of a stream on a few stages, as
-members share one shape; ExplicitList scans the stages instead, until a
-member is not listed or the members have covered the stream's union.
+members share one shape.  Where the opens are finitely many
+(``finitely_many``: ExplicitList, and traces and glues of such opens) it
+scans the stages instead, until a member is not open or the members have
+covered the stream's union.
 
 Each coverage policy is a ``Policy`` subclass and answers for itself too:
 whether a family of opens is admissible (``admits``), whether an infinite
@@ -83,6 +88,8 @@ class Opens:
     interval_opens = False
     # the presentations these opens are glued from
     pieces = ()
+    # there are finitely many opens
+    finitely_many = False
 
     def validate(self, X: "GtsPresentation"):
         """Raise unless X's carrier and support suit these opens."""
@@ -102,7 +109,18 @@ class Opens:
         """The test (C, D): does every point of C have a P-open neighbourhood in D?"""
         if self.singletons_open:
             return sx.is_subset  # singletons are open, so containment suffices
-        raise UnsupportedPresentation("no interior procedure for this factor")
+        opens = listed_opens(P)
+        if opens is None:
+            raise UnsupportedPresentation("no interior procedure for this factor")
+
+        def covered(C, D):
+            # the union of the listed opens inside D is D's interior
+            interior = sx.empty(P.carrier)
+            for O in opens:
+                if sx.is_subset(O, D):
+                    interior = sx.union(interior, O)
+            return sx.is_subset(C, interior)
+        return covered
 
     def enumerate(self, X: "GtsPresentation"):
         """Every open of X, in any order."""
@@ -126,14 +144,29 @@ class Opens:
 
     def non_open_member(self, X: "GtsPresentation", s: Stream, stages) -> SetExpr | None:
         """A member of stream s, whose members lie in X's support, that is not
-        open; None where every member is.  Stream members share one shape
-        here, so the members at the given stages decide all of them."""
-        return next((m for m in map(s.member, stages) if not is_open(X, m)), None)
+        open; None where every member is.
+
+        Of finitely many opens, the stages are scanned: of more distinct
+        members than there are opens one is not open, and a stream whose
+        members have covered its union has no new member left.  Otherwise
+        stream members share one shape, so the members at the given stages
+        decide all of them."""
+        if not self.finitely_many:
+            return next((m for m in map(s.member, stages) if not is_open(X, m)), None)
+        union, covered, n = s.union(), sx.empty(X.carrier), s.n0
+        while covered != union:
+            m = s.member(n)
+            if not self.is_open(X, m):
+                return m
+            covered, n = sx.union(covered, m), n + 1
+        return None
 
 
 @dataclass(frozen=True)
 class ExplicitList(Opens):
     """A finite list of open sets, closed under union and intersection."""
+
+    finitely_many = True
 
     sets: tuple[SetExpr, ...]
     lookup: frozenset = field(init=False, repr=False, compare=False)
@@ -164,22 +197,6 @@ class ExplicitList(Opens):
     def is_open(self, X, S):
         return S in self.lookup
 
-    def interior_cover(self, P):
-        if not isinstance(P.carrier, FiniteEnum):
-            raise UnsupportedPresentation("listed opens need a finite carrier here")
-
-        def covered(C, D):
-            # a hull of listed neighbourhoods
-            for x in C.finite_points():
-                hull = sx.empty(P.carrier)
-                for O in self.sets:
-                    if sx.contains(O, x) and sx.is_subset(O, D):
-                        hull = sx.union(hull, O)
-                if not sx.contains(hull, x):
-                    return False
-            return True
-        return covered
-
     def enumerate(self, X):
         return self.sets
 
@@ -187,17 +204,6 @@ class ExplicitList(Opens):
 
     def draw(self, X, rng):
         return rng.choice(self.sets)
-
-    def non_open_member(self, X, s, stages):
-        # of len(sets) + 1 distinct members one is not listed, and a stream
-        # whose members have covered its union has no new member left
-        union, covered, n = s.union(), sx.empty(X.carrier), s.n0
-        while covered != union:
-            m = s.member(n)
-            if m not in self.lookup:
-                return m
-            covered, n = sx.union(covered, m), n + 1
-        return None
 
 
 @dataclass(frozen=True)
@@ -359,6 +365,10 @@ class TraceOpens(Opens):
     def interval_opens(self):
         return self.parent.opens.interval_opens
 
+    @property
+    def finitely_many(self):
+        return self.parent.opens.finitely_many
+
     def validate(self, X):
         if self.parent.carrier != X.carrier:
             raise CarrierMismatch("trace parent on the wrong carrier")
@@ -384,6 +394,10 @@ class GluedOpens(Opens):
     """Opens of a union of pieces: open iff open on every piece."""
 
     pieces: tuple["GtsPresentation", ...] = field()  # Opens.pieces is no default
+
+    @property
+    def finitely_many(self):
+        return all(P.opens.finitely_many for P in self.pieces)
 
     def validate(self, X):
         u = sx.empty(X.carrier)
@@ -547,8 +561,7 @@ class PiecewiseEssFin(Policy):
     def smallness(self, X, K):
         exh = self.exhaustion
         if exh.is_chain():
-            stage = large_stage([exh.chain], [K])
-            if sx.is_subset(K, exh.chain.member(stage)):
+            if exh.least_stage(K) is not None:
                 return Verdict("Small", "contained in an exhaustion piece")
         else:
             for _, P in exh.pieces:

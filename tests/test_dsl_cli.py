@@ -65,6 +65,7 @@ MALFORMED = {
                                           "map, exhaustion, site, presheaf)"),
     "bad-side.gts": (ParseError, 1, 19, "bad side 'diag' (expected both, left, right, none)"),
     "missing-semicolon.gts": (ParseError, 1, 25, "found 'opens' (expected ;)"),
+    "truncated.gts": (ParseError, 2, 1, "found 'end of input' (expected qline, nat, enum)"),
     "unknown-ref.gts": (ResolutionError, 2, 1, "unknown space: B"),
 }
 

@@ -239,3 +239,11 @@ def test_piece_capture_seeded_maps():
         idx = piece_capture(f, X.policy.exhaustion)
         img = f.image(dom.support)
         assert sx.is_subset(img, X.policy.exhaustion.piece(idx))
+
+
+def test_late_chain_pieces_are_found():
+    # stage 4096 lies past the 4096 stages a fixed scan from 0 reaches
+    assert index_function(nat_chain(), 4096) == 4096
+    X = chain_space()
+    dom = subspace(lib.discrete_small_nat(), sx.nat_finite([0]))
+    assert piece_capture(SpaceMap(dom, X, NatShift(4096)), X.policy.exhaustion) == 4096

@@ -141,16 +141,17 @@ def test_identity_strictly_continuous_both_ways_on_same_space():
     assert check_strict_continuity(identity_map(X)).status == "Yes"
 
 
-def test_projection_off_three_factors_falls_back_to_its_rule():
-    # openness on a three-factor product is not decidable, so the listed
-    # codomain opens give no answer and the projection rule does
+def test_projections_off_three_factors_are_decided():
+    # the left factor is itself a product, whose listed opens decide
+    # openness in the three-factor product
     from gtskit.constructions import product
-    P, (_, _, pi3) = product([lib.discrete_small_pair(),
-                              lib.discrete_small_pair(), lib.sierpinski()])
-    v = check_strict_continuity(pi3)
-    assert (v.status, v.reason) == (
-        "Yes", "essentially finite codomain covers and open preimages")
-    assert classify_map(pi3).flags["strictly_continuous"].status == "Yes"
+    P, projs = product([lib.discrete_small_pair(),
+                        lib.discrete_small_pair(), lib.sierpinski()])
+    for pi in projs:
+        v = check_strict_continuity(pi)
+        assert (v.status, v.reason) == (
+            "Yes", "essentially finite codomain covers and open preimages")
+        assert classify_map(pi).flags["strictly_continuous"].status == "Yes"
 
 
 def test_identity_between_different_traces_is_not_assumed_continuous():

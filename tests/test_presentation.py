@@ -14,7 +14,9 @@ from gtskit.presentation import (
     EssFin,
     ExplicitList,
     FiniteOrWhole,
+    GluedOpens,
     GtsPresentation,
+    TraceOpens,
     check_members_open,
     enumerate_opens,
     generate_finite_gts,
@@ -111,13 +113,17 @@ def test_admissibility_rejects_non_open_member():
 
 def test_listed_opens_miss_a_late_stream_member():
     # members (0, 1 - 1/n); the first three are listed, the fourth is not,
-    # though large_stage of the stream alone is 4
+    # though large_stage of the stream alone is 4; a trace or a glue of the
+    # listed opens has finitely many opens too
     s = ShrinkIntervals(0, 1, 0, 1, 2)
     q = QLine()
     X = GtsPresentation(q, ExplicitList(
         (sx.empty(q), sx.whole(q), s.member(2), s.member(3), s.member(4))), All())
-    v = is_admissible(X, FamilyExpr(q, (), (s,)))
-    assert (v.status, v.reason, v.witness) == ("No", "a member is not open", s.member(5))
+    W = sx.interval(-1, 2)
+    for Y in (X, GtsPresentation(q, TraceOpens(X, W), All(), support=W),
+              GtsPresentation(q, GluedOpens((X,)), All())):
+        v = is_admissible(Y, FamilyExpr(q, (), (s,)))
+        assert (v.status, v.reason, v.witness) == ("No", "a member is not open", s.member(5))
 
 
 def test_listed_opens_hold_a_stream_that_reaches_its_union():
