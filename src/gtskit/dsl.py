@@ -131,16 +131,25 @@ class _Cursor:
             self.tok = self.toks[self.i]
         return t
 
+    # a token that expect or expect_kind takes is never the end token, so
+    # they advance without next's test
+
     def expect(self, *texts) -> Token:
         """The next token, which must have one of these texts."""
-        if self.tok.text not in texts:
-            raise _unexpected(self.tok, *texts)
-        return self.next()
+        t = self.tok
+        if t.text not in texts:
+            raise _unexpected(t, *texts)
+        self.i += 1
+        self.tok = self.toks[self.i]
+        return t
 
     def expect_kind(self, kind: str) -> Token:
-        if self.tok.kind != kind:
-            raise _unexpected(self.tok, kind)
-        return self.next()
+        t = self.tok
+        if t.kind != kind:
+            raise _unexpected(t, kind)
+        self.i += 1
+        self.tok = self.toks[self.i]
+        return t
 
 
 def _separated(cur: _Cursor, item, sep: str, *args) -> list:
@@ -201,8 +210,9 @@ class Document:
         return table[name]
 
     def _declare(self, kind: str, name: str, value):
-        if any(name in getattr(self, table) for table, _ in _DECLARATIONS.values()):
-            raise ValidationError("duplicate name: " + name)
+        for table, _ in _DECLARATIONS.values():
+            if name in getattr(self, table):
+                raise ValidationError("duplicate name: " + name)
         getattr(self, kind)[name] = value
         self.order.append((kind, name))
 
@@ -215,7 +225,7 @@ def parse_document(text: str) -> Document:
     cur = _Cursor(_tokenize(text))
     doc = Document()
     while cur.tok.kind != "end":
-        t = cur.expect(*_DECLARATIONS)
+        t = cur.expect(*_KEYWORDS)
         try:
             _DECLARATIONS[t.text][1](cur, doc)
         except _PositionedError as e:
@@ -581,6 +591,7 @@ _DECLARATIONS = {
     "exhaustion": ("exhaustions", _parse_exhaustion), "site": ("sites", _parse_site),
     "presheaf": ("presheaves", _parse_presheaf),
 }
+_KEYWORDS = tuple(_DECLARATIONS)
 
 
 # -- emission -------------------------------------------------------------
