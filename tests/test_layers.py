@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from gtskit.constructions import subspace
+from gtskit.carriers import QLine
+from gtskit.constructions import direct_sum, subspace
 from gtskit.dsl import parse_document
 from gtskit.errors import (
     NoInfimum,
@@ -25,7 +26,15 @@ from gtskit.layers import (
 )
 from gtskit import library as lib
 from gtskit.maps import Identity, NatShift, SpaceMap
-from gtskit.presentation import FiniteOrWhole, is_open, smallness
+from gtskit.presentation import (
+    All,
+    ExplicitList,
+    FiniteOrWhole,
+    GtsPresentation,
+    PiecewiseEssFin,
+    is_open,
+    smallness,
+)
 from gtskit import setexpr as sx
 from gtskit.streams import Singletons
 
@@ -83,6 +92,24 @@ def test_non_small_base_member_rejected():
     assert rep.flags["locally_small"].status == "No"
 
 
+def test_locally_small_failure_exits():
+    X = lib.qline_localized()
+    q = X.carrier
+    half_open = sx.interval(0, 1, False, True)
+    cases = [
+        (X, FamilyExpr(q, (half_open,)), "base member not open", half_open),
+        (X, FamilyExpr(q, (sx.interval(0, 1),)), "base does not cover the space", None),
+        (lib.rational_interval_line(), lib.ball_base(), "base not admissible", None),
+    ]
+    for Y, base, reason, witness in cases:
+        rep = validate_locally_small(Y, base=base)
+        v = rep.flags["locally_small"]
+        assert (v.status, v.reason) == ("No", reason)
+        assert v.witness == (witness if witness is not None else base)
+        for name in ("paracompact", "lindelof", "closure_property", "strongly_T1"):
+            assert rep.flags[name].status == "Unknown", (reason, name)
+
+
 def test_policy_without_base_needs_explicit_base():
     with pytest.raises(PolicyMismatch):
         validate_locally_small(lib.qline_topological())
@@ -125,9 +152,95 @@ def test_poset_exhaustion():
     assert index_function(E, 3) == "hi"
     with pytest.raises(PointNotCovered):
         index_function(E, 9)
+    # the pieces miss most of the naturals, so only W1 fails
+    flags = validate_exhaustion(X, E).flags
+    assert flags["W1"].status == "No"
+    assert flags["W1"].witness == sx.nat_finite([0, 1, 2, 3])
+    assert all(flags[w].yes for w in ("W2", "W3", "W4", "W5", "pieces_closed_small"))
+
+
+def test_poset_exhaustion_of_a_finite_space():
+    X = lib.discrete_pair()
+    c = X.carrier
+    a, whole = sx.atoms(c, ["a"]), sx.whole(c)
+    E = Exhaustion(poset=FinitePoset(("lo", "hi"), (("lo", "hi"),)),
+                   pieces=(("lo", a), ("hi", whole)))
+    rep = validate_exhaustion(X, E)
+    assert rep.ok("W1", "W2", "W3", "W4", "W5", "pieces_closed_small")
+    # two incomparable pieces: no piece is their meet, nothing bounds them,
+    # and the larger index misses the smaller piece
+    E = Exhaustion(poset=FinitePoset(("p", "q", "r"), (("p", "q"),)),
+                   pieces=(("p", whole), ("q", a), ("r", sx.atoms(c, ["b"]))))
+    flags = validate_exhaustion(X, E).flags
+    assert flags["W1"].yes
+    assert (flags["W2"].status, flags["W2"].witness) == ("No", ("p", "q"))
+    assert (flags["W4"].status, flags["W4"].witness) == ("No", ("q", "r"))
+    assert (flags["W5"].status, flags["W5"].witness) == ("No", ("p", "r"))
+    # the indiscrete pair has no closed proper piece
+    Y = lib.indiscrete_pair()
+    E = Exhaustion(poset=FinitePoset(("lo", "hi"), (("lo", "hi"),)),
+                   pieces=(("lo", sx.atoms(Y.carrier, ["a"])), ("hi", sx.whole(Y.carrier))))
+    flags = validate_exhaustion(Y, E).flags
+    assert flags["pieces_closed_small"].witness == sx.atoms(Y.carrier, ["a"])
 
 
 # -- subset classification ------------------------------------------------
+
+def listed_line():
+    q = QLine()
+    opens = (sx.empty(q), sx.interval(0, 1), sx.interval(0, 2), sx.whole(q))
+    return GtsPresentation(q, ExplicitList(opens), All())
+
+
+def test_listed_opens_of_the_line_classify_by_their_atoms():
+    # the opens cut the line into (0,1), [1,2) and the rest
+    X = listed_line()
+    cases = {
+        "(0,1)": (sx.interval(0, 1), "(-inf,+inf)", "Yes", "Yes"),
+        "[1,2)": (sx.interval(1, 2, False, True), "(-inf,0] u [1,+inf)", "Yes", "Yes"),
+        "[5,5]": (sx.qpoint(5), "(-inf,0] u [2,+inf)", "No", "No"),
+        "[0,2)": (sx.interval(0, 2, False, True), "(-inf,+inf)", "No", "No"),
+        "co(0,1)": (sx.complement(sx.interval(0, 1)), "(-inf,0] u [1,+inf)", "Yes", "Yes"),
+    }
+    for name, (S, closure, locally_closed, constructible) in cases.items():
+        assert sx.render(weak_closure(X, S)) == closure, name
+        flags = classify_subset(X, S).flags
+        assert flags["locally_closed"].status == locally_closed, name
+        assert flags["constructible"].status == constructible, name
+
+
+def test_direct_sum_closes_and_classifies_summand_by_summand():
+    X = direct_sum([lib.sierpinski(), lib.indiscrete_pair()])
+    c = X.carrier
+    cases = {
+        ("0.a",): ("{0.a,0.b}", "Yes"),
+        ("0.b", "1.a"): ("{0.b,1.a,1.b}", "No"),
+        ("1.a",): ("{1.a,1.b}", "No"),
+        ("0.b", "1.a", "1.b"): ("{0.b,1.a,1.b}", "Yes"),
+    }
+    for atoms, (closure, constructible) in cases.items():
+        S = sx.atoms(c, atoms)
+        assert sx.render(weak_closure(X, S)) == closure, atoms
+        flags = classify_subset(X, S).flags
+        assert flags["constructible"].status == constructible, atoms
+        assert flags["locally_constructible"].status == constructible, atoms
+
+
+def test_piecewise_constructibility_reports_the_failing_piece():
+    Y = lib.indiscrete_pair()
+    c = Y.carrier
+    a = sx.atoms(c, ["a"])
+    E = Exhaustion(poset=FinitePoset(("lo", "hi"), (("lo", "hi"),)),
+                   pieces=(("lo", a), ("hi", sx.whole(c))))
+    X = GtsPresentation(c, Y.opens, PiecewiseEssFin(E))
+    flags = classify_subset(X, a).flags
+    assert flags["constructible"].status == "No"
+    v = flags["piecewise_constructible"]
+    assert (v.status, v.witness) == ("No", a)
+    assert classify_subset(X, sx.empty(c)).flags["piecewise_constructible"].yes
+    flags = classify_subset(lib.chain_exhausted_nat(), sx.nat_finite([1, 4])).flags
+    assert flags["piecewise_constructible"].yes
+
 
 def test_half_open_interval_is_locally_closed():
     X = lib.rational_interval_line()
