@@ -42,16 +42,20 @@ from . import setexpr as sx
 from .setexpr import SetExpr
 from .streams import GrowBalls, InitialSegments, ShrinkIntervals, Singletons
 
-AXIOMS = (
-    "empty_whole_open",
-    "binary_ops_open",
-    "finite_families_admissible",
-    "admissible_union_open",
-    "stability",
-    "transitivity",
-    "saturation",
-    "regularity",
-)
+# each axiom as a predicate of a presentation and the parts of one instance;
+# the random checks and recheck judge every instance through it
+HOLDS = {
+    "empty_whole_open": lambda X, S: is_open(X, sx.empty(X.carrier)) and is_open(X, S),
+    "binary_ops_open":
+        lambda X, A, B: is_open(X, sx.union(A, B)) and is_open(X, sx.intersect(A, B)),
+    "finite_families_admissible": lambda X, F: is_admissible(X, F).yes,
+    "admissible_union_open": lambda X, F: is_open(X, family_union(F)),
+    "stability": lambda X, F, V: is_admissible(X, clip_family(F, V)).yes,
+    "transitivity": lambda X, F, G: is_admissible(X, G).yes,
+    "saturation": lambda X, F, G: refines(F, G) and is_admissible(X, G).yes,
+    "regularity": lambda X, F, W: is_open(X, sx.intersect(W, family_union(F))),
+}
+AXIOMS = tuple(HOLDS)
 
 
 @dataclass(frozen=True)
@@ -134,52 +138,48 @@ def random_admissible_family(X: GtsPresentation, rng: random.Random) -> FamilyEx
     return FamilyExpr(X.carrier, (X.opens.draw(X, rng),))
 
 
-# -- per-axiom instance checks --------------------------------------------
+# -- per-axiom instance draws ---------------------------------------------
+#
+# Each draws one instance: its axiom, what a violation means and the parts
+# HOLDS judges; None where the draw found no instance.
 
-def _check_binary_ops(X, rng, rep):
-    A, B = X.opens.draw(X, rng), X.opens.draw(X, rng)
-    u, i = sx.union(A, B), sx.intersect(A, B)
-    ok = is_open(X, u) and is_open(X, i)
-    rep.record("binary_ops_open", ok, "union or intersection of opens not open", (A, B))
+def _check_binary_ops(X, rng):
+    return ("binary_ops_open", "union or intersection of opens not open",
+            (X.opens.draw(X, rng), X.opens.draw(X, rng)))
 
 
-def _check_finite_admissible(X, rng, rep):
+def _check_finite_admissible(X, rng):
     F = FamilyExpr(X.carrier, tuple(X.opens.draw(X, rng) for _ in range(rng.randint(1, 4))))
-    ok = is_admissible(X, F).yes
-    rep.record("finite_families_admissible", ok, "finite open family not admissible", (F,))
+    return "finite_families_admissible", "finite open family not admissible", (F,)
 
 
-def _check_union_open(X, rng, rep):
+def _check_union_open(X, rng):
     F = random_admissible_family(X, rng)
-    ok = is_open(X, family_union(F))
-    rep.record("admissible_union_open", ok, "union of admissible family not open", (F,))
+    return "admissible_union_open", "union of admissible family not open", (F,)
 
 
-def _check_stability(X, rng, rep):
+def _check_stability(X, rng):
     F = random_admissible_family(X, rng)
     V = X.opens.draw(X, rng)
-    G = clip_family(F, V)
-    ok = is_admissible(X, G).yes
-    rep.record("stability", ok, "clipped admissible family not admissible", (F, V))
+    return "stability", "clipped admissible family not admissible", (F, V)
 
 
-def _check_transitivity(X, rng, rep):
+def _check_transitivity(X, rng):
     F = random_admissible_family(X, rng)
     if F.streams:
         F = FamilyExpr(X.carrier, F.finite_part or (family_union(F),))
         if not is_admissible(X, F).yes:
-            return
+            return None
     parts = []
     for U in F.finite_part:
         cover = _admissible_cover_of(X, U, rng)
         if cover is None:
-            return
+            return None
         parts.append(cover)
     big = FamilyExpr(X.carrier, ())
     for G in parts:
         big = union_families(big, G)
-    ok = is_admissible(X, big).yes
-    rep.record("transitivity", ok, "union of member covers not admissible", (F, big))
+    return "transitivity", "union of member covers not admissible", (F, big)
 
 
 def _admissible_cover_of(X, U, rng) -> FamilyExpr | None:
@@ -189,31 +189,21 @@ def _admissible_cover_of(X, U, rng) -> FamilyExpr | None:
     return G if is_admissible(X, G).yes else None
 
 
-def _check_saturation(X, rng, rep):
+def _check_saturation(X, rng):
     F = random_admissible_family(X, rng)
     U = family_union(F)
     coarse_parts = list(F.finite_part) + [U] if is_open(X, U) else list(F.finite_part)
     G = FamilyExpr(X.carrier, tuple(coarse_parts), F.streams)
-    if not refines(F, G):
-        rep.record("saturation", False, "coarsening construction failed refinement", (F, G))
-        return
-    ok = is_admissible(X, G).yes
-    rep.record("saturation", ok, "coarsening of admissible family not admissible", (F, G))
+    return "saturation", "coarsening of admissible family not admissible", (F, G)
 
 
-def _check_regularity(X, rng, rep):
+def _check_regularity(X, rng):
     F = random_admissible_family(X, rng)
-    pool = list(F.finite_part)
-    W = sx.empty(X.carrier)
-    for A in pool:
-        if rng.random() < 0.5:
-            W = sx.union(W, A)
+    W = sx.union_all(X.carrier, [A for A in F.finite_part if rng.random() < 0.5])
     # W is a finite union of members, so all traces on members are open
-    traces_open = all(is_open(X, sx.intersect(W, A)) for A in F.sample_members(2))
-    if not traces_open:
-        return
-    ok = is_open(X, sx.intersect(W, family_union(F)))
-    rep.record("regularity", ok, "regular subset of the union not open", (F, W))
+    if not all(is_open(X, sx.intersect(W, A)) for A in F.sample_members(2)):
+        return None
+    return "regularity", "regular subset of the union not open", (F, W)
 
 
 RANDOM_CHECKS = (
@@ -233,16 +223,18 @@ def audit_axioms(X: GtsPresentation, budget: int = 1000, seed: int = 0) -> Audit
     if budget < 1:
         raise ValueError("budget must be at least 1")
     opens = _few_opens(X)
-    if opens is not None:
-        return _audit_exhaustive(X, opens, seed, budget)
-    rep = AuditReport(seed=seed, budget=budget)
-    rng = random.Random(seed)
-    rep.record("empty_whole_open",
-               is_open(X, sx.empty(X.carrier)) and is_open(X, X.support),
+    rep = AuditReport(seed=seed, budget=budget, exhaustive=opens is not None)
+    rep.record("empty_whole_open", HOLDS["empty_whole_open"](X, X.support),
                "empty set or support not open", (X.support,))
+    if opens is not None:
+        _audit_exhaustive(X, opens, rep)
+        return rep
+    rng = random.Random(seed)
     while rep.used < budget:
-        check = RANDOM_CHECKS[rep.used % len(RANDOM_CHECKS)]
-        check(X, rng, rep)
+        instance = RANDOM_CHECKS[rep.used % len(RANDOM_CHECKS)](X, rng)
+        if instance is not None:
+            axiom, description, raw = instance
+            rep.record(axiom, HOLDS[axiom](X, *raw), description, raw)
     return rep
 
 
@@ -266,10 +258,7 @@ def _cells(X: GtsPresentation, opens) -> list[SetExpr]:
     union or intersection of them is exactly a union of cells.
     """
     c = X.carrier
-    outside = sx.empty(c)
-    for O in opens:
-        outside = sx.union(outside, O)
-    outside = sx.minus(outside, X.support)
+    outside = sx.minus(sx.union_all(c, opens), X.support)
     if X.support.is_finite_pointset():
         cells, parts = [from_points(c, [p]) for p in points_of(X.support)], [outside]
     else:
@@ -284,18 +273,14 @@ def _bits(m: int) -> list[int]:
     return [i for i in range(m.bit_length()) if m >> i & 1]
 
 
-def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> AuditReport:
+def _audit_exhaustive(X: GtsPresentation, opens, rep: AuditReport):
     """Every instance of the axioms over the listed opens, on bitmasks.
 
     A set is the mask of the cells it holds, and a family of opens the mask
     of the indices of its members in the list.  A stream-free family is
     admissible exactly when every member is open; witnesses are built from
-    the masks only for the checks that fail.
+    the masks only for the checks that fail, and replay through HOLDS.
     """
-    rep = AuditReport(seed=seed, budget=budget, exhaustive=True)
-    rep.record("empty_whole_open",
-               is_open(X, sx.empty(X.carrier)) and is_open(X, X.support),
-               "empty set or support not open", (X.support,))
     c = X.carrier
     cells = _cells(X, opens)
     om = [sum(1 << i for i, C in enumerate(cells) if not sx.intersect(C, O).is_empty())
@@ -303,10 +288,7 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
     memo = {}
 
     def decode(m: int) -> SetExpr:
-        S = sx.empty(c)
-        for i in _bits(m):
-            S = sx.union(S, cells[i])
-        return S
+        return sx.union_all(c, [cells[i] for i in _bits(m)])
 
     def open_mask(m: int) -> bool:
         if m not in memo:
@@ -375,27 +357,8 @@ def _audit_exhaustive(X: GtsPresentation, opens, seed: int, budget: int) -> Audi
             if not f & ~t:
                 check("regularity", w & union[f] in listed,
                       "regular subset not open", lambda: (fam(f), decode(w)))
-    return rep
 
 
 def recheck(X: GtsPresentation, v: Violation) -> bool:
     """Deterministically reconfirm a violation from its raw witness data."""
-    raw = v.raw
-    if v.axiom == "binary_ops_open":
-        A, B = raw
-        return not (is_open(X, sx.union(A, B)) and is_open(X, sx.intersect(A, B)))
-    if v.axiom == "finite_families_admissible":
-        return not is_admissible(X, raw[0]).yes
-    if v.axiom == "admissible_union_open":
-        return not is_open(X, family_union(raw[0]))
-    if v.axiom == "stability":
-        F, V = raw
-        return not is_admissible(X, clip_family(F, V)).yes
-    if v.axiom in ("transitivity", "saturation"):
-        return not is_admissible(X, raw[1]).yes
-    if v.axiom == "regularity":
-        F, W = raw
-        return not is_open(X, sx.intersect(W, family_union(F)))
-    if v.axiom == "empty_whole_open":
-        return not (is_open(X, sx.empty(X.carrier)) and is_open(X, raw[0]))
-    return False
+    return not HOLDS[v.axiom](X, *v.raw)

@@ -28,7 +28,6 @@ from .presentation import (
     LocallyEssFin,
     ProductOpens,
     TraceOpens,
-    _close,
     enumerate_opens,
     is_open,
     smallness,
@@ -113,9 +112,7 @@ def glue(pieces: list) -> GtsPresentation:
             if not (is_open(A, O) and is_open(B, O)):
                 raise OverlapNotOpen(sx.render(O))
             _check_trace_agreement(A, B, O)
-    support = sx.empty(carrier)
-    for P in pieces:
-        support = sx.union(support, P.support)
+    support = sx.union_all(carrier, [P.support for P in pieces])
     base = FamilyExpr(carrier, tuple(P.support for P in pieces))
     return GtsPresentation(
         carrier, GluedOpens(tuple(pieces)), LocallyEssFin(base), support,
@@ -211,12 +208,9 @@ def topologize(X: GtsPresentation):
     if isinstance(c, NatFC) and X.opens.singletons_open:
         name = X.name + "_top" if X.name else ""
         return GtsPresentation(c, AllSets(), All(), X.support, name)
-    closed = _close(enumerate_opens(X), sx.union)  # enumerate_opens raises NonFiniteCarrier
+    # listed opens are closed under union; enumerate_opens raises NonFiniteCarrier
     name = X.name + "_top" if X.name else ""
-    return GtsPresentation(
-        c, ExplicitList(tuple(sorted(closed, key=sx.sort_key))), All(),
-        X.support, name,
-    )
+    return GtsPresentation(c, ExplicitList(tuple(enumerate_opens(X))), All(), X.support, name)
 
 
 def localize(X: GtsPresentation) -> GtsPresentation:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import setexpr as sx
-from .families import large_stage
+from .families import first_stage, large_stage
 from .setexpr import SetExpr
 from .streams import InitialSegments, Stream
 
@@ -62,17 +62,7 @@ class Exhaustion:
         piece at it does, and the least such stage is found by bisection.
         """
         s = self.chain
-        hi = large_stage([s], [K])
-        if not sx.is_subset(K, s.member(hi)):
-            return None
-        lo = s.n0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sx.is_subset(K, s.member(mid)):
-                hi = mid
-            else:
-                lo = mid + 1
-        return hi
+        return first_stage(lambda n: sx.is_subset(K, s.member(n)), s.n0, large_stage([s], [K]))
 
     def indices(self, chain_cap: int = 32) -> list:
         if self.is_chain():

@@ -47,11 +47,7 @@ class FamilyExpr:
 
 def family_union(F: FamilyExpr) -> SetExpr:
     if F._union is None:
-        u = sx.empty(F.carrier)
-        for m in F.finite_part:
-            u = sx.union(u, m)
-        for s in F.streams:
-            u = sx.union(u, s.union())
+        u = sx.union_all(F.carrier, list(F.finite_part) + [s.union() for s in F.streams])
         object.__setattr__(F, "_union", u)
     return F._union
 
@@ -149,11 +145,22 @@ def large_stage(streams: list[Stream], sets: list[SetExpr]) -> int:
     return stage + 1
 
 
-def _coverage_at(streams: list[Stream], stage: int, base: SetExpr) -> SetExpr:
-    cov = base
-    for s in streams:
-        cov = sx.union(cov, s.member(max(stage, s.n0)))
-    return cov
+def first_stage(holds, lo: int, hi: int) -> int | None:
+    """The least n in [lo, hi] with holds(n), by bisection; None where
+    holds(hi) fails.  holds must be monotone: true at n, true past n."""
+    if not holds(hi):
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _coverage_at(c: Carrier, streams: list[Stream], stage: int) -> SetExpr:
+    return sx.union_all(c, [s.member(max(stage, s.n0)) for s in streams])
 
 
 def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> Verdict:
@@ -175,9 +182,7 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> Verdict:
 
     monotone = [s for s in F.streams if s.monotone]
     pointwise = [s for s in F.streams if not s.monotone]
-    pw_union = sx.empty(F.carrier)
-    for s in pointwise:
-        pw_union = sx.union(pw_union, s.union())
+    pw_union = sx.union_all(F.carrier, [s.union() for s in pointwise])
 
     def absorbable(rem: SetExpr) -> bool:
         # pointwise streams can only pick up finitely many points
@@ -187,18 +192,11 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> Verdict:
 
     if monotone:
         cap = large_stage(monotone, [residual] + list(F.finite_part))
-        leftover = lambda n: sx.minus(residual, _coverage_at(monotone, n, sx.empty(F.carrier)))
-        if not absorbable(leftover(cap)):
+        leftover = lambda n: sx.minus(residual, _coverage_at(F.carrier, monotone, n))
+        stage = first_stage(lambda n: absorbable(leftover(n)), 1, cap)
+        if stage is None:
             return Verdict("No", "residual approaches a stream limit")
-        lo, hi = 1, cap  # smallest sufficient shared stage, by bisection
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if absorbable(leftover(mid)):
-                hi = mid
-            else:
-                lo = mid + 1
-        stage = lo
-        covered_part = sx.intersect(residual, _coverage_at(monotone, stage, sx.empty(F.carrier)))
+        covered_part = sx.intersect(residual, _coverage_at(F.carrier, monotone, stage))
         for j, s in enumerate(F.streams):
             if s.monotone and not sx.intersect(s.member(max(stage, s.n0)), covered_part).is_empty():
                 witness.append(WitnessMember(s.render(), j, max(stage, s.n0), s.member(max(stage, s.n0))))

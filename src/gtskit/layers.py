@@ -21,7 +21,6 @@ from .presentation import (
     GtsPresentation,
     LocallyEssFin,
     PiecewiseEssFin,
-    _close,
     check_members_open,
     enumerate_opens,
     from_points,
@@ -75,14 +74,8 @@ def weak_closure(X: GtsPresentation, S: SetExpr) -> SetExpr:
     if op.interval_opens:
         return sx.intersect(sx.interval_closure(S), X.support)
     if op.pieces:
-        out = sx.empty(c)
-        for P in op.pieces:
-            out = sx.union(out, weak_closure(P, sx.intersect(S, P.support)))
-        return out
-    away = sx.empty(c)
-    for O in enumerate_opens(X):
-        if sx.intersect(O, S).is_empty():
-            away = sx.union(away, O)
+        return sx.union_all(c, [weak_closure(P, sx.intersect(S, P.support)) for P in op.pieces])
+    away = sx.union_all(c, [O for O in enumerate_opens(X) if sx.intersect(O, S).is_empty()])
     return sx.minus(X.support, away)
 
 
@@ -95,24 +88,11 @@ def validate_locally_small(X: GtsPresentation, base: FamilyExpr = None) -> Layer
         if not isinstance(X.policy, LocallyEssFin):
             raise PolicyMismatch("no base family to validate")
         base = X.policy.base
-    try:
-        check_members_open(X, base)
-    except NonOpenMember as e:
-        rep.flags["locally_small"] = Verdict("No", "base member not open", e.member)
-        _fill_unknown(rep)
-        return rep
-    bad = _non_small_member(X, base)
-    if bad is not None:
-        rep.flags["locally_small"] = Verdict("No", "base member not small", bad)
-        _fill_unknown(rep)
-        return rep
-    if family_union(base) != X.support:
-        rep.flags["locally_small"] = Verdict("No", "base does not cover the space", base)
-        _fill_unknown(rep)
-        return rep
-    if not is_admissible(X, base).yes:
-        rep.flags["locally_small"] = Verdict("No", "base not admissible", base)
-        _fill_unknown(rep)
+    failure = _base_failure(X, base)
+    if failure is not None:
+        rep.flags["locally_small"] = Verdict("No", *failure)
+        for k in ("paracompact", "lindelof", "closure_property", "strongly_T1"):
+            rep.flags[k] = Verdict("Unknown")
         return rep
     rep.flags["locally_small"] = Verdict("Yes")
     rep.flags["lindelof"] = Verdict("Yes", "presentable bases are countable")
@@ -123,19 +103,22 @@ def validate_locally_small(X: GtsPresentation, base: FamilyExpr = None) -> Layer
     return rep
 
 
-def _fill_unknown(rep: LayerReport):
-    for k in ("paracompact", "lindelof", "closure_property", "strongly_T1"):
-        rep.flags.setdefault(k, Verdict("Unknown"))
-
-
-def _non_small_member(X: GtsPresentation, base: FamilyExpr):
-    for m in base.finite_part:
-        if smallness(X, m).status == "NotSmall":
-            return m
-    for s in base.streams:
-        for n in range(s.n0, s.n0 + 3):
-            if smallness(X, s.member(n)).status == "NotSmall":
-                return s.member(n)
+def _base_failure(X: GtsPresentation, base: FamilyExpr):
+    """(reason, witness) of the first way base fails to be an admissible
+    cover of X by small opens; None where it is one."""
+    try:
+        check_members_open(X, base)
+    except NonOpenMember as e:
+        return "base member not open", e.member
+    probes = [s.member(n) for s in base.streams for n in range(s.n0, s.n0 + 3)]
+    bad = next((m for m in list(base.finite_part) + probes
+                if smallness(X, m).status == "NotSmall"), None)
+    if bad is not None:
+        return "base member not small", bad
+    if family_union(base) != X.support:
+        return "base does not cover the space", base
+    if not is_admissible(X, base).yes:
+        return "base not admissible", base
     return None
 
 
@@ -195,10 +178,7 @@ def _annuli_refinement_ok(X: GtsPresentation, chain):
                 return False, ""
     for m in range(1, depth):
         ball = chain.member(max(chain.n0, m))
-        cover = sx.empty(X.carrier)
-        for n in range(m + 2):
-            cover = sx.union(cover, members[n])
-        if not sx.is_subset(ball, cover):
+        if not sx.is_subset(ball, sx.union_all(X.carrier, members[:m + 2])):
             return False, ""
     return True, "{(-n-1,-n+1) u (n-1,n+1) : n >= 0}"
 
@@ -265,9 +245,7 @@ def _validate_chain(X, E, rep):
 def _validate_poset(X, E, rep):
     pieces = dict(E.pieces)
     poset = E.poset
-    union = sx.empty(X.carrier)
-    for P in pieces.values():
-        union = sx.union(union, P)
+    union = sx.union_all(X.carrier, pieces.values())
     rep.flags["W1"] = Verdict("Yes" if union == X.support else "No", witness=union)
     bad = next(
         ((a, b) for a in poset.elements for b in poset.elements
@@ -336,10 +314,14 @@ def _constructible_flag(X: GtsPresentation, S: SetExpr) -> Verdict:
     opens = listed_opens(X)
     if opens is None:
         return Verdict("Unknown")
-    # the boolean algebra of the opens is the lattice of opens and complements
-    complements = [sx.minus(X.support, O) for O in opens]
-    algebra = _close(opens + complements, sx.union, sx.intersect)
-    return Verdict("Yes" if S in algebra else "No")
+    # the boolean algebra of the opens holds exactly the unions of its atoms,
+    # the pieces the opens cut the support into
+    atoms = [X.support]
+    for O in opens:
+        atoms = [q for A in atoms for q in (sx.intersect(A, O), sx.minus(A, O))
+                 if not q.is_empty()]
+    whole_or_none = all(sx.is_subset(A, S) or sx.intersect(A, S).is_empty() for A in atoms)
+    return Verdict("Yes" if whole_or_none else "No")
 
 
 def classify_subset(X: GtsPresentation, S: SetExpr) -> LayerReport:

@@ -184,10 +184,8 @@ class PiecewiseAffine(Rule):
         raise UnrepresentablePoint(x)
 
     def image(self, S, cc):
-        out = sx.empty(cc)
-        for P, p, q in self.pieces:
-            out = sx.union(out, _affine_image(sx.intersect(S, P), p, q))
-        return out
+        return sx.union_all(cc, [_affine_image(sx.intersect(S, P), p, q)
+                                 for P, p, q in self.pieces])
 
     def preimage(self, T, dc):
         out = sx.empty(dc)
@@ -297,10 +295,7 @@ class Projection(Rule):
         return self._pick(x)
 
     def image(self, S, cc):
-        out = sx.empty(cc)
-        for cell_fiber in S.form:
-            out = sx.union(out, self._pick(cell_fiber))
-        return out
+        return sx.union_all(cc, map(self._pick, S.form))
 
     def preimage(self, T, dc):
         if self.side == "left":
@@ -341,10 +336,8 @@ class Pairing(Rule):
         return super().image(S, cc)  # raises NonFiniteCarrier when S is infinite
 
     def preimage(self, T, dc):
-        out = sx.empty(dc)
-        for L, R in T.form:
-            out = sx.union(out, sx.intersect(self.f.preimage(L), self.g.preimage(R)))
-        return out
+        return sx.union_all(dc, [sx.intersect(self.f.preimage(L), self.g.preimage(R))
+                                 for L, R in T.form])
 
 
 @dataclass(frozen=True)

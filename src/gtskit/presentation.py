@@ -47,7 +47,7 @@ on a set that is not small carries (``restrict``).  Its flags
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, count
 
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
 from .errors import (
@@ -63,6 +63,7 @@ from .families import (
     clip_family,
     essentially_finite_on,
     family_union,
+    first_stage,
     large_stage,
 )
 from . import setexpr as sx
@@ -113,14 +114,9 @@ class Opens:
         if opens is None:
             raise UnsupportedPresentation("no interior procedure for this factor")
 
-        def covered(C, D):
-            # the union of the listed opens inside D is D's interior
-            interior = sx.empty(P.carrier)
-            for O in opens:
-                if sx.is_subset(O, D):
-                    interior = sx.union(interior, O)
-            return sx.is_subset(C, interior)
-        return covered
+        # the union of the listed opens inside D is D's interior
+        return lambda C, D: sx.is_subset(
+            C, sx.union_all(P.carrier, [O for O in opens if sx.is_subset(O, D)]))
 
     def enumerate(self, X: "GtsPresentation"):
         """Every open of X, in any order."""
@@ -300,14 +296,9 @@ class ProductOpens(Opens):
         if not all(is_open(self.right, F) for _, F in cells):
             return False
         covered = self.left.opens.interior_cover(self.left)
-        for C, F in cells:
-            shadow = sx.empty(self.left.carrier)
-            for C2, F2 in cells:
-                if sx.is_subset(F, F2):
-                    shadow = sx.union(shadow, C2)
-            if not covered(C, shadow):
-                return False
-        return True
+        return all(covered(C, sx.union_all(self.left.carrier,
+                                           [C2 for C2, F2 in cells if sx.is_subset(F, F2)]))
+                   for C, F in cells)
 
     def enumerate(self, X):
         """The product opens: every union of boxes U x V of factor opens.
@@ -400,12 +391,9 @@ class GluedOpens(Opens):
         return all(P.opens.finitely_many for P in self.pieces)
 
     def validate(self, X):
-        u = sx.empty(X.carrier)
-        for P in self.pieces:
-            if P.carrier != X.carrier:
-                raise CarrierMismatch("glued piece on the wrong carrier")
-            u = sx.union(u, P.support)
-        if u != X.support:
+        if any(P.carrier != X.carrier for P in self.pieces):
+            raise CarrierMismatch("glued piece on the wrong carrier")
+        if sx.union_all(X.carrier, [P.support for P in self.pieces]) != X.support:
             raise ValueError("glued support must equal the union of the pieces")
 
     def is_open(self, X, S):
@@ -414,8 +402,7 @@ class GluedOpens(Opens):
     enumerate = Opens.finite_opens
 
     def weakly_open(self, X, S):
-        from .layers import weakly_open  # layers imports this module
-        return all(weakly_open(P, sx.intersect(S, P.support)) for P in self.pieces)
+        return all(P.opens.weakly_open(P, sx.intersect(S, P.support)) for P in self.pieces)
 
     def draw(self, X, rng):
         out = sx.empty(X.carrier)
@@ -515,16 +502,9 @@ class LocallyEssFin(Policy):
     base: FamilyExpr
 
     def admits(self, F):
-        for B in self.base.finite_part:
-            r = essentially_finite_on(F, B)
-            if not r.yes:
-                return Verdict("No", "not essentially finite on a base member", B, r)
-        for s in self.base.streams:
-            for K in _stream_probes(s, F):
-                r = essentially_finite_on(F, K)
-                if not r.yes:
-                    return Verdict("No", "not essentially finite on a base member", K, r)
-        return Verdict("Yes", "essentially finite on every base member")
+        sets = chain(self.base.finite_part,
+                     (K for s in self.base.streams for K in _stream_probes(s, F)))
+        return _essentially_finite_on_each(F, ((K, K) for K in sets), "base member")
 
     def smallness(self, X, K):
         r = essentially_finite_on(self.base, K)
@@ -546,17 +526,9 @@ class PiecewiseEssFin(Policy):
 
     def admits(self, F):
         exh = self.exhaustion
-        if exh.is_chain():
-            for K in _stream_probes(exh.chain, F):
-                r = essentially_finite_on(F, K)
-                if not r.yes:
-                    return Verdict("No", "not essentially finite on a piece", K, r)
-            return Verdict("Yes", "essentially finite on every piece")
-        for i, K in exh.pieces:
-            r = essentially_finite_on(F, K)
-            if not r.yes:
-                return Verdict("No", "not essentially finite on a piece", (i, K), r)
-        return Verdict("Yes", "essentially finite on every piece")
+        probes = [(K, K) for K in _stream_probes(exh.chain, F)] if exh.is_chain() \
+            else [((i, K), K) for i, K in exh.pieces]
+        return _essentially_finite_on_each(F, probes, "piece")
 
     def smallness(self, X, K):
         exh = self.exhaustion
@@ -690,16 +662,6 @@ def _union_closure(masks) -> set[int]:
     return out
 
 
-def _close(sets, *ops) -> set:
-    """The least superset of sets that each binary op maps into itself."""
-    out = set(sets)
-    while True:
-        fresh = {op(A, B) for A in out for B in out for op in ops} - out
-        if not fresh:
-            return out
-        out |= fresh
-
-
 # -- admissibility --------------------------------------------------------
 
 def check_members_open(X: GtsPresentation, F: FamilyExpr):
@@ -708,25 +670,33 @@ def check_members_open(X: GtsPresentation, F: FamilyExpr):
         if not is_open(X, m):
             raise NonOpenMember(m)
     for s in F.streams:
+        if not sx.is_subset(s.union(), X.support):
+            raise NonOpenMember(s.member(_escaping_stage(s, X.support)))
         stages = list(range(s.n0, s.n0 + 3))
         if s.monotone:
             stages.append(large_stage([s], list(F.finite_part)))
-        # every member sits inside the stream union, so a union escaping the
-        # support guarantees a non-open member somewhere down the stream
-        if not sx.is_subset(s.union(), X.support):
-            for n in range(s.n0, max(stages) + 1):
-                if not sx.is_subset(s.member(n), X.support):
-                    raise NonOpenMember(s.member(n))
-            escaped = sx.minus(s.union(), X.support)
-            if escaped.is_finite_pointset():
-                for x in escaped.finite_points():
-                    idx = s.index_of(int(x)) if not s.monotone else None
-                    if idx is not None:
-                        raise NonOpenMember(s.member(idx))
-            raise NonOpenMember(s.union())
         m = X.opens.non_open_member(X, s, stages)
         if m is not None:
             raise NonOpenMember(m)
+
+
+def _escaping_stage(s: Stream, support: SetExpr) -> int:
+    """The least stage whose member leaves support, where s's union does.
+
+    Every member sits inside the union, so some member leaves too.  Monotone
+    members grow, so the stage is bisected below large_stage; a finite
+    escaped set names the members of a pointwise stream that hold its
+    points, and otherwise the stages are scanned.
+    """
+    escapes = lambda n: not sx.is_subset(s.member(n), support)
+    if s.monotone:
+        return first_stage(escapes, s.n0, large_stage([s], [support]))
+    escaped = sx.minus(s.union(), support)
+    if escaped.is_finite_pointset():
+        found = {s.index_of(int(x)) for x in escaped.finite_points()} - {None}
+        if found:
+            return min(found)
+    return next(filter(escapes, count(s.n0)))
 
 
 def is_admissible(X: GtsPresentation, F: FamilyExpr) -> Verdict:
@@ -738,6 +708,16 @@ def is_admissible(X: GtsPresentation, F: FamilyExpr) -> Verdict:
     except NonOpenMember as e:
         return Verdict("No", "a member is not open", e.member)
     return X.policy.admits(F)
+
+
+def _essentially_finite_on_each(F: FamilyExpr, probes, what: str) -> Verdict:
+    """Is F essentially finite on every set K of the (witness, K) probes?  The
+    first that fails is the witness; probes are drawn only until then."""
+    for witness, K in probes:
+        r = essentially_finite_on(F, K)
+        if not r.yes:
+            return Verdict("No", "not essentially finite on a " + what, witness, r)
+    return Verdict("Yes", "essentially finite on every " + what)
 
 
 def _stream_probes(s: Stream, F: FamilyExpr) -> list[SetExpr]:

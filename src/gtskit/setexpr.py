@@ -249,6 +249,13 @@ class _Algebra:
     def is_empty(self, a) -> bool:
         return not a
 
+    def union_all(self, c, forms):
+        """The union of any number of forms."""
+        out = self.empty(c)
+        for a in forms:
+            out = self.union(c, out, a)
+        return out
+
     def endpoints(self, a) -> set:
         """The finite endpoint or element values of a set, as rationals."""
         return set()
@@ -389,6 +396,9 @@ class _LineAlgebra(_Algebra):
     def union(self, c, a, b):
         return normalize_intervals(a + b)
 
+    def union_all(self, c, forms):
+        return normalize_intervals(iv for a in forms for iv in a)
+
     def intersect(self, c, a, b):
         # the pieces come out sorted, and pieces of intervals that cannot
         # merge cannot merge either: the form needs no normalizing
@@ -480,6 +490,9 @@ class _ProductAlgebra(_Algebra):
     def union(self, c, a, b):
         return self.canonicalize(c, a + b)
 
+    def union_all(self, c, forms):
+        return self.canonicalize(c, [b for a in forms for b in a])
+
     def intersect(self, c, a, b):
         return self.canonicalize(c, [(intersect(la, lb), intersect(ra, rb))
                                      for la, ra in a for lb, rb in b])
@@ -487,9 +500,7 @@ class _ProductAlgebra(_Algebra):
     def complement(self, c, a):
         # the cells are pairwise disjoint: over a left point in no cell the
         # complement holds the whole right factor, over a cell its fiber's complement
-        covered = empty(c.left)
-        for l, _ in a:
-            covered = union(covered, l)
+        covered = union_all(c.left, (l for l, _ in a))
         return self.canonicalize(c, [(complement(covered), whole(c.right))]
                                  + [(l, complement(r)) for l, r in a])
 
@@ -601,6 +612,16 @@ def union(a: SetExpr, b: SetExpr) -> SetExpr:
     _check_same_carrier(a, b)
     c = a.carrier
     return SetExpr(c, ALGEBRA[type(c)].union(c, a.form, b.form), _normalized=True)
+
+
+def union_all(carrier: Carrier, sets: Iterable[SetExpr]) -> SetExpr:
+    """The union of any number of sets on carrier, in one call into its algebra."""
+    forms = []
+    for S in sets:
+        if S.carrier != carrier:
+            raise CarrierMismatch(f"{S.carrier!r} vs {carrier!r}")
+        forms.append(S.form)
+    return SetExpr(carrier, ALGEBRA[type(carrier)].union_all(carrier, forms), _normalized=True)
 
 
 def complement(a: SetExpr) -> SetExpr:

@@ -409,19 +409,11 @@ def gts_to_site(X: GtsPresentation) -> Site:
         sorted(names),
         lambda a, b: sx.is_subset(names[a], names[b]),
     )
-    J = {}
-    for uname, U in names.items():
-        below = [v for v in names if sx.is_subset(names[v], U)]
-        covers = set()
-        for r in range(len(below) + 1):
-            for picks in combinations(below, r):
-                un = sx.empty(X.carrier)
-                for v in picks:
-                    un = sx.union(un, names[v])
-                if un == U:
-                    gens = [C.arrow(v, uname) for v in picks]
-                    covers.add(generated_sieve(C, uname, gens))
-        J[uname] = frozenset(covers)
+    # a sieve covers U when the opens it holds have union U
+    J = {uname: frozenset(
+        S for S in all_sieves(C, uname)
+        if sx.union_all(X.carrier, [names[C.morphism(m).dom] for m in S.names]) == U)
+        for uname, U in names.items()}
     return Site(C, TopologyAssignment(J), names)
 
 

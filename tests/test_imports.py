@@ -1,4 +1,5 @@
-"""Every name a gtskit module imports is read somewhere in that module."""
+"""Every name a gtskit module imports is read somewhere in that module, and
+imports sit at module level except where they close a real cycle."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,25 @@ def test_scanner_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_in_functions(source: str) -> int:
+    """The import statements inside function bodies of ``source``."""
+    tree = ast.parse(source)
+    return len({id(node) for f in ast.walk(tree)
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(f) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+# layers asks props for a separation report, and props imports layers
+FUNCTION_IMPORT_BUDGET = {"layers.py": 2}
+
+
+def test_scanner_counts_imports_in_function_bodies():
+    src = "import os\ndef f():\n    import a\n    def g():\n        from b import c\n"
+    assert imports_in_functions(src) == 2
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_inside_functions_stay_within_budget(path):
+    assert imports_in_functions(path.read_text()) <= FUNCTION_IMPORT_BUDGET.get(path.name, 0)

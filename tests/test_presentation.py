@@ -126,6 +126,21 @@ def test_listed_opens_miss_a_late_stream_member():
         assert (v.status, v.reason, v.witness) == ("No", "a member is not open", s.member(5))
 
 
+def test_a_stream_leaving_the_support_is_witnessed_by_its_first_leaving_member():
+    # members (0, 1 - 1/n) first reach 999/1000, which the window lacks, at n = 1001
+    s = ShrinkIntervals(0, 1, 0, 1, 2)
+    q = QLine()
+    W = sx.minus(sx.interval(0, 1), sx.qpoint(Fraction(999, 1000)))
+    Y = GtsPresentation(q, TraceOpens(lib.qline_topological(), W), All(), support=W)
+    v = is_admissible(Y, FamilyExpr(q, (), (s,)))
+    assert (v.status, v.reason, v.witness) == ("No", "a member is not open", s.member(1001))
+    assert v.witness == sx.interval(0, Fraction(1000, 1001))
+    # singletons leave a three-point support first at {3}
+    X = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite([0, 1, 2]))
+    v = is_admissible(X, FamilyExpr(NatFC(), (), (Singletons(),)))
+    assert (v.status, v.reason, v.witness) == ("No", "a member is not open", sx.nat_finite([3]))
+
+
 def test_listed_opens_hold_a_stream_that_reaches_its_union():
     s = clip_stream(GrowBalls(1), sx.interval(0, 3))  # members (0, n) up to (0, 3)
     q = QLine()
