@@ -28,6 +28,7 @@ from .families import (
     clip_family,
     family_union,
     refines,
+    show,
     union_families,
 )
 from .presentation import (
@@ -83,16 +84,8 @@ class AuditReport:
         if ok:
             self.pass_counts[axiom] += 1
         else:
-            witness = tuple(_render_part(p) for p in raw)
+            witness = tuple(show(p) for p in raw)
             self.violations.append(Violation(axiom, description, witness, raw))
-
-
-def _render_part(p):
-    if isinstance(p, SetExpr):
-        return sx.render(p)
-    if isinstance(p, FamilyExpr):
-        return p.render()
-    return str(p)
 
 
 # -- seeded instance grammar ----------------------------------------------

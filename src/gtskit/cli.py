@@ -18,7 +18,7 @@ from .constructions import (
 )
 from .dsl import Document, parse_document
 from .errors import GtsError
-from .families import FamilyExpr
+from .families import show
 from .layers import validate_exhaustion, validate_locally_small
 from .maps import check_strict_continuity
 from .presentation import (
@@ -73,23 +73,13 @@ def _verdict(v, **keys) -> dict:
     for name, key in keys.items():
         value = getattr(v, name)
         if value is not None and value != "":
-            out[key] = _show(value) if name == "witness" else value
+            out[key] = show(value) if name == "witness" else value
     return out
 
 
 def _flags(rep) -> dict:
     return {k: _verdict(v, status="status", witness="witness", reason="note")
             for k, v in rep.flags.items()}
-
-
-def _show(obj) -> str:
-    if isinstance(obj, sx.SetExpr):
-        return sx.render(obj)
-    if isinstance(obj, FamilyExpr):
-        return obj.render()
-    if isinstance(obj, (tuple, list)):
-        return "(" + ", ".join(_show(x) for x in obj) + ")"
-    return str(obj)
 
 
 def run_command(cmd: str, args: list, doc: Document,
@@ -109,7 +99,7 @@ def run_command(cmd: str, args: list, doc: Document,
             "checks": dict(sorted(rep.pass_counts.items())),
             "violations": [
                 {"axiom": v.axiom, "description": v.description,
-                 "witness": _show(v.witness)}
+                 "witness": show(v.witness)}
                 for v in rep.violations
             ],
         }

@@ -52,6 +52,18 @@ def family_union(F: FamilyExpr) -> SetExpr:
     return F._union
 
 
+def show(obj) -> str:
+    """A witness as reports print it: sets and families rendered, tuples and
+    lists part by part in parentheses, anything else by str."""
+    if isinstance(obj, SetExpr):
+        return sx.render(obj)
+    if isinstance(obj, FamilyExpr):
+        return obj.render()
+    if isinstance(obj, (tuple, list)):
+        return "(" + ", ".join(show(x) for x in obj) + ")"
+    return str(obj)
+
+
 def clip_family(F: FamilyExpr, V: SetExpr) -> FamilyExpr:
     """The family of member-wise intersections with a fixed set."""
     return FamilyExpr(

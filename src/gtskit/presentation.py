@@ -36,6 +36,10 @@ members share one shape.  Where the opens are finitely many
 scans the stages instead, until a member is not open or the members have
 covered the stream's union.
 
+On a finite support the opens are fixed by each point's least open, the
+meet of the opens that hold it.  ``least_opens`` gives these as bitmasks;
+the product enumeration and the finite procedures of ``props`` read them.
+
 Each coverage policy is a ``Policy`` subclass and answers for itself too:
 whether a family of opens is admissible (``admits``), whether an infinite
 set inside the support is small (``smallness``) and which policy the trace
@@ -47,7 +51,9 @@ on a set that is not small carries (``restrict``).  Its flags
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, combinations, count
+from operator import and_
 
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
 from .errors import (
@@ -301,34 +307,28 @@ class ProductOpens(Opens):
                    for C, F in cells)
 
     def enumerate(self, X):
-        """The product opens: every union of boxes U x V of factor opens.
+        """The product opens: every union of boxes U_x x V_y of least factor opens.
 
         Each box becomes a bitmask over the grid of support points, the
         masks are closed under union, and each mask becomes a set once.
-        Unions of open boxes are exactly the sets is_open accepts, since the
-        factor opens are closed under finite unions and intersections.
+        Every open box U x V is the union of the boxes U_x x V_y over its
+        points, and unions of open boxes are exactly the sets is_open
+        accepts, since the factor opens are closed under finite unions and
+        intersections.
         """
         if not points_of(X.support):
             return [sx.empty(X.carrier)]
         left, right = self.left, self.right
         left.opens.interior_cover(left)  # raises where is_open would
-        lpts, rpts = points_of(left.support), points_of(right.support)
-        lbit = {x: 1 << i for i, x in enumerate(lpts)}
-        rbit = {y: 1 << j for j, y in enumerate(rpts)}
+        lpts, cols = least_opens(left)
+        rpts, rows = least_opens(right)
         n = len(rpts)
-        rows = {sum(rbit[y] for y in points_of(V)) for V in right.opens.finite_opens(right)}
-        cols = {sum(lbit[x] for x in points_of(U)) for U in left.opens.finite_opens(left)}
-        boxes = {
-            sum(v << (i * n) for i in range(len(lpts)) if u >> i & 1)
-            for u in cols
-            for v in rows
-        }
-        masks = _union_closure(boxes)
+        boxes = {sum(v << (i * n) for i in range(len(lpts)) if u >> i & 1)
+                 for u in cols for v in rows}
         grid = [(x, y) for x in lpts for y in rpts]
-        return [
-            from_points(X.carrier, [p for k, p in enumerate(grid) if m >> k & 1])
-            for m in masks
-        ]
+        return [from_mask(X.carrier, grid, m) for m in union_closure(boxes)]
+
+    finite_opens = enumerate
 
     def weakly_open(self, X, S):
         raise UnsupportedCarrier("no weak-openness procedure for this presentation")
@@ -624,37 +624,49 @@ def from_points(c: Carrier, pts) -> SetExpr:
     return SetExpr(c, sx.ALGEBRA[type(c)].from_points(c, pts), _normalized=True)
 
 
+def from_mask(c: Carrier, pts, m: int) -> SetExpr:
+    """The set of the points of pts whose bits are set in the bitmask m."""
+    return from_points(c, [x for k, x in enumerate(pts) if m >> k & 1])
+
+
+def least_opens(X: GtsPresentation) -> tuple[list, list[int]]:
+    """The points of X's finite support and, for each, the bitmask over them
+    of its least open, the meet of the opens that hold it.  These fix the
+    opens: they are the unions of the least opens."""
+    pts = points_of(X.support)
+    if X.opens.singletons_open:
+        return pts, [1 << k for k in range(len(pts))]
+    return pts, _meets(pts, X.opens.finite_opens(X))
+
+
+def _meets(pts, sets) -> list[int]:
+    """For each point, the bitmask of the meet of the sets, and of all pts,
+    that hold it."""
+    bit = {x: 1 << k for k, x in enumerate(pts)}
+    masks = [sum(bit[x] for x in points_of(S)) for S in sets]
+    return [reduce(and_, (m for m in masks if m & b), (1 << len(pts)) - 1) for b in bit.values()]
+
+
 def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:
     """The topology a subbasis generates: unions of minimal neighbourhoods.
 
     Each point's minimal open is the intersection of the subbasis sets (and
-    the whole carrier) that contain it, as a bitmask over the points; the
-    opens are the unions of those masks, and the empty set.  On a finite
-    carrier every open family is essentially finite, so the admissibility
-    structure collapses: the policy is All and the admissible families are
-    exactly the open families (Cov is the full powerset of Op).
+    the whole carrier) that contain it; the opens are the unions of those,
+    and the empty set.  On a finite carrier every open family is
+    essentially finite, so the admissibility structure collapses: the
+    policy is All and the admissible families are exactly the open families
+    (Cov is the full powerset of Op).
     """
+    subbasis = tuple(subbasis)
+    if any(S.carrier != carrier for S in subbasis):
+        raise CarrierMismatch("subbasis set on the wrong carrier")
     pts = points_of(sx.whole(carrier))
-    bit = {x: 1 << i for i, x in enumerate(pts)}
-    masks = []
-    for S in subbasis:
-        if S.carrier != carrier:
-            raise CarrierMismatch("subbasis set on the wrong carrier")
-        masks.append(sum(bit[x] for x in points_of(S)))
-    least = []
-    for x in pts:
-        m = (1 << len(pts)) - 1
-        for b in masks:
-            if b & bit[x]:
-                m &= b
-        least.append(m)
-    listed = tuple(sorted(
-        (from_points(carrier, [x for x in pts if m & bit[x]]) for m in _union_closure(least)),
-        key=sx.sort_key))
-    return GtsPresentation(carrier, ExplicitList(listed), All(), name="generated")
+    listed = sorted((from_mask(carrier, pts, m) for m in union_closure(_meets(pts, subbasis))),
+                    key=sx.sort_key)
+    return GtsPresentation(carrier, ExplicitList(tuple(listed)), All(), name="generated")
 
 
-def _union_closure(masks) -> set[int]:
+def union_closure(masks) -> set[int]:
     """Every union of the given bitmasks, the empty union 0 included."""
     out = {0}
     for b in masks:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .carriers import NatFC, QLine
 from .errors import NonFiniteCarrier, UnsupportedPresentation
@@ -17,12 +19,13 @@ from .presentation import (
     FiniteOrWhole,
     GtsPresentation,
     check_members_open,
-    enumerate_opens,
-    from_points,
+    from_mask,
     is_admissible,
     is_open,
+    least_opens,
     listed_opens,
     points_of,
+    union_closure,
 )
 from . import setexpr as sx
 from .setexpr import SetExpr
@@ -40,76 +43,36 @@ class ComponentsReport:
 def components(X: GtsPresentation) -> ComponentsReport:
     op = X.opens
     if X.support.is_finite_pointset():
-        return _finite_components(X)
-    if op.interval_opens:
-        parts = tuple(
-            sx.SetExpr(X.carrier, (iv,), _normalized=True) for iv in X.support.form
-        )
-        fam = FamilyExpr(X.carrier, parts)
-        ok = all(is_open(X, P) for P in parts) and is_admissible(X, fam).yes
-        return ComponentsReport(parts, Verdict("Yes" if ok else "No"))
-    if op.pieces:
-        supports = [P.support for P in op.pieces]
-        disjoint = all(
-            sx.intersect(A, B).is_empty()
-            for A, B in combinations(supports, 2)
-        )
-        if disjoint:
-            parts = []
-            for P in op.pieces:
-                parts.extend(components(P).parts)
-            fam = FamilyExpr(X.carrier, tuple(parts))
-            ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).yes
-            return ComponentsReport(tuple(parts), Verdict("Yes" if ok else "No"))
-    raise UnsupportedPresentation("no component procedure for this presentation")
-
-
-def _finite_components(X: GtsPresentation) -> ComponentsReport:
-    pts = points_of(X.support)
-    opens = enumerate_opens(X)
-    # specialization links: x sticks to y when every open around x contains y
-    def linked(x, y):
-        near_x = all(sx.contains(O, y) for O in opens if sx.contains(O, x))
-        near_y = all(sx.contains(O, x) for O in opens if sx.contains(O, y))
-        return near_x or near_y
-
-    part = {x: {x} for x in pts}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in combinations(pts, 2):
-            if part[x] is not part[y] and linked(x, y):
-                merged = part[x] | part[y]
-                for z in merged:
-                    part[z] = merged
-                changed = True
-    seen, parts = [], []
-    for x in pts:
-        if part[x] not in seen:
-            seen.append(part[x])
-            parts.append(from_points(X.carrier, part[x]))
-    parts = tuple(sorted(parts, key=sx.sort_key))
+        parts = quasi_components(X)
+    elif op.interval_opens:
+        parts = tuple(SetExpr(X.carrier, (iv,), _normalized=True) for iv in X.support.form)
+    elif op.pieces and all(sx.intersect(A.support, B.support).is_empty()
+                           for A, B in combinations(op.pieces, 2)):
+        parts = tuple(C for P in op.pieces for C in components(P).parts)
+    else:
+        raise UnsupportedPresentation("no component procedure for this presentation")
     fam = FamilyExpr(X.carrier, parts)
-    acc_ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).yes
-    return ComponentsReport(parts, Verdict("Yes" if acc_ok else "No"))
+    ok = all(is_open(X, C) for C in parts) and is_admissible(X, fam).yes
+    return ComponentsReport(parts, Verdict("Yes" if ok else "No"))
 
 
 def quasi_components(X: GtsPresentation) -> tuple:
+    """The quasi-components of a finite presentation, which are its components.
+
+    Points share a component when a chain of points links them, each in the
+    least open of the next or the next in its own.  A component holds the
+    least open of each of its points, so it is open, and the union of the
+    other components is open too: each component is clopen, and so is
+    exactly a quasi-component.
+    """
     if not X.support.is_finite_pointset():
         raise UnsupportedPresentation("quasi-components need a finite presentation")
-    pts = points_of(X.support)
-    opens = enumerate_opens(X)
-    clopen = [O for O in opens if is_open(X, sx.minus(X.support, O))]
-    out, seen = [], set()
-    for x in pts:
-        qc = X.support
-        for O in clopen:
-            if sx.contains(O, x):
-                qc = sx.intersect(qc, O)
-        if sx.render(qc) not in seen:
-            seen.add(sx.render(qc))
-            out.append(qc)
-    return tuple(sorted(out, key=sx.sort_key))
+    pts, least = least_opens(X)
+    parts = []
+    for m in least:
+        # merge the parts this least open meets
+        parts = [p for p in parts if not p & m] + [reduce(or_, (p for p in parts if p & m), m)]
+    return tuple(sorted((from_mask(X.carrier, pts, p) for p in parts), key=sx.sort_key))
 
 
 # -- separation -----------------------------------------------------------
@@ -161,49 +124,34 @@ _SEPARATION = {
 
 
 def _finite_separation(X, rep):
-    pts = points_of(X.support)
-    opens = enumerate_opens(X)
-    singles = {x: from_points(X.carrier, [x]) for x in pts}
-    closeds = [sx.minus(X.support, O) for O in opens]
-    targets = closeds + list(singles.values())
+    """The flags of a finite presentation, read off its least opens: a set
+    is open iff it holds the least open of each of its points, and two sets
+    are separated iff the unions of their points' least opens, the least
+    opens around them, are disjoint."""
+    if X.opens.singletons_open:  # every set is open
+        return _every_flag("Yes")(rep)
+    pts, least = least_opens(X)
+    points, full = list(enumerate(pts)), (1 << len(pts)) - 1
+    as_set = lambda m: from_mask(X.carrier, pts, m)
+    hull = lambda A: reduce(or_, (m for k, m in enumerate(least) if A >> k & 1), 0)
+    separated = lambda A, B: not hull(A) & hull(B)
+    # the closeds, their opens sorted as listed opens are, then the points
+    opens = sorted(union_closure(least), key=lambda m: sx.sort_key(as_set(m)))
+    targets = [full ^ O for O in opens] + [1 << i for i, _ in points]
 
-    def separated(A, B):
-        for U in opens:
-            if not sx.is_subset(A, U):
-                continue
-            for V in opens:
-                if sx.is_subset(B, V) and sx.intersect(U, V).is_empty():
-                    return True
-        return False
-
-    w_t1 = next(
-        ((x, y) for x in pts for y in pts if x != y and not any(
-            sx.contains(O, x) and not sx.contains(O, y) for O in opens)),
-        None,
-    )
+    w_t1 = next(((x, y) for i, x in points for j, y in points
+                 if i != j and least[i] >> j & 1), None)
     rep.flags["weakly_T1"] = Verdict("Yes" if w_t1 is None else "No", witness=w_t1)
-    s_t1 = next((x for x in pts
-                 if not is_open(X, sx.minus(X.support, singles[x]))), None)
+    s_t1 = next((x for i, x in points if hull(full ^ 1 << i) != full ^ 1 << i), None)
     rep.flags["strongly_T1"] = Verdict("Yes" if s_t1 is None else "No", witness=s_t1)
-    wh = next(
-        ((x, y) for x, y in combinations(pts, 2)
-         if not separated(singles[x], singles[y])),
-        None,
-    )
+    wh = next(((x, y) for (i, x), (j, y) in combinations(points, 2)
+               if least[i] & least[j]), None)
     rep.flags["weakly_hausdorff"] = Verdict("Yes" if wh is None else "No", witness=wh)
-    wr = next(
-        ((x, F) for x in pts for F in targets
-         if not sx.contains(F, x) and not F.is_empty()
-         and not separated(singles[x], F)),
-        None,
-    )
+    wr = next(((x, as_set(F)) for i, x in points for F in targets
+               if F and not F >> i & 1 and not separated(1 << i, F)), None)
     rep.flags["weakly_regular"] = Verdict("Yes" if wr is None else "No", witness=wr)
-    wn = next(
-        ((F, G) for F in targets for G in targets
-         if sx.intersect(F, G).is_empty() and not F.is_empty()
-         and not G.is_empty() and not separated(F, G)),
-        None,
-    )
+    wn = next(((as_set(F), as_set(G)) for F in targets for G in targets
+               if F and G and not F & G and not separated(F, G)), None)
     rep.flags["weakly_normal"] = Verdict("Yes" if wn is None else "No", witness=wn)
     for strong, weak in (("strongly_hausdorff", "weakly_hausdorff"),
                          ("strongly_regular", "weakly_regular"),

@@ -1,5 +1,6 @@
-"""Every name a gtskit module imports is read somewhere in that module, and
-imports sit at module level except where they close a real cycle."""
+"""Every name a gtskit module imports is read somewhere in that module,
+imports sit at module level except where they close a real cycle, and no
+module imports another module's underscore names."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,23 @@ def test_scanner_counts_imports_in_function_bodies():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_imports_inside_functions_stay_within_budget(path):
     assert imports_in_functions(path.read_text()) <= FUNCTION_IMPORT_BUDGET.get(path.name, 0)
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that ``source`` imports from a gtskit module."""
+    tree = ast.parse(source)
+    return sorted("%s (line %d)" % (a.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").split(".")[0] == "gtskit")
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_scanner_flags_underscore_names_from_gtskit_modules():
+    src = ("from .a import _b, c\nfrom gtskit.d import _e\nfrom os import _exit\n"
+           "from . import _f\nfrom __future__ import annotations\n")
+    assert private_imports(src) == ["_b (line 1)", "_e (line 2)", "_f (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_another_modules_private_names(path):
+    assert private_imports(path.read_text()) == []

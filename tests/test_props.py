@@ -1,4 +1,5 @@
 import pathlib
+import random
 from fractions import Fraction
 from itertools import combinations, product as iproduct
 
@@ -8,7 +9,7 @@ from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 import gtskit.presentation
-from gtskit.constructions import product
+from gtskit.constructions import direct_sum, product, subspace
 from gtskit.dsl import parse_document
 from gtskit.maps import (
     Const,
@@ -28,8 +29,10 @@ from gtskit.presentation import (
     EssFin,
     GtsPresentation,
     enumerate_opens,
+    from_mask,
     from_points,
     generate_finite_gts,
+    is_open,
     points_of,
 )
 from gtskit.props import (
@@ -44,8 +47,9 @@ from gtskit.props import (
 )
 from gtskit import setexpr as sx
 from gtskit.streams import Singletons
+from gtskit.verdict import Verdict
 
-from conftest import mask_space, mask_topologies
+from conftest import mask_space, mask_topologies, small_catalog
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
@@ -108,6 +112,36 @@ def test_separation_matches_oracle_on_all_3_point_topologies():
         assert got == want, [sx.render(S) for S in opens]
 
 
+def mask_oracle_separation(n, T):
+    """The oracle above, on a topology given as bitmasks over n points."""
+    full, opens = (1 << n) - 1, sorted(T)
+    singles = [1 << i for i in range(n)]
+    targets = [full ^ O for O in opens if O != full] + singles
+
+    def sep(A, B):
+        return any(not U & V for U in opens if not A & ~U for V in opens if not B & ~V)
+
+    out = {}
+    out["weakly_T1"] = all(any(O >> x & 1 and not O >> y & 1 for O in opens)
+                           for x in range(n) for y in range(n) if x != y)
+    out["strongly_T1"] = all(full ^ s in T for s in singles)
+    out["weakly_hausdorff"] = all(sep(a, b) for a, b in combinations(singles, 2))
+    out["weakly_regular"] = all(sep(s, F) for s in singles for F in targets if not s & F)
+    out["weakly_normal"] = all(sep(F, G) for F in targets for G in targets if not F & G)
+    for strong in ("hausdorff", "regular", "normal"):
+        out["strongly_" + strong] = out["weakly_" + strong] and out["strongly_T1"]
+    return out
+
+
+def test_separation_matches_oracle_on_all_4_point_topologies():
+    tops = mask_topologies(4)
+    assert len(tops) == 355
+    for T in tops:
+        rep = separation_report(mask_space("p", 4, T))
+        got = {k: rep.flags[k].yes for k in SEPARATION_FLAGS}
+        assert got == mask_oracle_separation(4, T), sorted(T)
+
+
 def test_weakly_discrete_nat_flags():
     rep = separation_report(lib.weakly_discrete_nat())
     assert rep.flags["weakly_T1"].yes
@@ -160,16 +194,106 @@ def test_components_acc_flag():
     assert cr.acc.yes
 
 
-def test_quasi_components_refine_to_components_on_small_examples():
-    for name in ("sierpinski", "discrete_pair", "indiscrete_pair"):
-        X = lib.shipped()[name]
-        comp = {sx.render(p) for p in components(X).parts}
-        quasi = {sx.render(p) for p in quasi_components(X)}
-        assert comp == quasi  # they agree on these finite examples
+def finite_spaces():
+    """The finite spaces of at most 6 points the oracles below judge: every
+    labeled topology on 1-4 points, the finite shipped spaces, binary and
+    three-factor catalog products, direct sums, seeded subspaces and traces
+    of products."""
+    for n in range(1, 5):
+        yield from (mask_space("p", n, T) for T in mask_topologies(n))
+    yield from (X for X in lib.shipped().values() if X.support.is_finite_pointset())
+    two, three = small_catalog("a", 2), small_catalog("b", 3)
+    yield from (product([A, B])[0] for A in two for B in three)
+    pairs = [X for X in small_catalog("c", 2) if len(points_of(X.support)) == 2]
+    yield from (product([A, B, C])[0] for A in pairs for B in pairs
+                for C in small_catalog("d", 1))
+    nine = small_catalog("s", 3)[:9]
+    yield from (direct_sum([A, B]) for A in nine for B in nine)
+    rng = random.Random(15)
+    for _ in range(17):
+        X = mask_space("q", 4, rng.choice(mask_topologies(4)))
+        yield subspace(X, sx.atoms(X.carrier, rng.sample(points_of(X.support),
+                                                         rng.randint(1, 4))))
+    for i, j in ((1, 2), (2, 5), (3, 7)):
+        P = product([two[i], three[j]])[0]
+        picked = points_of(P.support)[::2]
+        yield subspace(P, sx.union_all(P.carrier, [
+            sx.box(sx.atoms(P.carrier.left, [x]), sx.atoms(P.carrier.right, [y]))
+            for x, y in picked]))
+
+
+def oracle_components(X):
+    """The maximal connected subsets, as bitmasks over the points: a subset
+    is connected when no two disjoint, non-empty, relatively open parts
+    cover it.  The opens are every subset is_open accepts."""
+    pts = points_of(X.support)
+    opens = [m for m in range(1 << len(pts)) if is_open(X, from_mask(X.carrier, pts, m))]
+
+    def connected(S):
+        rel = {O & S for O in opens}
+        return not any(P and P != S and S ^ P in rel for P in rel)
+
+    conn = [S for S in range(1, 1 << len(pts)) if connected(S)]
+    return {S for S in conn if not any(S != T and S & T == S for T in conn)}
+
+
+def oracle_quasi_components(X):
+    """The intersections of the clopens around each point, as sets."""
+    pts = points_of(X.support)
+    subsets = [from_mask(X.carrier, pts, m) for m in range(1 << len(pts))]
+    opens = [S for S in subsets if is_open(X, S)]
+    clopen = [O for O in opens if is_open(X, sx.minus(X.support, O))]
+    out = set()
+    for x in pts:
+        qc = X.support
+        for O in clopen:
+            if sx.contains(O, x):
+                qc = sx.intersect(qc, O)
+        out.add(qc)
+    return out
+
+
+def test_components_and_quasi_components_match_brute_force_oracles():
+    spaces = list(finite_spaces())
+    assert len(spaces) == 556
+    for X in spaces:
+        pts = points_of(X.support)
+        assert len(pts) <= 6
+        parts = components(X).parts
+        got = {sum(1 << pts.index(x) for x in points_of(P)) for P in parts}
+        assert got == oracle_components(X), X
+        assert set(quasi_components(X)) == oracle_quasi_components(X), X
+
+
+def test_finite_subspaces_answer_from_their_least_opens():
+    # the parent presentations have infinitely many opens, their traces not
+    three = sx.nat_finite([0, 1, 2])
+    for X in (subspace(lib.rational_interval_line(), sx.union(sx.qpoint(0), sx.qpoint(1))),
+              subspace(lib.discrete_small_nat(), three),
+              subspace(lib.weakly_discrete_nat(), three)):
+        points = tuple(from_points(X.carrier, [x]) for x in points_of(X.support))
+        cr = components(X)
+        assert cr.parts == quasi_components(X) == points
+        assert cr.acc.yes
+        rep = separation_report(X)
+        assert all(rep.flags[k].yes for k in SEPARATION_FLAGS)
+
+
+def test_all_sets_finite_supports_list_no_subsets(monkeypatch):
+    def broken(S):
+        raise AssertionError("listed every subset")
+
+    monkeypatch.setattr(gtskit.presentation, "_enumerate_subsets", broken)
+    X = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite(range(25)))
+    cr = components(X)
+    assert len(cr.parts) == 25
+    assert set(cr.parts) == {sx.nat_finite([i]) for i in range(25)}
+    assert cr.acc.yes
+    flags = separation_report(X).flags
+    assert all(flags[k] == Verdict("Yes") for k in SEPARATION_FLAGS)
 
 
 def test_line_subspace_components_are_intervals():
-    from gtskit.constructions import subspace
     X = lib.rational_interval_line()
     Y = subspace(X, sx.union(sx.interval(0, 1), sx.interval(2, 3)))
     parts = components(Y).parts
