@@ -7,38 +7,37 @@ decision procedures of the family layer.
 
 Each opens description is an ``Opens`` subclass and answers for itself
 the questions below; where it has no procedure, the ``Opens`` default
-raises.  "finite" means only on a finite support.  As a product left
-factor, "listed" takes the union of the listed opens inside a set as its
+raises.  "least open" is ``meets``: for each of finitely many points of
+the support, the points that every open around it holds.  Listing the
+opens of a finite support (the unions of the least opens) and deciding a
+finite trace of a parent without its own procedure (S holds the least open
+of each of its points) read only these.  As a product left factor,
+"listed" takes the union of the listed opens inside a set as its
 interior, where the opens can be listed: on any carrier for ExplicitList,
-on a finite support for products and glues.  A trace answers the
-left-factor and weak-openness questions as AllSets does where its parent's
-singletons are open; otherwise it answers through its listed opens, and
-as open.  "draw" is the open that ``draw`` takes at random for the audit's
-seeded grammar; "random set" is ``setexpr.random_set`` clipped to the
-support.
+on a finite support otherwise.  A trace answers the left-factor and
+weak-openness questions as AllSets does where its parent's singletons are
+open; otherwise it answers through its listed opens, and as open.  "draw"
+is the open that ``draw`` takes at random for the audit's seeded grammar;
+"random set" is ``setexpr.random_set`` clipped to the support.
 
-================  =============  =========  ===========  ==============  ===========  =============
-description       open           enumerate  product      trace           weakly       draw
-                                            left factor  parent          open
-================  =============  =========  ===========  ==============  ===========  =============
-ExplicitList      listed         the list   listed       enumerated      as open      listed
-AllCanonicalOpen  open interval  raises     interior     closure         as open      0-3 intervals
-FiniteOrWhole     finite, whole  raises     containment  finite, window  every set    finite, whole
-AllSets           every set      finite     containment  every set       as open      random set
-ProductOpens      cell test      finite     listed       enumerated      raises       0-2 boxes
-TraceOpens        by parent      traced     see above    flattened       see above    traced
-GluedOpens        every piece    finite     listed       enumerated      every piece  by pieces
-================  =============  =========  ===========  ==============  ===========  =============
+================  =============  ===================  ===========  ===========  =============
+description       open           least open           product      weakly       draw
+                                                      left factor  open
+================  =============  ===================  ===========  ===========  =============
+ExplicitList      listed         meet of the list     listed       as open      listed
+AllCanonicalOpen  open interval  singleton            interior     as open      0-3 intervals
+FiniteOrWhole     finite, whole  singleton            containment  every set    finite, whole
+AllSets           every set      singleton            containment  as open      random set
+ProductOpens      cell test      box                  listed       raises       0-2 boxes
+TraceOpens        by parent      the parent's         see above    see above    traced
+GluedOpens        every piece    closure over pieces  listed       every piece  by pieces
+================  =============  ===================  ===========  ===========  =============
 
 ``non_open_member`` decides the members of a stream on a few stages, as
 members share one shape.  Where the opens are finitely many
 (``finitely_many``: ExplicitList, and traces and glues of such opens) it
 scans the stages instead, until a member is not open or the members have
 covered the stream's union.
-
-On a finite support the opens are fixed by each point's least open, the
-meet of the opens that hold it.  ``least_opens`` gives these as bitmasks;
-the product enumeration and the finite procedures of ``props`` read them.
 
 Each coverage policy is a ``Policy`` subclass and answers for itself too:
 whether a family of opens is admissible (``admits``), whether an infinite
@@ -104,13 +103,22 @@ class Opens:
     def is_open(self, X: "GtsPresentation", S: SetExpr) -> bool:
         raise UnsupportedPresentation("unknown opens description")
 
+    def meets(self, X: "GtsPresentation", pts) -> list[int]:
+        """For each point x of pts, finitely many points of X's support, the
+        bitmask over pts of the points that every open around x holds.  By
+        default the singletons: these opens are T1."""
+        return [1 << k for k in range(len(pts))]
+
     def trace_is_open(self, parent: "GtsPresentation", W: SetExpr, S: SetExpr) -> bool:
-        """Is S the trace on W of some open of parent, whose opens these are?"""
-        try:
-            opens = enumerate_opens(parent)
-        except NonFiniteCarrier:
+        """Is S the trace on W of some open of parent, whose opens these are?
+        On a finite window, iff S holds the least open of each of its points."""
+        window = sx.intersect(W, parent.support)
+        if not window.is_finite_pointset():
             raise UnsupportedPresentation("cannot decide traces of this parent")
-        return any(sx.intersect(O, W) == S for O in opens)
+        pts, held = points_of(window), set(points_of(S))
+        inside = sum(1 << k for k, x in enumerate(pts) if x in held)
+        return all(m | inside == inside for k, m in enumerate(self.meets(parent, pts))
+                   if inside >> k & 1)
 
     def interior_cover(self, P: "GtsPresentation"):
         """The test (C, D): does every point of C have a P-open neighbourhood in D?"""
@@ -125,15 +133,10 @@ class Opens:
             C, sx.union_all(P.carrier, [O for O in opens if sx.is_subset(O, D)]))
 
     def enumerate(self, X: "GtsPresentation"):
-        """Every open of X, in any order."""
-        raise NonFiniteCarrier("presentation has infinitely many opens")
-
-    def finite_opens(self, X: "GtsPresentation"):
-        """Every open of X, whose support is finite, as is_open decides."""
-        subsets = _enumerate_subsets(X.support)
-        if self.singletons_open:
-            return subsets
-        return [S for S in subsets if is_open(X, S)]
+        """Every open of X, in any order: on a finite support, the unions of
+        the least opens."""
+        pts, least = least_opens(X)
+        return [from_mask(X.carrier, pts, m) for m in union_closure(least)]
 
     def weakly_open(self, X: "GtsPresentation", S: SetExpr) -> bool:
         """Is S a union of opens?  Every S is where singletons are open; the
@@ -199,10 +202,14 @@ class ExplicitList(Opens):
     def is_open(self, X, S):
         return S in self.lookup
 
+    def meets(self, X, pts):
+        return _meets(pts, self.sets)
+
+    def trace_is_open(self, parent, W, S):
+        return any(sx.intersect(O, W) == S for O in self.sets)
+
     def enumerate(self, X):
         return self.sets
-
-    finite_opens = enumerate
 
     def draw(self, X, rng):
         return rng.choice(self.sets)
@@ -276,11 +283,6 @@ class AllSets(Opens):
     def trace_is_open(self, parent, W, S):
         return True
 
-    def enumerate(self, X):
-        if not X.support.is_finite_pointset():
-            return super().enumerate(X)
-        return self.finite_opens(X)
-
     def draw(self, X, rng):
         return sx.intersect(sx.random_set(X.carrier, rng), X.support)
 
@@ -306,29 +308,16 @@ class ProductOpens(Opens):
                                            [C2 for C2, F2 in cells if sx.is_subset(F, F2)]))
                    for C, F in cells)
 
-    def enumerate(self, X):
-        """The product opens: every union of boxes U_x x V_y of least factor opens.
-
-        Each box becomes a bitmask over the grid of support points, the
-        masks are closed under union, and each mask becomes a set once.
-        Every open box U x V is the union of the boxes U_x x V_y over its
-        points, and unions of open boxes are exactly the sets is_open
-        accepts, since the factor opens are closed under finite unions and
-        intersections.
-        """
-        if not points_of(X.support):
-            return [sx.empty(X.carrier)]
-        left, right = self.left, self.right
-        left.opens.interior_cover(left)  # raises where is_open would
-        lpts, cols = least_opens(left)
-        rpts, rows = least_opens(right)
-        n = len(rpts)
-        boxes = {sum(v << (i * n) for i in range(len(lpts)) if u >> i & 1)
-                 for u in cols for v in rows}
-        grid = [(x, y) for x in lpts for y in rpts]
-        return [from_mask(X.carrier, grid, m) for m in union_closure(boxes)]
-
-    finite_opens = enumerate
+    def meets(self, X, pts):
+        """The box of the factors' least opens: (u, v) lies below (x, y) iff
+        u lies below x and v lies below y."""
+        below = []
+        for i, F in enumerate((self.left, self.right)):
+            zs = list(dict.fromkeys(p[i] for p in pts))
+            below.append({(zs[j], z) for z, m in zip(zs, F.opens.meets(F, zs))
+                          for j in range(len(zs)) if m >> j & 1})
+        return [sum(1 << k for k, (u, v) in enumerate(pts)
+                    if (u, x) in below[0] and (v, y) in below[1]) for x, y in pts]
 
     def weakly_open(self, X, S):
         raise UnsupportedCarrier("no weak-openness procedure for this presentation")
@@ -373,8 +362,9 @@ class TraceOpens(Opens):
         # a trace of a trace is a trace of the first parent on both windows
         return self.parent.opens.trace_is_open(self.parent, sx.intersect(self.window, W), S)
 
-    def enumerate(self, X):
-        return {sx.intersect(O, self.window) for O in enumerate_opens(self.parent)}
+    def meets(self, X, pts):
+        # the trace's opens around x are the parent's, cut to the window
+        return self.parent.opens.meets(self.parent, pts)
 
     def draw(self, X, rng):
         return sx.intersect(self.parent.opens.draw(self.parent, rng), self.window)
@@ -399,7 +389,19 @@ class GluedOpens(Opens):
     def is_open(self, X, S):
         return all(is_open(P, sx.intersect(S, P.support)) for P in self.pieces)
 
-    enumerate = Opens.finite_opens
+    def meets(self, X, pts):
+        """On a finite support only: the closure of the pieces' least opens,
+        since a set is open iff it is open on every piece."""
+        full = points_of(X.support)
+        bit = {x: 1 << k for k, x in enumerate(full)}
+        least = dict.fromkeys(full, 0)
+        for P in self.pieces:
+            ppts = points_of(P.support)
+            for x, m in zip(ppts, P.opens.meets(P, ppts)):
+                least[x] |= sum(bit[y] for j, y in enumerate(ppts) if m >> j & 1)
+        for z in full:  # Warshall's transitive closure
+            least = {x: m | least[z] if m & bit[z] else m for x, m in least.items()}
+        return [sum(1 << j for j, y in enumerate(pts) if least[x] & bit[y]) for x in pts]
 
     def weakly_open(self, X, S):
         return all(P.opens.weakly_open(P, sx.intersect(S, P.support)) for P in self.pieces)
@@ -595,21 +597,12 @@ def enumerate_opens(X: GtsPresentation) -> list[SetExpr]:
 
 
 def listed_opens(X: GtsPresentation) -> list[SetExpr] | None:
-    """The opens of X, as enumerate_opens gives them, or None where X has
-    infinitely many or its opens description cannot list them."""
+    """The opens of X, as enumerate_opens gives them, or None where X's
+    support is infinite and its opens are not a list."""
     try:
         return enumerate_opens(X)
-    except (NonFiniteCarrier, UnsupportedPresentation):
+    except NonFiniteCarrier:
         return None
-
-
-def _enumerate_subsets(S: SetExpr) -> list[SetExpr]:
-    pts = points_of(S)
-    out = []
-    for k in range(len(pts) + 1):
-        for c in combinations(pts, k):
-            out.append(from_points(S.carrier, c))
-    return out
 
 
 def points_of(S: SetExpr) -> list:
@@ -634,16 +627,15 @@ def least_opens(X: GtsPresentation) -> tuple[list, list[int]]:
     of its least open, the meet of the opens that hold it.  These fix the
     opens: they are the unions of the least opens."""
     pts = points_of(X.support)
-    if X.opens.singletons_open:
-        return pts, [1 << k for k in range(len(pts))]
-    return pts, _meets(pts, X.opens.finite_opens(X))
+    return pts, X.opens.meets(X, pts)
 
 
 def _meets(pts, sets) -> list[int]:
     """For each point, the bitmask of the meet of the sets, and of all pts,
-    that hold it."""
+    that hold it.  A finite set's points are read, the others' tested."""
     bit = {x: 1 << k for k, x in enumerate(pts)}
-    masks = [sum(bit[x] for x in points_of(S)) for S in sets]
+    masks = [sum(bit.get(x, 0) for x in points_of(S)) if S.is_finite_pointset()
+             else sum(b for x, b in bit.items() if sx.contains(S, x)) for S in sets]
     return [reduce(and_, (m for m in masks if m & b), (1 << len(pts)) - 1) for b in bit.values()]
 
 

@@ -128,9 +128,9 @@ def _finite_separation(X, rep):
     is open iff it holds the least open of each of its points, and two sets
     are separated iff the unions of their points' least opens, the least
     opens around them, are disjoint."""
-    if X.opens.singletons_open:  # every set is open
-        return _every_flag("Yes")(rep)
     pts, least = least_opens(X)
+    if all(m == 1 << k for k, m in enumerate(least)):  # every set is open
+        return _every_flag("Yes")(rep)
     points, full = list(enumerate(pts)), (1 << len(pts)) - 1
     as_set = lambda m: from_mask(X.carrier, pts, m)
     hull = lambda A: reduce(or_, (m for k, m in enumerate(least) if A >> k & 1), 0)

@@ -1,13 +1,13 @@
 """Shared strategies for drawing sets, and a catalog of small finite spaces."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
 from gtskit.carriers import FiniteEnum, NatFC, Product, QLine
 from gtskit.constructions import smallify
-from gtskit.presentation import from_points, generate_finite_gts
+from gtskit.presentation import from_points, generate_finite_gts, points_of
 from gtskit import setexpr as sx
 
 rationals = st.fractions(
@@ -128,6 +128,14 @@ def sample_points(*sets):
 
 
 # -- finite spaces as bitmask topologies ----------------------------------
+
+def all_subsets(S):
+    """Every subset of a finite set, smallest first: the brute-force
+    reference that the listings of opens are checked against."""
+    pts = points_of(S)
+    return [from_points(S.carrier, c)
+            for k in range(len(pts) + 1) for c in combinations(pts, k)]
+
 
 def mask_topologies(n):
     """All labeled topologies on {0..n-1} as frozensets of bitmasks."""

@@ -22,12 +22,12 @@ from gtskit.errors import (
 )
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
+import gtskit.presentation
 from gtskit.presentation import (
     All,
     AllSets,
     EssFin,
     GtsPresentation,
-    _enumerate_subsets,
     enumerate_opens,
     is_admissible,
     is_open,
@@ -37,7 +37,7 @@ from gtskit.presentation import (
 from gtskit import setexpr as sx
 from gtskit.streams import ShrinkIntervals
 
-from conftest import small_catalog
+from conftest import all_subsets, small_catalog
 
 
 # -- subspaces ------------------------------------------------------------
@@ -119,8 +119,24 @@ def test_product_opens_are_the_union_closure_of_open_boxes():
                     closure |= {m | b for m in closure}
             assert sorted(grid(O) for O in opens) == sorted(closure)
             if len(apts) * len(bpts) <= 6:
-                brute = [S for S in _enumerate_subsets(P.support) if is_open(P, S)]
+                brute = [S for S in all_subsets(P.support) if is_open(P, S)]
                 assert sorted(brute, key=sx.sort_key) == opens
+
+
+def test_product_enumeration_lists_no_factor(monkeypatch):
+    # the boxes of the factors' least opens are read, never the factors' opens
+    calls = []
+    listed = gtskit.presentation.enumerate_opens
+
+    def counted(X):
+        calls.append(X)
+        return listed(X)
+
+    S = lib.sierpinski()
+    P, _ = product([S, S])
+    monkeypatch.setattr(gtskit.presentation, "enumerate_opens", counted)
+    assert len(listed(P)) == 6
+    assert calls == []
 
 
 def test_product_unit_law():

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -147,6 +148,18 @@ def test_site_on_finite_support_of_the_naturals():
     report, code = cli.run_command("site", ["X"], parse_document(text))
     assert code == 0
     assert report["objects"] == 4
+
+
+def test_site_refuses_more_opens_than_it_can_sieve(tmp_path, capsys):
+    # 32 opens: filtering every subset of the opens below each open for its
+    # sieves would run for hours, so the opens are counted first
+    doc = tmp_path / "x.gts"
+    doc.write_text("space X { carrier nat; opens all-sets; cov all; support {0,1,2,3,4} }\n")
+    start = time.perf_counter()
+    assert cli.main(["site", str(doc), "X"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_command_and_bad_reference():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gtskit.carriers import FiniteEnum, NatFC, QLine
+from gtskit.constructions import subspace
 from gtskit.errors import NonFiniteCarrier, NonOpenMember, UnsupportedPresentation
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
@@ -255,6 +256,13 @@ def test_all_sets_enumerate_on_a_finite_support_of_an_infinite_carrier():
     assert set(components(X).parts) == {sx.nat_finite([x]) for x in (0, 1, 2)}
     with pytest.raises(NonFiniteCarrier):
         enumerate_opens(lib.discrete_small_nat())
+
+
+def test_finite_trace_of_the_line_lists_its_opens():
+    # the parent has infinitely many opens; the trace is read off its least opens
+    X = subspace(lib.rational_interval_line(), sx.union(sx.qpoint(0), sx.qpoint(1)))
+    assert [sx.render(S) for S in enumerate_opens(X)] == \
+        ["[0,0]", "[0,0] u [1,1]", "[1,1]", "empty"]
 
 
 def test_generated_space_families_all_admissible():

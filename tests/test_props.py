@@ -1,7 +1,9 @@
 import pathlib
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product as iproduct
+from operator import and_
 
 import pytest
 
@@ -9,7 +11,7 @@ from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 import gtskit.presentation
-from gtskit.constructions import direct_sum, product, subspace
+from gtskit.constructions import direct_sum, glue, product, subspace
 from gtskit.dsl import parse_document
 from gtskit.maps import (
     Const,
@@ -27,12 +29,15 @@ from gtskit.presentation import (
     All,
     AllSets,
     EssFin,
+    ExplicitList,
     GtsPresentation,
+    TraceOpens,
     enumerate_opens,
     from_mask,
     from_points,
     generate_finite_gts,
     is_open,
+    least_opens,
     points_of,
 )
 from gtskit.props import (
@@ -49,7 +54,7 @@ from gtskit import setexpr as sx
 from gtskit.streams import Singletons
 from gtskit.verdict import Verdict
 
-from conftest import mask_space, mask_topologies, small_catalog
+from conftest import all_subsets, mask_space, mask_topologies, small_catalog
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "corpus"
 
@@ -265,6 +270,63 @@ def test_components_and_quasi_components_match_brute_force_oracles():
         assert set(quasi_components(X)) == oracle_quasi_components(X), X
 
 
+def brute_opens(X):
+    """The opens of a finite presentation: the subsets is_open accepts; for a
+    trace, the traces of its parent's brute-force opens, or, where the parent
+    has infinitely many, of its known opens: every set for a T1 parent (the
+    line, all-sets and finite-or-whole opens), the list for listed opens."""
+    op = X.opens
+    if not isinstance(op, TraceOpens):
+        return {S for S in all_subsets(X.support) if is_open(X, S)}
+    P = op.parent
+    if P.support.is_finite_pointset():
+        opens = brute_opens(P)
+    elif isinstance(P.opens, ExplicitList):
+        opens = P.opens.sets
+    else:
+        return set(all_subsets(X.support))
+    return {sx.intersect(O, X.support) for O in opens}
+
+
+def listed_line():
+    """Listed opens on the line that are not T1: a point, intervals around it."""
+    q = QLine()
+    zero, unit = sx.qpoint(0), sx.interval(0, 1)
+    return GtsPresentation(q, ExplicitList((
+        sx.empty(q), zero, unit, sx.union(zero, unit), sx.interval(-1, 2), sx.whole(q))),
+        EssFin(), name="listed_line")
+
+
+def test_least_opens_and_listing_match_brute_force_opens():
+    # about 2 s: the 556 finite spaces, three glues with overlaps, and traces
+    # on 2 to 5 points of two T1 spaces of the naturals, the line and listed
+    # opens on the line
+    rng = random.Random(16)
+    line = [Fraction(k, 2) for k in range(-4, 5)]
+    traces = []
+    for parent, pts in ((lib.rational_interval_line(), line), (listed_line(), line),
+                        (lib.discrete_small_nat(), range(9)),
+                        (lib.weakly_discrete_nat(), range(9))):
+        for n in (2, 3, 4, 5):
+            picked = rng.sample(list(pts), n)
+            points = sx.union_all(parent.carrier, [from_points(parent.carrier, [x])
+                                                   for x in picked])
+            traces.append(subspace(parent, points))
+    c = FiniteEnum(("a", "b", "c", "d"))
+    A = generate_finite_gts(c, [sx.atoms(c, s) for s in ("b", "ab", "bc")])
+    glues = [glue([subspace(A, sx.atoms(c, s)) for s in pieces])
+             for pieces in (("ab", "bc"), ("abc", "bd"), ("ab", "b", "bcd"))]
+    for X in list(finite_spaces()) + traces + glues:
+        brute = sorted(brute_opens(X), key=sx.sort_key)
+        assert enumerate_opens(X) == brute, X
+        if isinstance(X.opens, TraceOpens):
+            assert {S for S in all_subsets(X.support) if is_open(X, S)} == set(brute), X
+        pts, least = least_opens(X)
+        masks = [sum(1 << k for k, x in enumerate(pts) if sx.contains(O, x)) for O in brute]
+        meets = [reduce(and_, (m for m in masks if m >> k & 1)) for k in range(len(pts))]
+        assert least == meets, X
+
+
 def test_finite_subspaces_answer_from_their_least_opens():
     # the parent presentations have infinitely many opens, their traces not
     three = sx.nat_finite([0, 1, 2])
@@ -279,18 +341,51 @@ def test_finite_subspaces_answer_from_their_least_opens():
         assert all(rep.flags[k].yes for k in SEPARATION_FLAGS)
 
 
-def test_all_sets_finite_supports_list_no_subsets(monkeypatch):
-    def broken(S):
-        raise AssertionError("listed every subset")
+def _no_union_closure(monkeypatch):
+    """Make the listing of unions of least opens raise, where presentation
+    and props bind it."""
+    def broken(masks):
+        raise AssertionError("listed the opens")
 
-    monkeypatch.setattr(gtskit.presentation, "_enumerate_subsets", broken)
-    X = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite(range(25)))
-    cr = components(X)
-    assert len(cr.parts) == 25
-    assert set(cr.parts) == {sx.nat_finite([i]) for i in range(25)}
-    assert cr.acc.yes
-    flags = separation_report(X).flags
-    assert all(flags[k] == Verdict("Yes") for k in SEPARATION_FLAGS)
+    for module in (gtskit.presentation, gtskit.props):
+        monkeypatch.setattr(module, "union_closure", broken)
+
+
+def test_all_sets_finite_supports_list_no_subsets(monkeypatch):
+    # 2**24 or 2**25 opens each: only the least opens are read
+    nat = NatFC()
+    halves = [GtsPresentation(nat, AllSets(), EssFin(), sx.nat_finite(range(i, i + 12)))
+              for i in (0, 12)]
+    five = GtsPresentation(nat, AllSets(), EssFin(), sx.nat_finite(range(5)))
+    spaces = [GtsPresentation(nat, AllSets(), EssFin(), sx.nat_finite(range(25))),
+              direct_sum(halves),
+              subspace(lib.discrete_small_nat(), sx.nat_finite(range(25))),
+              product([five, five])[0]]
+    _no_union_closure(monkeypatch)
+    for X in spaces:
+        points = {from_points(X.carrier, [x]) for x in points_of(X.support)}
+        assert len(points) >= 24
+        cr = components(X)
+        assert set(cr.parts) == set(quasi_components(X)) == points
+        assert cr.acc.yes
+        flags = separation_report(X).flags
+        assert all(flags[k] == Verdict("Yes") for k in SEPARATION_FLAGS)
+
+
+def test_discrete_constructions_separate_as_the_oracle_without_listing(monkeypatch):
+    # a sum, a trace and a product of discrete spaces are discrete: the flags
+    # are read off the least opens, not off every open
+    nat = NatFC()
+    A = GtsPresentation(nat, AllSets(), EssFin(), sx.nat_finite(range(2)))
+    B = GtsPresentation(nat, AllSets(), EssFin(), sx.nat_finite(range(2, 4)))
+    spaces = [direct_sum([A, B]),
+              subspace(lib.discrete_small_nat(), sx.nat_finite(range(4))),
+              product([lib.discrete_pair(), lib.discrete_small_pair()])[0]]
+    assert all(all(oracle_separation(X).values()) for X in spaces)
+    _no_union_closure(monkeypatch)
+    for X in spaces:
+        flags = separation_report(X).flags
+        assert all(flags[k] == Verdict("Yes") for k in SEPARATION_FLAGS), X
 
 
 def test_line_subspace_components_are_intervals():

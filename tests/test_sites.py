@@ -1,9 +1,10 @@
 import pytest
 
-from gtskit.carriers import FiniteEnum
-from gtskit.errors import NonFiniteCarrier, NonPosetCategory
+from gtskit.carriers import FiniteEnum, NatFC
+from gtskit.constructions import subspace
+from gtskit.errors import NonFiniteCarrier, NonPosetCategory, PreconditionUnmet
 from gtskit import library as lib
-from gtskit.presentation import All, ExplicitList, GtsPresentation
+from gtskit.presentation import All, AllSets, ExplicitList, GtsPresentation
 from gtskit import setexpr as sx
 from gtskit.sites import (
     FiniteCategory,
@@ -148,6 +149,23 @@ def test_gts_to_site_object_counts():
 def test_gts_to_site_rejects_infinite_carriers():
     with pytest.raises(NonFiniteCarrier):
         gts_to_site(lib.discrete_small_nat())
+
+
+def test_gts_to_site_of_a_finite_trace_of_the_line():
+    # the line has infinitely many opens, its two-point trace four
+    X = subspace(lib.rational_interval_line(), sx.union(sx.qpoint(0), sx.qpoint(1)))
+    assert len(gts_to_site(X).category.objects) == 4
+
+
+def test_gts_to_site_counts_the_opens_before_building_anything():
+    # at most 16 opens: 2**4 build, 2**5 and 2**25 are refused, the count
+    # stopping just past the bound
+    four = GtsPresentation(NatFC(), AllSets(), All(), sx.nat_finite(range(4)))
+    assert len(gts_to_site(four).category.objects) == 16
+    for n in (5, 25):
+        X = GtsPresentation(NatFC(), AllSets(), All(), sx.nat_finite(range(n)))
+        with pytest.raises(PreconditionUnmet):
+            gts_to_site(X)
 
 
 # -- sheaves --------------------------------------------------------------
