@@ -11,18 +11,22 @@ this module draws the streams and the families, of at most 6 finite
 members and 2 streams.  Presentations with at most 8 opens are checked
 exhaustively, on bitmasks: a set is the mask of the cells it holds (the
 support's points when the support is finite, else the pieces the opens cut
-it into), and a stream-free family of opens is admissible exactly when
-every member is open, since its finite part covers its union under every
-policy.
+it into), a stream-free family of opens is admissible exactly when every
+member is open, since its finite part covers its union under every policy,
+and each axiom's passes are counted from the masks.  A list of opens counts
+as listed, one that skipped validation too; on a finite support other opens
+are counted as the unions of least opens grow, and past 8 drawn at random.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from .carriers import NatFC, QLine
+from .errors import NonFiniteCarrier
 from .families import (
     FamilyExpr,
     clip_family,
@@ -33,11 +37,13 @@ from .families import (
 )
 from .presentation import (
     GtsPresentation,
+    enumerate_opens,
     from_points,
     is_admissible,
     is_open,
-    listed_opens,
+    least_opens,
     points_of,
+    unions_up_to,
 )
 from . import setexpr as sx
 from .setexpr import SetExpr
@@ -79,13 +85,15 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, axiom: str, ok: bool, description: str = "", raw: tuple = ()):
-        self.used += 1
-        if ok:
-            self.pass_counts[axiom] += 1
-        else:
-            witness = tuple(show(p) for p in raw)
-            self.violations.append(Violation(axiom, description, witness, raw))
+    def record(self, axiom: str, ok: bool, description: str, raw: tuple):
+        self.tally(axiom, 1, description, [] if ok else [raw])
+
+    def tally(self, axiom: str, instances: int, description: str, failed: list):
+        """Count instances of axiom at once; those failed, given by their parts, are violations."""
+        self.used += instances
+        self.pass_counts[axiom] += instances - len(failed)
+        self.violations += [Violation(axiom, description, tuple(map(show, raw)), raw)
+                            for raw in failed]
 
 
 # -- seeded instance grammar ----------------------------------------------
@@ -232,14 +240,15 @@ def audit_axioms(X: GtsPresentation, budget: int = 1000, seed: int = 0) -> Audit
 
 
 def _few_opens(X: GtsPresentation):
-    """X's opens if it has at most 8 of them, else None."""
-    # singletons open on a finite support of n points: all 2**n subsets are
-    # open, so count them before listing them
-    if X.opens.singletons_open and X.support.is_finite_pointset() \
-            and len(points_of(X.support)) > 3:
+    """X's opens if it has at most 8 of them, else None; see the module docstring."""
+    if X.support.is_finite_pointset() and not X.opens.finitely_many \
+            and unions_up_to(least_opens(X)[1], 8) is None:
         return None
-    opens = listed_opens(X)
-    return opens if opens is not None and len(opens) <= 8 else None
+    try:
+        opens = enumerate_opens(X)
+    except NonFiniteCarrier:
+        return None
+    return opens if len(opens) <= 8 else None
 
 
 def _cells(X: GtsPresentation, opens) -> list[SetExpr]:
@@ -263,78 +272,47 @@ def _cells(X: GtsPresentation, opens) -> list[SetExpr]:
 
 
 def _bits(m: int) -> list[int]:
-    return [i for i in range(m.bit_length()) if m >> i & 1]
+    return [i for i, b in enumerate(bin(m)[:1:-1]) if b == "1"]
+
+
+def _mask(flags) -> int:
+    """The bitmask of the true flags' positions, in time linear in their number."""
+    return int("".join("01"[bool(b)] for b in flags)[::-1] or "0", 2)
 
 
 def _audit_exhaustive(X: GtsPresentation, opens, rep: AuditReport):
     """Every instance of the axioms over the listed opens, on bitmasks.
 
-    A set is the mask of the cells it holds, and a family of opens the mask
-    of the indices of its members in the list.  A stream-free family is
-    admissible exactly when every member is open; witnesses are built from
-    the masks only for the checks that fail, and replay through HOLDS.
+    A family of opens is the mask of its members' indices in the list.  Only
+    the instances that fail are built, in the order they are listed, and they
+    replay through HOLDS; the passes are counted.
     """
     c = X.carrier
     cells = _cells(X, opens)
     om = [sum(1 << i for i, C in enumerate(cells) if not sx.intersect(C, O).is_empty())
           for O in opens]
-    memo = {}
 
     def decode(m: int) -> SetExpr:
         return sx.union_all(c, [cells[i] for i in _bits(m)])
 
+    @cache
     def open_mask(m: int) -> bool:
-        if m not in memo:
-            memo[m] = is_open(X, decode(m))
-        return memo[m]
+        return is_open(X, decode(m))
 
     def fam(f: int) -> FamilyExpr:
         return FamilyExpr(c, tuple(opens[i] for i in _bits(f)))
 
-    def check(axiom, ok, description, witness):
-        rep.record(axiom, ok, description, () if ok else witness())
-
     idx = range(len(opens))
-    for i, j in combinations(idx, 2):
-        check("binary_ops_open", open_mask(om[i] | om[j]) and open_mask(om[i] & om[j]),
-              "union or intersection not open", lambda: (opens[i], opens[j]))
+    pairs = list(combinations(idx, 2))
+    rep.tally("binary_ops_open", len(pairs), "union or intersection not open",
+              [(opens[i], opens[j]) for i, j in pairs
+               if not (open_mask(om[i] | om[j]) and open_mask(om[i] & om[j]))])
     families = [sum(1 << i for i in ix)
                 for k in range(1, min(len(opens), 4) + 1) for ix in combinations(idx, k)]
     members_open = sum(1 << i for i in idx if open_mask(om[i]))
     admissible = [f for f in families if not f & ~members_open]
-    for f in families:
-        check("finite_families_admissible", not f & ~members_open,
-              "finite open family not admissible", lambda: (fam(f),))
-    # refines(F, G) for families with one union: each member of F lies in a
-    # member of G, i.e. F's indices lie in the opens below some member of G
-    below = [sum(1 << j for j in idx if not om[j] & ~om[i]) for i in idx]
-    union, down, by_union = {}, {}, {}
-    for f in families:
-        u = d = 0
-        for i in _bits(f):
-            u |= om[i]
-            d |= below[i]
-        union[f], down[f] = u, d
-        by_union.setdefault(u, []).append(f)
-    # clipped[j]: the members whose trace on the j-th open is open
-    clipped = [sum(1 << i for i in idx if open_mask(om[i] & om[j])) for j in idx]
-    for f in admissible:
-        check("admissible_union_open", open_mask(union[f]),
-              "union of admissible family not open", lambda: (fam(f),))
-        for j in idx:
-            check("stability", not f & ~clipped[j],
-                  "clipped family not admissible", lambda: (fam(f), opens[j]))
-        for g in by_union[union[f]]:
-            if not f & ~down[g]:
-                check("saturation", not g & ~members_open,
-                      "coarsening not admissible", lambda: (fam(f), fam(g)))
-    covered = {union[g] for g in admissible}
-    # transitivity: where every member has an admissible cover, the union of
-    # the covers has only open members, so it is admissible
-    has_cover = sum(1 << i for i in idx if om[i] in covered)
-    for f in admissible:
-        if not f & ~has_cover:
-            rep.record("transitivity", True)
+    rep.tally("finite_families_admissible", len(families), "finite open family not admissible",
+              [(fam(f),) for f in families if f & ~members_open])
     # regularity: all subsets W of the support when enumerable, else
     # weakly open candidates built from the opens
     if X.support.is_finite_pointset():
@@ -344,12 +322,39 @@ def _audit_exhaustive(X: GtsPresentation, opens, rep: AuditReport):
     else:
         subsets = [om[i] | om[j] for i, j in combinations(idx, 2)]
     listed = set(om)
-    traces = [sum(1 << i for i in idx if w & om[i] in listed) for w in subsets]
+    # masks over the positions in subsets: traces[i] of the W with an open
+    # trace on the i-th open, inside[f] on all of f's, open_meet[u] on union u
+    traces = [_mask(w & om[i] in listed for w in subsets) for i in idx]
+    # refines(F, G) for one union: F's indices, or its down set, lie in the
+    # opens below G's members.  union, down and inside extend f & (f - 1)'s.
+    below = [sum(1 << j for j in idx if not om[j] & ~om[i]) for i in idx]
+    union, down, inside, by_union = {0: 0}, {0: 0}, {0: (1 << len(subsets)) - 1}, {}
+    for f in families:
+        rest, i = f & (f - 1), (f & -f).bit_length() - 1
+        union[f], down[f] = union[rest] | om[i], down[rest] | below[i]
+        inside[f] = inside[rest] & traces[i]
+        by_union.setdefault(union[f], []).append(f)
+    # clipped[j]: the members whose trace on the j-th open is open
+    clipped = [sum(1 << i for i in idx if open_mask(om[i] & om[j])) for j in idx]
+    coarser = {d: [g for g in by_union[u] if not d & ~down[g]]
+               for d, u in {down[f]: union[f] for f in admissible}.items()}
+    spoilt = {d: [g for g in gs if g & ~members_open] for d, gs in coarser.items()}
     for f in admissible:
-        for w, t in zip(subsets, traces):
-            if not f & ~t:
-                check("regularity", w & union[f] in listed,
-                      "regular subset not open", lambda: (fam(f), decode(w)))
+        rep.tally("admissible_union_open", 1, "union of admissible family not open",
+                  [] if open_mask(union[f]) else [(fam(f),)])
+        rep.tally("stability", len(opens), "clipped family not admissible",
+                  [(fam(f), opens[j]) for j in idx if f & ~clipped[j]])
+        rep.tally("saturation", len(coarser[down[f]]), "coarsening not admissible",
+                  [(fam(f), fam(g)) for g in spoilt[down[f]]])
+    covered = {union[g] for g in admissible}
+    # transitivity: where every member has an admissible cover, the union of
+    # the covers has only open members, so it is admissible
+    has_cover = sum(1 << i for i in idx if om[i] in covered)
+    rep.tally("transitivity", sum(not f & ~has_cover for f in admissible), "", [])
+    open_meet = {u: _mask(w & u in listed for w in subsets) for u in set(union.values())}
+    for f in admissible:
+        rep.tally("regularity", inside[f].bit_count(), "regular subset not open",
+                  [(fam(f), decode(subsets[s])) for s in _bits(inside[f] & ~open_meet[union[f]])])
 
 
 def recheck(X: GtsPresentation, v: Violation) -> bool:

@@ -660,9 +660,16 @@ def generate_finite_gts(carrier: FiniteEnum, subbasis) -> GtsPresentation:
 
 def union_closure(masks) -> set[int]:
     """Every union of the given bitmasks, the empty union 0 included."""
+    return unions_up_to(masks, float("inf"))
+
+
+def unions_up_to(masks, most) -> set[int] | None:
+    """union_closure(masks), counted as it grows: None past most unions."""
     out = {0}
     for b in masks:
         out |= {m | b for m in out}
+        if len(out) > most:
+            return None
     return out
 
 

@@ -7,7 +7,7 @@ from itertools import combinations, product as iproduct
 
 from .errors import NonFiniteCarrier, NonPosetCategory, PreconditionUnmet
 from .layers import LayerReport
-from .presentation import GtsPresentation, from_mask, least_opens, points_of
+from .presentation import GtsPresentation, from_mask, least_opens, points_of, unions_up_to
 from . import setexpr as sx
 from .verdict import Verdict
 
@@ -406,11 +406,9 @@ def gts_to_site(X: GtsPresentation) -> Site:
     if not X.support.is_finite_pointset():
         raise NonFiniteCarrier("sites are built from finite presentations")
     pts, least = least_opens(X)
-    masks = {0}
-    for b in least:  # the unions of the least opens, counted as they grow
-        masks |= {m | b for m in masks}
-        if len(masks) > _MAX_OPENS:
-            raise PreconditionUnmet("sites are built from at most %d opens" % _MAX_OPENS)
+    masks = unions_up_to(least, _MAX_OPENS)
+    if masks is None:
+        raise PreconditionUnmet("sites are built from at most %d opens" % _MAX_OPENS)
     opens = sorted((from_mask(X.carrier, pts, m) for m in masks), key=sx.sort_key)
     names = {sx.render(S): S for S in opens}
     C = poset_category(

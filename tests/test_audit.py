@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from gtskit import audit
 from gtskit.audit import (
     AXIOMS,
+    AuditReport,
     audit_axioms,
     random_admissible_family,
     recheck,
 )
 from gtskit.carriers import FiniteEnum, NatFC
-from gtskit.constructions import product
+from gtskit.constructions import direct_sum, product, subspace
 from gtskit.dsl import parse_document
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
@@ -20,10 +22,13 @@ from gtskit.presentation import (
     EssFin,
     ExplicitList,
     GtsPresentation,
+    Opens,
     is_admissible,
     is_open,
 )
 from gtskit import setexpr as sx
+
+from conftest import mask_space, mask_topologies
 
 
 def test_shipped_presentations_audit_clean():
@@ -89,14 +94,43 @@ def test_proper_support_audits_clean():
 
 
 def test_large_all_sets_support_audits_at_random_without_listing_opens(monkeypatch):
-    """2**25 subsets are open here; the audit counts them, not lists them."""
-    def refuse(self, X):
+    """2**25, 2**20 and 2**15 subsets are open here; the audit counts the
+    unions of the least opens just past 8, and lists none of them."""
+    def refuse(*args):
         raise AssertionError("listed the opens")
-    monkeypatch.setattr(AllSets, "enumerate", refuse)
-    X = GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite(range(25)))
-    rep = audit_axioms(X, budget=60, seed=1)
-    assert not rep.exhaustive and rep.used == 60
-    assert rep.ok(), rep.violations[:1]
+    monkeypatch.setattr(Opens, "enumerate", refuse)
+    monkeypatch.setattr(audit, "enumerate_opens", refuse)
+
+    def trace(lo, n):
+        return subspace(lib.discrete_small_nat(), sx.nat_finite(range(lo, lo + n)))
+    spaces = [GtsPresentation(NatFC(), AllSets(), EssFin(), sx.nat_finite(range(25))),
+              direct_sum([trace(0, 10), trace(10, 10)]),
+              product([trace(0, 5), trace(0, 3)])[0]]
+    for X in spaces:
+        rep = audit_axioms(X, budget=60, seed=1)
+        assert not rep.exhaustive and rep.used == 60, X
+        assert rep.ok(), rep.violations[:1]
+
+
+def test_exhaustive_audit_records_only_failures(monkeypatch):
+    """Passes are counted in bulk: a clean exhaustive audit records one
+    instance, the empty and whole sets, and counts the rest."""
+    recorded = []
+    record = AuditReport.record
+
+    def counted(self, axiom, *args):
+        recorded.append(axiom)
+        return record(self, axiom, *args)
+    monkeypatch.setattr(AuditReport, "record", counted)
+    for n in range(5):
+        for k, T in enumerate(mask_topologies(n)):
+            if len(T) > 8:
+                continue
+            recorded.clear()
+            rep = audit_axioms(mask_space("p", n, T), budget=60, seed=k)
+            assert rep.exhaustive and rep.ok(), T
+            assert recorded == ["empty_whole_open"], T
+            assert rep.used == sum(rep.pass_counts.values()) > 1, T
 
 
 def test_random_admissible_family_is_admissible():

@@ -122,6 +122,7 @@ def test_exhaustive_audits_match_fixture():
     for key, X, budget, seed in cases():
         rep = audit_axioms(X, budget=budget, seed=seed)
         assert summary(rep) == fixture[key], key
+        assert rep.used == sum(rep.pass_counts.values()) + len(rep.violations), key
         for v in rep.violations:
             assert recheck(X, v), (key, v)
         seen.append(key)

@@ -1,15 +1,17 @@
 """Compare two source trees on the perfbench workloads and write a BENCH file.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_<n>.json \\
         --pairs finite-exhaustive=10 --pairs product-laws=6 --first-seed 101
 
-Each tree is a full checkout (make one with ``git archive``).  For each
-workload the script runs ``perfbench/run.py --trace 0`` on the two trees in
-alternating order, one pair per seed, then one traced run (``--trace 1
---seed 1``) on each tree.  Runs already in the output file are kept, so
-the pairs of a second call (with other seeds) add to them.  The file holds
-every run, and per gated metric the median and quartiles of each side, the
-pairs the change won, and a verdict:
+Each of --parent and --change is a full checkout's directory, or else a git
+revision of this repository, which the script unpacks with ``git archive``
+into a temporary directory and removes at the end.  For each workload the
+script runs ``perfbench/run.py --trace 0`` on the two trees in alternating
+order, one pair per seed, then one traced run (``--trace 1 --seed 1``) on
+each tree.  Runs already in the output file are kept, so the pairs of a
+second call (with other seeds) add to them.  The file holds every run, and
+per gated metric the median and quartiles of each side, the pairs the
+change won, and a verdict:
 
 * ``better`` -- the change won at least nine tenths of the pairs and its
   median beats the parent's by more than the parent's interquartile range;
@@ -24,12 +26,14 @@ in each one that moved.  The benchmark itself is read, never changed.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACE_SEED = 1
@@ -43,6 +47,18 @@ def run(tree, workload, seed, seconds, trace):
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def source_tree(spec, stack):
+    """spec where it is a directory, else revision spec of this repository
+    unpacked into a temporary directory that stack removes."""
+    if os.path.isdir(spec):
+        return spec
+    tree = stack.enter_context(tempfile.TemporaryDirectory(prefix="bench-tree-"))
+    archive = subprocess.run(["git", "-C", ROOT, "archive", spec],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
+    return tree
 
 
 def quartiles(xs):
@@ -79,16 +95,24 @@ def judge(gate, parent, change):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", required=True)
-    ap.add_argument("--change", required=True)
+    ap.add_argument("--parent", required=True,
+                    help="a checkout's directory, or a git revision to unpack")
+    ap.add_argument("--change", required=True,
+                    help="a checkout's directory, or a git revision to unpack")
     ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", action="append", required=True,
                     help="WORKLOAD=N, once per workload")
     ap.add_argument("--first-seed", type=int, required=True)
     args = ap.parse_args()
+    with contextlib.ExitStack() as stack:
+        trees = {"parent": source_tree(args.parent, stack),
+                 "change": source_tree(args.change, stack)}
+        return compare(args, trees)
+
+
+def compare(args, trees):
     bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     seconds = bench["run_seconds"]
-    trees = {"parent": args.parent, "change": args.change}
     out = {"command": "perfbench/run.py --seconds %s" % seconds,
            "python": sys.version.split()[0],
            "machine": "%s, %d CPUs" % (platform.machine(), os.cpu_count()),
