@@ -3,6 +3,12 @@
 Rationals are written p/q, infinities -inf and +inf.  The grammar is
 published in docs/grammar.md; rendering is canonical so documents round
 trip through parse and emit.
+
+Each word that starts a carrier, an opens description, a stream, a map
+rule or a declaration is one entry of its shape's table: the class the
+word builds, the reader of the text after the word and the writer of that
+text.  The parser expects the words of a table, in the table's order, and
+the emitter looks an object's class up.
 """
 
 from __future__ import annotations
@@ -173,14 +179,6 @@ def _until(cur: _Cursor, item, close: str, *args) -> list:
     return items
 
 
-def _parse_int_arg(cur: _Cursor) -> int:
-    """( int )"""
-    cur.expect("(")
-    n = int(cur.expect_kind("int").text)
-    cur.expect(")")
-    return n
-
-
 # -- documents ------------------------------------------------------------
 
 @dataclass
@@ -196,7 +194,7 @@ class Document:
     annotations: dict = field(default_factory=dict)  # name -> space annotation
 
     def lookup(self, name: str):
-        for kind, _ in _DECLARATIONS.values():
+        for kind, _, _ in _DECLARATIONS.values():
             table = getattr(self, kind)
             if name in table:
                 return kind, table[name]
@@ -210,7 +208,7 @@ class Document:
         return table[name]
 
     def _declare(self, kind: str, name: str, value):
-        for table, _ in _DECLARATIONS.values():
+        for table, _, _ in _DECLARATIONS.values():
             if name in getattr(self, table):
                 raise ValidationError("duplicate name: " + name)
         getattr(self, kind)[name] = value
@@ -225,15 +223,20 @@ def parse_document(text: str) -> Document:
     cur = _Cursor(_tokenize(text))
     doc = Document()
     while cur.tok.kind != "end":
-        t = cur.expect(*_KEYWORDS)
+        t = cur.expect(*_DECLARATIONS)
+        kind, read, _ = _DECLARATIONS[t.text]
         try:
-            _DECLARATIONS[t.text][1](cur, doc)
+            name = cur.expect_kind("name").text
+            obj, annotation = read(cur, doc, name)
+            doc._declare(kind, name, obj)
         except _PositionedError as e:
             if e.line:
                 raise
             raise type(e)(str(e), t.line, t.col) from None
         except ValueError as e:
             raise ValidationError(str(e), t.line, t.col) from None
+        if annotation is not None:
+            doc.annotations[name] = annotation
     return doc
 
 
@@ -294,19 +297,14 @@ class _SetAst:
 
 def _parse_set_literal(cur: _Cursor) -> _SetAst:
     t = cur.tok
-    if t.text == "empty":
-        cur.next()
-        return _SetAst("empty")
-    if t.text == "whole":
-        cur.next()
-        return _SetAst("whole")
-    if t.text == "co" or t.text == "{":
-        co = t.text == "co"
-        if co:
+    if t.text in ("empty", "whole"):
+        return _SetAst(cur.next().text)
+    if t.text in ("co", "{"):
+        if t.text == "co":
             cur.next()
         cur.expect("{")
         parts = _until(cur, _parse_element, "}")
-        return _SetAst("cobrace" if co else "brace", tuple(parts))
+        return _SetAst("cobrace" if t.text == "co" else "brace", tuple(parts))
     if t.text in ("(", "["):
         return _SetAst("intervals", tuple(_separated(cur, _parse_interval, "u")))
     raise _unexpected(t, "set literal")
@@ -333,24 +331,213 @@ def _parse_set_in(cur: _Cursor, carrier) -> SetExpr:
     return _parse_set_literal(cur).build(carrier)
 
 
+# -- words ----------------------------------------------------------------
+
+# A table maps a word to (class, reader, writer).  A reader takes the
+# cursor, the word's token and the shape's context, and returns the class's
+# arguments; a writer takes an instance.
+
+def _parse_word(cur: _Cursor, table: dict, *context):
+    """A word of table and the text after it, as the object they describe."""
+    t = cur.expect(*table)
+    cls, read, _ = table[t.text]
+    return cls(*read(cur, t, *context))
+
+
+def _emit(obj) -> str:
+    """obj's word and the text after it."""
+    if type(obj) not in _WRITERS:
+        raise ValidationError("%s has no textual form" % type(obj).__name__)
+    word, write = _WRITERS[type(obj)]
+    return word + write(obj)
+
+
+def _nothing(cur: _Cursor, t: Token, *context) -> tuple:
+    return ()
+
+
+def _blank(obj) -> str:
+    return ""
+
+
+def _read_int_arg(cur: _Cursor, t: Token) -> tuple:
+    """( int )"""
+    cur.expect("(")
+    n = int(cur.expect_kind("int").text)
+    cur.expect(")")
+    return (n,)
+
+
+# -- carriers, opens and policies -----------------------------------------
+
+def _read_enum(cur: _Cursor, t: Token) -> tuple:
+    """( name (, name)* )"""
+    cur.expect("(")
+    atoms = _separated(cur, _Cursor.expect_kind, ",", "name")
+    cur.expect(")")
+    return (tuple(a.text for a in atoms),)
+
+
+_CARRIERS = {
+    "qline": (QLine, _nothing, _blank),
+    "nat": (NatFC, _nothing, _blank),
+    "enum": (FiniteEnum, _read_enum, lambda c: "(%s)" % ",".join(c.elements)),
+}
+
+
+def _read_explicit(cur: _Cursor, t: Token, carrier) -> tuple:
+    """{ setlit (, setlit)* }, each set on carrier"""
+    cur.expect("{")
+    sets = _separated(cur, _parse_set_in, ",", carrier)
+    cur.expect("}")
+    return (tuple(sets),)
+
+
+_OPENS = {
+    "canonical-open": (AllCanonicalOpen, _nothing, _blank),
+    "all-sets": (AllSets, _nothing, _blank),
+    "finite-or-whole": (FiniteOrWhole, _nothing, _blank),
+    "explicit": (ExplicitList, _read_explicit,
+                 lambda op: " { %s }" % ", ".join(sx.render(S) for S in op.sets)),
+}
+
+# the policies written as one word, both ways, and those that name a
+# declaration: the policy and the keyword of what it names
+_POLICIES = {"essfin": EssFin(), "all": All(), "esscountable": EssCountable()}
+_POLICY_REFS = {"locally": (LocallyEssFin, "family"), "piecewise": (PiecewiseEssFin, "exhaustion")}
+
+
+def _parse_policy(cur: _Cursor, doc: Document):
+    """The policy, and (word, name) where it names a declaration, else None."""
+    t = cur.expect(*_POLICIES, *_POLICY_REFS)
+    if t.text in _POLICIES:
+        return _POLICIES[t.text], None
+    cur.expect("(")
+    ref = cur.expect_kind("name").text
+    cur.expect(")")
+    policy, keyword = _POLICY_REFS[t.text]
+    return policy(doc._ref(keyword, ref)), (t.text, ref)
+
+
+def _write_policy(p) -> str:
+    for word, named in _POLICIES.items():
+        if p == named:
+            return word
+    raise ValidationError("policy has no standalone textual form")
+
+
+# -- streams --------------------------------------------------------------
+
+_SIDES = {"both": (1, 1), "left": (1, 0), "right": (0, 1), "none": (0, 0)}
+
+
+def _read_shrink(cur: _Cursor, t: Token) -> tuple:
+    """( rat , rat , side , int ), a bad side reported at the word"""
+    cur.expect("(")
+    a = _parse_rat(cur)
+    cur.expect(",")
+    b = _parse_rat(cur)
+    cur.expect(",")
+    side = cur.expect_kind("name").text
+    if side not in _SIDES:
+        raise ParseError(t.line, t.col, "bad side %r" % side, expected=tuple(_SIDES))
+    cur.expect(",")
+    n0 = int(cur.expect_kind("int").text)
+    cur.expect(")")
+    rl, rr = _SIDES[side]
+    return a, b, Fraction(rl), Fraction(rr), n0
+
+
+def _write_shrink(s: ShrinkIntervals) -> str:
+    side = {v: k for k, v in _SIDES.items()}[
+        (int(bool(s.rate_left)), int(bool(s.rate_right)))]
+    return "(%s,%s,%s,%d)" % (sx.rq(s.a), sx.rq(s.b), side, s.n0)
+
+
+_STREAMS = {
+    "shrink": (ShrinkIntervals, _read_shrink, _write_shrink),
+    "growballs": (GrowBalls, _read_int_arg, lambda s: "(%d)" % s.n0),
+    "initseg": (InitialSegments, _read_int_arg, lambda s: "(%d)" % s.n0),
+    "singletons": (Singletons, _nothing, _blank),
+}
+# the streams an exhaustion's chain may be
+_CHAINS = {"initseg": _STREAMS["initseg"]}
+
+
+# -- map rules ------------------------------------------------------------
+
+def _read_const(cur: _Cursor, t: Token) -> tuple:
+    """( token ), an int token read as a number"""
+    cur.expect("(")
+    v = cur.next()
+    cur.expect(")")
+    return (int(v.text) if v.kind == "int" else v.text,)
+
+
+def _parse_pairs(cur: _Cursor, read) -> tuple:
+    """{ pair* }, each text of a pair read by read"""
+    cur.expect("{")
+    return (tuple(_until(cur, _parse_pair, "}", read)),)
+
+
+def _parse_pair(cur: _Cursor, read):
+    """a : b, two tokens of any kind, each text read by read."""
+    a = cur.next()
+    cur.expect(":")
+    b = cur.next()
+    return read(a.text), read(b.text)
+
+
+def _write_pairs(r) -> str:
+    return "{%s}" % ",".join("%s:%s" % ab for ab in sorted(r.table))
+
+
+def _read_affine(cur: _Cursor, t: Token) -> tuple:
+    """{ piece (; piece)* }, the pieces on the line whatever the map's domain,
+    so that the map reports a domain off the line"""
+    cur.expect("{")
+    pieces = _separated(cur, _parse_affine_piece, ";")
+    cur.expect("}")
+    return (tuple(pieces),)
+
+
+def _parse_affine_piece(cur: _Cursor):
+    """setlit : rat , rat"""
+    piece = _parse_set_in(cur, QLine())
+    cur.expect(":")
+    p = _parse_rat(cur)
+    cur.expect(",")
+    return piece, p, _parse_rat(cur)
+
+
+def _write_affine(r: PiecewiseAffine) -> str:
+    return "{ %s }" % "; ".join("%s: %s,%s" % (sx.render(P), sx.rq(p), sx.rq(q))
+                                for P, p, q in r.pieces)
+
+
+_RULES = {
+    "identity": (Identity, _nothing, _blank),
+    "const": (Const, _read_const, lambda r: "(%s)" % r.value),
+    "shift": (NatShift, _read_int_arg, lambda r: "(%d)" % r.k),
+    "perm": (NatPerm, lambda cur, t: _parse_pairs(cur, int), _write_pairs),
+    "table": (FiniteTable, lambda cur, t: _parse_pairs(cur, str), _write_pairs),
+    "affine": (PiecewiseAffine, _read_affine, _write_affine),
+}
+
+
 # -- declarations ---------------------------------------------------------
 
-# the descriptions and policies written as one word, both ways
-_OPENS = {"canonical-open": AllCanonicalOpen(), "all-sets": AllSets(),
-          "finite-or-whole": FiniteOrWhole()}
-_POLICIES = {"essfin": EssFin(), "all": All(), "esscountable": EssCountable()}
-_OPENS_WORDS = tuple(_OPENS) + ("explicit",)
-_POLICY_WORDS = tuple(_POLICIES) + ("locally", "piecewise")
-
+# A declaration's reader parses the text after its keyword and name into
+# the declared object and the name's annotation, or None; its writer gives
+# that text back from the two.
 
 def _parse_header(cur: _Cursor):
-    """name [: space] =, as the name, the space's name or None, and the =."""
-    name = cur.expect_kind("name").text
+    """[: space] =, as the space's name or None, and the =."""
     annotation = None
     if cur.tok.text == ":":
         cur.next()
         annotation = cur.expect_kind("name").text
-    return name, annotation, cur.expect("=")
+    return annotation, cur.expect("=")
 
 
 def _resolve_carrier(doc: Document, annotation, inferred, eq: Token, what: str):
@@ -363,14 +550,13 @@ def _resolve_carrier(doc: Document, annotation, inferred, eq: Token, what: str):
     return inferred
 
 
-def _parse_space(cur: _Cursor, doc: Document):
-    name = cur.expect_kind("name").text
+def _parse_space(cur: _Cursor, doc: Document, name: str):
     cur.expect("{")
     cur.expect("carrier")
-    carrier = _parse_carrier(cur)
+    carrier = _parse_word(cur, _CARRIERS)
     cur.expect(";")
     cur.expect("opens")
-    opens = _parse_opens(cur, carrier)
+    opens = _parse_word(cur, _OPENS, carrier)
     cur.expect(";")
     cur.expect("cov")
     policy, polref = _parse_policy(cur, doc)
@@ -384,58 +570,27 @@ def _parse_space(cur: _Cursor, doc: Document):
         X = GtsPresentation(carrier, opens, policy, support, name)
     except GtsError as e:
         raise ValidationError("space %s: %s" % (name, e))
-    doc._declare("spaces", name, X)
-    if polref is not None:
-        doc.annotations[name] = polref
+    return X, polref
 
 
-def _parse_carrier(cur: _Cursor):
-    t = cur.expect("qline", "nat", "enum")
-    if t.text == "qline":
-        return QLine()
-    if t.text == "nat":
-        return NatFC()
-    cur.expect("(")
-    atoms = _separated(cur, _parse_name, ",")
-    cur.expect(")")
-    return FiniteEnum(tuple(atoms))
+def _write_space(X: GtsPresentation, polref) -> str:
+    policy = "%s(%s)" % polref if polref else _write_policy(X.policy)
+    support = ""
+    if X.support != sx.whole(X.carrier):
+        support = "; support %s" % sx.render(X.support)
+    return " { carrier %s; opens %s; cov %s%s }" % (
+        _emit(X.carrier), _emit(X.opens), policy, support)
 
 
-def _parse_name(cur: _Cursor) -> str:
-    return cur.expect_kind("name").text
-
-
-def _parse_opens(cur: _Cursor, carrier):
-    t = cur.expect(*_OPENS_WORDS)
-    if t.text in _OPENS:
-        return _OPENS[t.text]
-    cur.expect("{")
-    sets = _separated(cur, _parse_set_in, ",", carrier)
-    cur.expect("}")
-    return ExplicitList(tuple(sets))
-
-
-def _parse_policy(cur: _Cursor, doc: Document):
-    t = cur.expect(*_POLICY_WORDS)
-    if t.text in _POLICIES:
-        return _POLICIES[t.text], None
-    cur.expect("(")
-    ref = cur.expect_kind("name").text
-    cur.expect(")")
-    if t.text == "locally":
-        return LocallyEssFin(doc._ref("family", ref)), ("locally", ref)
-    return PiecewiseEssFin(doc._ref("exhaustion", ref)), ("piecewise", ref)
-
-
-def _parse_family(cur: _Cursor, doc: Document):
-    name, annotation, eq = _parse_header(cur)
+def _parse_family(cur: _Cursor, doc: Document, name: str):
+    annotation, eq = _parse_header(cur)
     asts, streams = [], []
 
     def term(cur):
         if cur.expect("{", "stream").text == "{":
             asts.extend(_until(cur, _parse_set_literal, "}"))
         else:
-            streams.append(_parse_stream(cur))
+            streams.append(_parse_word(cur, _STREAMS))
 
     _separated(cur, term, "+")
     inferred = streams[0].carrier if streams else None
@@ -446,115 +601,46 @@ def _parse_family(cur: _Cursor, doc: Document):
     for s in streams:
         if s.carrier != carrier:
             raise ValidationError("stream on the wrong carrier in family " + name)
-    doc._declare("families", name, FamilyExpr(carrier, members, tuple(streams)))
-    if annotation:
-        doc.annotations[name] = annotation
+    return FamilyExpr(carrier, members, tuple(streams)), annotation
 
 
-_SIDES = {"both": (1, 1), "left": (1, 0), "right": (0, 1), "none": (0, 0)}
+def _write_family(fam: FamilyExpr, annotation) -> str:
+    terms = []
+    if fam.finite_part or not fam.streams:
+        terms.append("{ %s }" % ", ".join(sx.render(S) for S in fam.finite_part))
+    terms += ["stream " + _emit(s) for s in fam.streams]
+    return "%s = %s" % (" : " + annotation if annotation else "", " + ".join(terms))
 
 
-def _parse_stream(cur: _Cursor):
-    t = cur.expect("shrink", "growballs", "initseg", "singletons")
-    if t.text == "growballs":
-        return GrowBalls(_parse_int_arg(cur))
-    if t.text == "initseg":
-        return InitialSegments(_parse_int_arg(cur))
-    if t.text == "singletons":
-        return Singletons()
-    cur.expect("(")
-    a = _parse_rat(cur)
-    cur.expect(",")
-    b = _parse_rat(cur)
-    cur.expect(",")
-    side = cur.expect_kind("name").text
-    if side not in _SIDES:
-        raise ParseError(t.line, t.col, "bad side %r" % side, expected=tuple(_SIDES))
-    cur.expect(",")
-    n0 = int(cur.expect_kind("int").text)
-    cur.expect(")")
-    rl, rr = _SIDES[side]
-    return ShrinkIntervals(a, b, Fraction(rl), Fraction(rr), n0)
-
-
-def _parse_set(cur: _Cursor, doc: Document):
-    name, annotation, eq = _parse_header(cur)
+def _parse_set(cur: _Cursor, doc: Document, name: str):
+    annotation, eq = _parse_header(cur)
     ast = _parse_set_literal(cur)
     carrier = _resolve_carrier(doc, annotation, ast.infer_carrier(), eq, "literal")
-    doc._declare("sets", name, ast.build(carrier))
-    if annotation:
-        doc.annotations[name] = annotation
+    return ast.build(carrier), annotation
 
 
-def _parse_map(cur: _Cursor, doc: Document):
-    name = cur.expect_kind("name").text
+def _parse_map(cur: _Cursor, doc: Document, name: str):
     cur.expect(":")
     dn = cur.expect_kind("name").text
     cur.expect_kind("arrow")
     cn = cur.expect_kind("name").text
     cur.expect("=")
     dom, cod = doc._ref("space", dn), doc._ref("space", cn)
-    rule = _parse_rule(cur, dom)
+    rule = _parse_word(cur, _RULES)
     try:
         f = SpaceMap(dom, cod, rule, name=name)
     except GtsError as e:
         raise ValidationError("map %s: %s" % (name, e))
-    doc._declare("maps", name, f)
-    doc.annotations[name] = (dn, cn)
+    return f, (dn, cn)
 
 
-# the rules written as pairs: how a pair's two texts read, and the rule
-_PAIR_RULES = {"perm": (int, NatPerm), "table": (str, FiniteTable)}
-
-
-def _parse_rule(cur: _Cursor, dom: GtsPresentation):
-    t = cur.expect("identity", "const", "shift", "perm", "table", "affine")
-    if t.text == "identity":
-        return Identity()
-    if t.text == "const":
-        cur.expect("(")
-        v = cur.next()
-        cur.expect(")")
-        return Const(int(v.text) if v.kind == "int" else v.text)
-    if t.text == "shift":
-        return NatShift(_parse_int_arg(cur))
-    cur.expect("{")
-    if t.text in _PAIR_RULES:
-        read, rule = _PAIR_RULES[t.text]
-        return rule(tuple(_until(cur, _parse_pair, "}", read)))
-    pieces = _separated(cur, _parse_affine_piece, ";", dom.carrier)
-    cur.expect("}")
-    return PiecewiseAffine(tuple(pieces))
-
-
-def _parse_pair(cur: _Cursor, read):
-    """a : b, two tokens of any kind, each text read by read."""
-    a = cur.next()
-    cur.expect(":")
-    b = cur.next()
-    return read(a.text), read(b.text)
-
-
-def _parse_affine_piece(cur: _Cursor, carrier):
-    """setlit : rat , rat"""
-    ast = _parse_set_literal(cur)
-    cur.expect(":")
-    p = _parse_rat(cur)
-    cur.expect(",")
-    q = _parse_rat(cur)
-    return ast.build(carrier), p, q
-
-
-def _parse_exhaustion(cur: _Cursor, doc: Document):
-    name = cur.expect_kind("name").text
+def _parse_exhaustion(cur: _Cursor, doc: Document, name: str):
     cur.expect("=")
     cur.expect("chain")
-    cur.expect("initseg")
-    doc._declare("exhaustions", name, Exhaustion(chain=InitialSegments(_parse_int_arg(cur))))
+    return Exhaustion(chain=_parse_word(cur, _CHAINS)), None
 
 
-def _parse_site(cur: _Cursor, doc: Document):
-    name = cur.expect_kind("name").text
+def _parse_site(cur: _Cursor, doc: Document, name: str):
     cur.expect("=")
     cur.expect("of")
     ref = cur.expect_kind("name").text
@@ -563,12 +649,10 @@ def _parse_site(cur: _Cursor, doc: Document):
         st = gts_to_site(X)
     except GtsError as e:
         raise ValidationError("site %s: %s" % (name, e))
-    doc._declare("sites", name, st)
-    doc.annotations[name] = ref
+    return st, ref
 
 
-def _parse_presheaf(cur: _Cursor, doc: Document):
-    name = cur.expect_kind("name").text
+def _parse_presheaf(cur: _Cursor, doc: Document, name: str):
     cur.expect("=")
     cur.expect("functions")
     cur.expect("(")
@@ -579,125 +663,34 @@ def _parse_presheaf(cur: _Cursor, doc: Document):
     site = doc._ref("site", ref)
     if k < 1:
         raise ValidationError("presheaf needs at least one value")
-    F = function_presheaf(site, tuple(str(i) for i in range(k)))
-    doc._declare("presheaves", name, F)
-    doc.annotations[name] = (ref, k)
+    return function_presheaf(site, tuple(str(i) for i in range(k))), (ref, k)
 
 
-# each declaration's keyword, the Document table it fills and its parser
+# each declaration's keyword: the Document table it fills, its reader and
+# its writer
 _DECLARATIONS = {
-    "space": ("spaces", _parse_space), "family": ("families", _parse_family),
-    "set": ("sets", _parse_set), "map": ("maps", _parse_map),
-    "exhaustion": ("exhaustions", _parse_exhaustion), "site": ("sites", _parse_site),
-    "presheaf": ("presheaves", _parse_presheaf),
+    "space": ("spaces", _parse_space, _write_space),
+    "family": ("families", _parse_family, _write_family),
+    "set": ("sets", _parse_set,
+            lambda S, ann: "%s = %s" % (" : " + ann if ann else "", sx.render(S))),
+    "map": ("maps", _parse_map,
+            lambda f, ends: " : %s -> %s = %s" % (*ends, _emit(f.rule))),
+    "exhaustion": ("exhaustions", _parse_exhaustion, lambda E, _: " = chain " + _emit(E.chain)),
+    "site": ("sites", _parse_site, lambda st, ref: " = of " + ref),
+    "presheaf": ("presheaves", _parse_presheaf, lambda F, ref: " = functions(%s, %d)" % ref),
 }
-_KEYWORDS = tuple(_DECLARATIONS)
 
+# each word's writer, keyed on the class the word builds, or for a
+# declaration on the Document table it fills
+_WRITERS = {cls: (word, write)
+            for table in (_CARRIERS, _OPENS, _STREAMS, _RULES, _DECLARATIONS)
+            for word, (cls, _, write) in table.items()}
 
-# -- emission -------------------------------------------------------------
 
 def emit_document(doc: Document) -> str:
     lines = []
     for kind, name in doc.order:
+        word, write = _WRITERS[kind]
         obj = getattr(doc, kind)[name]
-        if kind == "spaces":
-            lines.append(_emit_space(name, obj, doc.annotations.get(name)))
-        elif kind == "families":
-            lines.append(_emit_family(name, obj, doc.annotations.get(name)))
-        elif kind == "sets":
-            ann = doc.annotations.get(name)
-            mid = (" : " + ann) if ann else ""
-            lines.append("set %s%s = %s" % (name, mid, sx.render(obj)))
-        elif kind == "maps":
-            dn, cn = doc.annotations[name]
-            lines.append("map %s : %s -> %s = %s"
-                         % (name, dn, cn, _emit_rule(obj.rule)))
-        elif kind == "exhaustions":
-            lines.append("exhaustion %s = chain initseg(%d)"
-                         % (name, obj.chain.n0))
-        elif kind == "sites":
-            lines.append("site %s = of %s" % (name, doc.annotations[name]))
-        elif kind == "presheaves":
-            ref, k = doc.annotations[name]
-            lines.append("presheaf %s = functions(%s, %d)" % (name, ref, k))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _emit_space(name: str, X: GtsPresentation, polref=None) -> str:
-    carrier = _emit_carrier(X.carrier)
-    opens = _emit_opens(X.opens)
-    policy = "%s(%s)" % polref if polref else _emit_policy(X.policy)
-    support = ""
-    if X.support != sx.whole(X.carrier):
-        support = "; support %s" % sx.render(X.support)
-    return "space %s { carrier %s; opens %s; cov %s%s }" % (
-        name, carrier, opens, policy, support)
-
-
-def _emit_carrier(c) -> str:
-    if isinstance(c, QLine):
-        return "qline"
-    if isinstance(c, NatFC):
-        return "nat"
-    if isinstance(c, FiniteEnum):
-        return "enum(%s)" % ",".join(c.elements)
-    raise ValidationError("carrier has no textual form")
-
-
-def _emit_opens(op) -> str:
-    if isinstance(op, ExplicitList):
-        return "explicit { %s }" % ", ".join(sx.render(S) for S in op.sets)
-    for word, named in _OPENS.items():
-        if op == named:
-            return word
-    raise ValidationError("opens description has no textual form")
-
-
-def _emit_policy(p) -> str:
-    for word, named in _POLICIES.items():
-        if p == named:
-            return word
-    raise ValidationError("policy has no standalone textual form")
-
-
-def _emit_family(name: str, fam: FamilyExpr, annotation) -> str:
-    mid = (" : " + annotation) if annotation else ""
-    terms = []
-    if fam.finite_part or not fam.streams:
-        terms.append("{ %s }" % ", ".join(sx.render(S) for S in fam.finite_part))
-    for s in fam.streams:
-        terms.append("stream " + _emit_stream(s))
-    return "family %s%s = %s" % (name, mid, " + ".join(terms))
-
-
-def _emit_stream(s) -> str:
-    if isinstance(s, ShrinkIntervals):
-        side = {v: k for k, v in _SIDES.items()}[
-            (int(bool(s.rate_left)), int(bool(s.rate_right)))]
-        return "shrink(%s,%s,%s,%d)" % (sx.rq(s.a), sx.rq(s.b), side, s.n0)
-    if isinstance(s, GrowBalls):
-        return "growballs(%d)" % s.n0
-    if isinstance(s, InitialSegments):
-        return "initseg(%d)" % s.n0
-    if isinstance(s, Singletons):
-        return "singletons"
-    raise ValidationError("stream has no textual form")
-
-
-def _emit_rule(r) -> str:
-    if isinstance(r, Identity):
-        return "identity"
-    if isinstance(r, Const):
-        return "const(%s)" % r.value
-    if isinstance(r, NatShift):
-        return "shift(%d)" % r.k
-    if isinstance(r, NatPerm):
-        return "perm{%s}" % ",".join("%d:%d" % ab for ab in sorted(r.table))
-    if isinstance(r, FiniteTable):
-        return "table{%s}" % ",".join("%s:%s" % ab for ab in sorted(r.table))
-    if isinstance(r, PiecewiseAffine):
-        body = "; ".join(
-            "%s: %s,%s" % (sx.render(P), sx.rq(p), sx.rq(q))
-            for P, p, q in r.pieces)
-        return "affine{ %s }" % body
-    raise ValidationError("rule has no textual form")
+        lines.append("%s %s%s\n" % (word, name, write(obj, doc.annotations.get(name))))
+    return "".join(lines)

@@ -110,6 +110,9 @@ class Const(Rule):
 
     value: object
 
+    def validate(self, dc, cc):
+        sx.contains(sx.whole(cc), self.value)  # raises unless the value is a point of cc
+
     def apply(self, x):
         return self.value
 

@@ -239,12 +239,9 @@ class AllCanonicalOpen(Opens):
         return lambda C, D: sx.is_subset(C, sx.interval_interior(D))
 
     def draw(self, X, rng):
-        out = sx.empty(X.carrier)
-        for _ in range(rng.randint(0, 3)):
-            a, b = sorted((sx.random_fraction(rng), sx.random_fraction(rng)))
-            if a < b:
-                out = sx.union(out, sx.interval(a, b))
-        return out
+        ends = [sorted((sx.random_fraction(rng), sx.random_fraction(rng)))
+                for _ in range(rng.randint(0, 3))]
+        return sx.intervals((a, b, True, True) for a, b in ends)
 
 
 @dataclass(frozen=True)
@@ -324,10 +321,9 @@ class ProductOpens(Opens):
 
     def draw(self, X, rng):
         left, right = self.left, self.right
-        out = sx.empty(X.carrier)
-        for _ in range(rng.randint(0, 2)):
-            out = sx.union(out, sx.box(left.opens.draw(left, rng), right.opens.draw(right, rng)))
-        return out
+        return sx.union_all(X.carrier, [
+            sx.box(left.opens.draw(left, rng), right.opens.draw(right, rng))
+            for _ in range(rng.randint(0, 2))])
 
 
 @dataclass(frozen=True)
@@ -407,11 +403,8 @@ class GluedOpens(Opens):
         return all(P.opens.weakly_open(P, sx.intersect(S, P.support)) for P in self.pieces)
 
     def draw(self, X, rng):
-        out = sx.empty(X.carrier)
-        for P in self.pieces:
-            if rng.random() < 0.7:
-                out = sx.union(out, sx.intersect(P.opens.draw(P, rng), P.support))
-        return out
+        return sx.union_all(X.carrier, [sx.intersect(P.opens.draw(P, rng), P.support)
+                                        for P in self.pieces if rng.random() < 0.7])
 
 
 # -- coverage policies ----------------------------------------------------

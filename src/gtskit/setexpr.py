@@ -437,11 +437,10 @@ class _LineAlgebra(_Algebra):
         return normalize_intervals(Interval(x, x, False, False) for x in map(Fraction, pts))
 
     def random_set(self, c, rng):
-        out = empty(c)
-        for _ in range(rng.randint(0, 3)):
-            a, b = sorted((random_fraction(rng), random_fraction(rng)))
-            out = union(out, interval(a, b, rng.random() < 0.5, rng.random() < 0.5))
-        return out.form
+        # lazy, so that each interval draws its two ends and then its two flags
+        ends = (sorted((random_fraction(rng), random_fraction(rng)))
+                for _ in range(rng.randint(0, 3)))
+        return intervals((a, b, rng.random() < 0.5, rng.random() < 0.5) for a, b in ends).form
 
     def endpoints(self, a):
         return {e for iv in a for e in (iv.lo, iv.hi) if e is not NEG_INF and e is not POS_INF}

@@ -83,6 +83,26 @@ def test_malformed_corpus_gets_positioned_diagnostics():
         assert str(e.value) == "line %d, column %d: %s" % (line, col, message), path.name
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("affine{ whole : 1,0 }", "map f: affine rules live on the line"),
+    ("affine{ {0} : 1,0 }", "brace literal outside an enumerable carrier"),
+    ("const(-1)", "map f: -1 is not a natural number"),
+    ("const(zz)", "map f: 'zz' is not a natural number"),
+])
+def test_map_rules_off_their_carriers_are_reported_at_the_declaration(
+        rule, message, tmp_path, capsys):
+    # affine pieces are built on the line whatever the domain, so the map
+    # reports the domain; a constant must be a point of the codomain
+    text = "space N { carrier nat; opens all-sets; cov all }\nmap f : N -> N = " + rule
+    with pytest.raises(ValidationError) as e:
+        parse_document(text)
+    assert str(e.value) == "line 2, column 1: " + message
+    doc = tmp_path / "f.gts"
+    doc.write_text(text)
+    assert cli.main(["map", str(doc), "f"]) == 2
+    assert capsys.readouterr().err == "error: line 2, column 1: %s\n" % message
+
+
 def test_parse_error_positions():
     with pytest.raises(ParseError) as e:
         parse_document("space X { carrier qline opens canonical-open; cov essfin }")

@@ -3,8 +3,9 @@
 Each module may test a value against the seven opens classes, the nine
 map rule classes, the four carrier classes, the five coverage policy
 classes and the five stream classes at most as often as its budgets below
-allow.  The DSL's parser and emitter are the single dispatch for their own
-syntax.  Each carrier's set algebra, random sets included, is reached
+allow.  The DSL writes each object by looking its class up in the table
+that also parses its word, and tests a carrier only where a set literal
+must fit it.  Each carrier's set algebra, random sets included, is reached
 through ``setexpr.ALGEBRA``; each opens description draws its own opens
 and each map rule says which opens it keeps open; the audit's streams,
 the separation flags and the continuity probes are tables keyed on the
@@ -24,7 +25,7 @@ OPENS_CLASSES = {
     "ProductOpens", "TraceOpens", "GluedOpens",
 }
 
-BUDGET = {"constructions.py": 4, "dsl.py": 4, "props.py": 2}
+BUDGET = {"constructions.py": 4, "props.py": 2}
 
 RULE_CLASSES = {
     "Identity", "Const", "FiniteTable", "PiecewiseAffine", "NatShift",
@@ -32,23 +33,24 @@ RULE_CLASSES = {
 }
 
 # maps.py: pairing's constant components and the affine stream bounds
-RULE_BUDGET = {"dsl.py": 6, "maps.py": 4}
+RULE_BUDGET = {"maps.py": 4}
 
 CARRIER_CLASSES = {"FiniteEnum", "NatFC", "QLine", "Product"}
 
-# setexpr.py: the three operations that only the line has
-CARRIER_BUDGET = {"constructions.py": 4, "dsl.py": 7, "layers.py": 2, "maps.py": 4,
+# setexpr.py: the three operations that only the line has; dsl.py: the
+# set literals that fit one carrier only
+CARRIER_BUDGET = {"constructions.py": 4, "dsl.py": 4, "layers.py": 2, "maps.py": 4,
                   "presentation.py": 5, "setexpr.py": 3}
 
 POLICY_CLASSES = {"All", "EssFin", "EssCountable", "LocallyEssFin", "PiecewiseEssFin"}
 
 # cli.py and layers.py: reads of a policy's base or exhaustion
-POLICY_BUDGET = {"cli.py": 1, "dsl.py": 3, "layers.py": 4}
+POLICY_BUDGET = {"cli.py": 1, "layers.py": 4}
 
 STREAM_CLASSES = {"ShrinkIntervals", "GrowBalls", "InitialSegments", "Singletons",
                   "DerivedStream"}
 
-STREAM_BUDGET = {"dsl.py": 4}
+STREAM_BUDGET = {}
 
 
 def isinstance_calls(source: str, classes: set) -> int:
