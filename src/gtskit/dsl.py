@@ -8,7 +8,7 @@ Each word that starts a carrier, an opens description, a stream, a map
 rule or a declaration is one entry of its shape's table: the class the
 word builds, the reader of the text after the word and the writer of that
 text.  The parser expects the words of a table, in the table's order, and
-the emitter looks an object's class up.
+the emitter looks up the class of an object.
 """
 
 from __future__ import annotations
