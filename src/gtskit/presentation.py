@@ -50,7 +50,7 @@ on a set that is not small carries (``restrict``).  Its flags
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, combinations, count
 from operator import and_
 
@@ -300,10 +300,15 @@ class ProductOpens(Opens):
         cells = list(S.form)
         if not all(is_open(self.right, F) for _, F in cells):
             return False
-        covered = self.left.opens.interior_cover(self.left)
+        covered = self._left_cover
         return all(covered(C, sx.union_all(self.left.carrier,
                                            [C2 for C2, F2 in cells if sx.is_subset(F, F2)]))
                    for C, F in cells)
+
+    @cached_property
+    def _left_cover(self):
+        """The left factor's interior cover test, built on the first call."""
+        return self.left.opens.interior_cover(self.left)
 
     def meets(self, X, pts):
         """The box of the factors' least opens: (u, v) lies below (x, y) iff

@@ -19,8 +19,15 @@ it returns.  The forms are:
   cell: the fiber of a left point is the set of right points paired with it,
   and each box pairs one non-empty fiber with all left points sharing it.
   So the cells are pairwise disjoint and the fibers pairwise distinct.  On
-  every left carrier the form is built by adding boxes one at a time, each
-  splitting the cells it meets; the complement is read off the cells.
+  every left carrier a union (and a random set) is built by adding boxes
+  one at a time, each splitting the cells it meets.  The boxes of an
+  intersection (the cells of one operand met with the other's), of a
+  complement (read off the cells) and of a finite point set (one singleton
+  cell per left point) are already pairwise disjoint, so these skip the
+  splitting and only merge the cells of equal fibers.
+
+``whole`` and ``empty`` build each carrier's set once and keep it on the
+carrier object.
 
 All decision procedures consult only rational endpoint/element arithmetic.
 """
@@ -202,7 +209,7 @@ class SetExpr:
         raise AttributeError("SetExpr is immutable")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SetExpr)
             and self.carrier == other.carrier
             and self.form == other.form
@@ -476,15 +483,23 @@ class _ProductAlgebra(_Algebra):
             if not rest.is_empty():
                 refined.append((rest, r))
             cells = refined
+        return self._merge_fibers(cells)
+
+    def _merge_fibers(self, cells) -> tuple:
+        """The canonical form of boxes (cell, fiber) whose cells are pairwise
+        disjoint: boxes with an empty side dropped, the cells of equal fibers
+        merged, sorted by the rendered cell."""
         cell_of: dict[SetExpr, SetExpr] = {}
         for cell, fiber in cells:
+            if cell.is_empty() or fiber.is_empty():
+                continue
             cell_of[fiber] = union(cell_of[fiber], cell) if fiber in cell_of else cell
         out = [(cell, fiber) for fiber, cell in cell_of.items()]
         out.sort(key=lambda b: sort_key(b[0]))
         return tuple(out)
 
     def whole(self, c):
-        return self.canonicalize(c, [(whole(c.left), whole(c.right))])
+        return self._merge_fibers([(whole(c.left), whole(c.right))])
 
     def union(self, c, a, b):
         return self.canonicalize(c, a + b)
@@ -493,15 +508,16 @@ class _ProductAlgebra(_Algebra):
         return self.canonicalize(c, [b for a in forms for b in a])
 
     def intersect(self, c, a, b):
-        return self.canonicalize(c, [(intersect(la, lb), intersect(ra, rb))
-                                     for la, ra in a for lb, rb in b])
+        # the cells of each side are pairwise disjoint, so are their meets
+        return self._merge_fibers([(intersect(la, lb), intersect(ra, rb))
+                              for la, ra in a for lb, rb in b])
 
     def complement(self, c, a):
         # the cells are pairwise disjoint: over a left point in no cell the
         # complement holds the whole right factor, over a cell its fiber's complement
         covered = union_all(c.left, (l for l, _ in a))
-        return self.canonicalize(c, [(complement(covered), whole(c.right))]
-                                 + [(l, complement(r)) for l, r in a])
+        return self._merge_fibers([(complement(covered), whole(c.right))]
+                             + [(l, complement(r)) for l, r in a])
 
     def contains(self, c, a, x):
         if not isinstance(x, tuple) or len(x) != 2:
@@ -522,7 +538,8 @@ class _ProductAlgebra(_Algebra):
         for x, y in pts:
             fibers.setdefault(x, []).append(y)
         left, right = ALGEBRA[type(c.left)], ALGEBRA[type(c.right)]
-        return self.canonicalize(c, [
+        # one singleton cell per left point: the cells are pairwise disjoint
+        return self._merge_fibers([
             (SetExpr(c.left, left.from_points(c.left, [x]), _normalized=True),
              SetExpr(c.right, right.from_points(c.right, ys), _normalized=True))
             for x, ys in fibers.items()])
@@ -541,11 +558,21 @@ ALGEBRA: dict[type, _Algebra] = {
 # -- constructors ---------------------------------------------------------
 
 def empty(carrier: Carrier) -> SetExpr:
-    return SetExpr(carrier, ALGEBRA[type(carrier)].empty(carrier), _normalized=True)
+    """The empty set of carrier, built once per carrier object."""
+    S = carrier._empty
+    if S is None:
+        S = SetExpr(carrier, ALGEBRA[type(carrier)].empty(carrier), _normalized=True)
+        object.__setattr__(carrier, "_empty", S)
+    return S
 
 
 def whole(carrier: Carrier) -> SetExpr:
-    return SetExpr(carrier, ALGEBRA[type(carrier)].whole(carrier), _normalized=True)
+    """The whole carrier as a set, built once per carrier object."""
+    S = carrier._whole
+    if S is None:
+        S = SetExpr(carrier, ALGEBRA[type(carrier)].whole(carrier), _normalized=True)
+        object.__setattr__(carrier, "_whole", S)
+    return S
 
 
 def atoms(carrier: FiniteEnum, names: Iterable[str]) -> SetExpr:

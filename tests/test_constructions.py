@@ -139,6 +139,27 @@ def test_product_enumeration_lists_no_factor(monkeypatch):
     assert calls == []
 
 
+def test_product_openness_lists_the_left_factor_once(monkeypatch):
+    # the left factor's cover test is built on the first is_open call of the
+    # product's opens and kept: the Sierpinski space's opens are listed once
+    calls = []
+    listed = gtskit.presentation.listed_opens
+
+    def counted(X):
+        calls.append(X)
+        return listed(X)
+
+    S = lib.sierpinski()
+    P, _ = product([S, S])
+    c = S.carrier
+    a, b, whole = sx.atoms(c, ["a"]), sx.atoms(c, ["b"]), sx.whole(c)
+    sets = [sx.box(a, a), sx.box(whole, a), sx.box(a, whole), P.support,
+            sx.box(b, whole), sx.union(sx.box(a, whole), sx.box(whole, a))]
+    monkeypatch.setattr(gtskit.presentation, "listed_opens", counted)
+    assert [is_open(P, U) for U in sets] == [True, True, True, True, False, True]
+    assert calls == [S]
+
+
 def test_product_unit_law():
     A = lib.discrete_small_pair()
     P, _ = product([A])

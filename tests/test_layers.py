@@ -25,7 +25,7 @@ from gtskit.layers import (
     weakly_open,
 )
 from gtskit import library as lib
-from gtskit.maps import Identity, NatShift, SpaceMap
+from gtskit.maps import FiniteTable, Identity, NatShift, SpaceMap
 from gtskit.presentation import (
     All,
     ExplicitList,
@@ -333,6 +333,19 @@ def test_piece_capture_shift():
     dom = subspace(lib.discrete_small_nat(), sx.nat_finite([0, 3]))
     f = SpaceMap(dom, X, NatShift(7))
     assert piece_capture(f, X.policy.exhaustion) == 10
+
+
+def test_piece_capture_takes_the_piece_with_the_fewest_indices_below():
+    # both pieces of the poset exhaustion capture the image {a}; the one
+    # with fewer indices below it is named, whatever order the pieces come in
+    X = lib.discrete_pair()
+    c = X.carrier
+    E = Exhaustion(poset=FinitePoset(("lo", "hi"), (("lo", "hi"),)),
+                   pieces=(("hi", sx.whole(c)), ("lo", sx.atoms(c, ["a"]))))
+    assert (E.poset.below("hi"), E.poset.below("lo")) == (["lo", "hi"], ["lo"])
+    to_a = SpaceMap(X, X, FiniteTable((("a", "a"), ("b", "a"))))
+    assert piece_capture(to_a, E) == "lo"
+    assert piece_capture(SpaceMap(X, X, Identity()), E) == "hi"
 
 
 def test_piece_capture_needs_small_domain():

@@ -11,6 +11,7 @@ from gtskit.carriers import FiniteEnum, NatFC, QLine
 from gtskit.families import FamilyExpr
 from gtskit import library as lib
 import gtskit.presentation
+import gtskit.props
 from gtskit.constructions import direct_sum, glue, product, subspace
 from gtskit.dsl import parse_document
 from gtskit.maps import (
@@ -51,7 +52,7 @@ from gtskit.props import (
     separation_report,
 )
 from gtskit import setexpr as sx
-from gtskit.streams import Singletons
+from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons
 from gtskit.verdict import Verdict
 
 from conftest import all_subsets, mask_space, mask_topologies, small_catalog
@@ -417,6 +418,30 @@ def test_singleton_basis_of_discrete_pair():
     assert is_basis(D, B).yes
     whole_only = FamilyExpr(D.carrier, (sx.whole(D.carrier),))
     assert is_basis(D, whole_only).status == "No"
+
+
+def test_sampled_basis_clips_its_streams_to_each_drawn_open(monkeypatch):
+    # the line's opens cannot be listed, so 64 drawn opens are checked; where
+    # the first stages of the basis do not make up a drawn open, the basis
+    # clipped to that open must cover it
+    X = lib.rational_interval_line()
+    clipped = []
+    coverable = gtskit.props._stream_coverable
+
+    def counted(B, O):
+        clipped.append(O)
+        return coverable(B, O)
+
+    monkeypatch.setattr(gtskit.props, "_stream_coverable", counted)
+    balls = FamilyExpr(X.carrier, (), (GrowBalls(1),))
+    assert is_basis(X, balls).status == "Checked"
+    assert clipped and all(not O.is_empty() for O in clipped)
+    # shrinking intervals leave most drawn opens uncovered, before any clipping
+    clipped.clear()
+    unit = FamilyExpr(X.carrier, (), (ShrinkIntervals(0, 1, 1, 1, 3),))
+    v = is_basis(X, unit)
+    assert (v.status, v.reason) == ("No", "open set not covered by the basis")
+    assert not sx.is_subset(v.witness, sx.interval(0, 1)) and clipped == []
 
 
 # -- map classification ---------------------------------------------------

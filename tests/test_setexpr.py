@@ -272,6 +272,59 @@ def test_product_canonical_form_ignores_build_order(drawn):
     assert keys == sorted(keys)
 
 
+# -- products built from disjoint cells -----------------------------------
+
+def _shortcut_carriers():
+    """One product per class of left factor, each built afresh."""
+    enum2 = FiniteEnum(("x", "y"))
+    return [Product(FiniteEnum(("a", "b", "c")), NatFC()), Product(NatFC(), enum2),
+            Product(QLine(), NatFC()), Product(Product(enum2, enum2), QLine())]
+
+
+# seeded pairs of random_set draws per carrier
+SHORTCUT_SAMPLE = 150
+
+
+@pytest.mark.parametrize("c", _shortcut_carriers(), ids=lambda c: c.describe())
+def test_product_shortcuts_agree_with_the_splitting_pass(c):
+    """intersect, complement, from_points and whole build their boxes with
+    pairwise disjoint cells and skip the splitting pass.  On SHORTCUT_SAMPLE
+    seeded pairs (a, b), each the union of two random sets, each form equals
+    the one that the full canonicalize (``sx.boxes``) gives for the same set
+    built box by box.
+    """
+    rng = random.Random(c.describe())
+    L, R = c.left, c.right
+    assert sx.whole(c).form == sx.boxes(c, [(sx.whole(L), sx.whole(R))]).form
+    for _ in range(SHORTCUT_SAMPLE):
+        a, b = [sx.union(sx.random_set(c, rng), sx.random_set(c, rng)) for _ in "ab"]
+        meets = [(sx.intersect(la, lb), sx.intersect(ra, rb))
+                 for la, ra in a.form for lb, rb in b.form]
+        assert sx.intersect(a, b).form == sx.boxes(c, meets).form
+        covered = sx.union_all(L, [l for l, _ in a.form])
+        rest = [(sx.complement(covered), sx.whole(R))]
+        rest += [(l, sx.complement(r)) for l, r in a.form]
+        assert sx.complement(a).form == sx.boxes(c, rest).form
+        inside = [x for x in sample_points(a, b) if sx.contains(a, x)]
+        pts = rng.sample(inside, min(len(inside), 8))
+        assert from_points(c, pts).form == sx.boxes(c, _point_boxes(c, pts)).form
+
+
+def test_whole_is_kept_per_carrier_and_is_whole_compares_values():
+    for c, twin in zip(_shortcut_carriers(), _shortcut_carriers()):
+        assert c == twin and c is not twin
+        assert sx.whole(c) is sx.whole(c) and sx.empty(c) is sx.empty(c)
+        assert sx.whole(twin) == sx.whole(c) and sx.whole(twin) is not sx.whole(c)
+        # a whole set on the twin, with factors on c's factors
+        built = sx.boxes(twin, [(sx.whole(c.left), sx.whole(c.right))])
+        assert built.is_whole() and built == sx.whole(c)
+        rng = random.Random(c.describe())
+        for _ in range(20):
+            a = sx.random_set(twin, rng)
+            assert sx.union(a, sx.complement(a)).is_whole()
+            assert a.is_whole() == (sx.render(a) == sx.render(sx.whole(c)))
+
+
 # -- golden replay of every operation -------------------------------------
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "set_algebra.json"
