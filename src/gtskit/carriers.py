@@ -9,9 +9,9 @@ Four kinds are supported:
 
 A carrier holds no set algebra itself: ``setexpr.ALGEBRA`` maps each
 carrier class to the one object that implements the Boolean algebra of its
-subsets on their canonical forms.  A carrier only keeps its whole and empty
-sets once ``setexpr.whole`` and ``setexpr.empty`` have built them; they
-take no part in its equality, hash or repr.
+subsets on their canonical forms.  A carrier only keeps the form of its
+whole set once ``setexpr.whole`` has built it; the form takes no part in
+its equality, hash or repr.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 class Carrier:
     """Abstract base; use one of the concrete subclasses."""
 
-    # setexpr.whole's and setexpr.empty's answers, once they are asked
+    # the canonical form of setexpr.whole(self), once it is asked
     _whole: object = field(default=None, init=False, compare=False, repr=False)
-    _empty: object = field(default=None, init=False, compare=False, repr=False)
 
     def describe(self) -> str:
         raise NotImplementedError

@@ -26,8 +26,8 @@ it returns.  The forms are:
   cell per left point) are already pairwise disjoint, so these skip the
   splitting and only merge the cells of equal fibers.
 
-``whole`` and ``empty`` build each carrier's set once and keep it on the
-carrier object.
+The form of each carrier's whole set is built once and kept on the carrier
+object; ``SetExpr.is_whole`` compares a form with it.
 
 All decision procedures consult only rational endpoint/element arithmetic.
 """
@@ -226,7 +226,7 @@ class SetExpr:
         return ALGEBRA[type(self.carrier)].is_empty(self.form)
 
     def is_whole(self) -> bool:
-        return self == whole(self.carrier)
+        return self.form == _whole_form(self.carrier)
 
     def is_finite_pointset(self) -> bool:
         return ALGEBRA[type(self.carrier)].is_finite(self.form)
@@ -510,14 +510,14 @@ class _ProductAlgebra(_Algebra):
     def intersect(self, c, a, b):
         # the cells of each side are pairwise disjoint, so are their meets
         return self._merge_fibers([(intersect(la, lb), intersect(ra, rb))
-                              for la, ra in a for lb, rb in b])
+                                   for la, ra in a for lb, rb in b])
 
     def complement(self, c, a):
         # the cells are pairwise disjoint: over a left point in no cell the
         # complement holds the whole right factor, over a cell its fiber's complement
         covered = union_all(c.left, (l for l, _ in a))
         return self._merge_fibers([(complement(covered), whole(c.right))]
-                             + [(l, complement(r)) for l, r in a])
+                                  + [(l, complement(r)) for l, r in a])
 
     def contains(self, c, a, x):
         if not isinstance(x, tuple) or len(x) != 2:
@@ -558,21 +558,22 @@ ALGEBRA: dict[type, _Algebra] = {
 # -- constructors ---------------------------------------------------------
 
 def empty(carrier: Carrier) -> SetExpr:
-    """The empty set of carrier, built once per carrier object."""
-    S = carrier._empty
-    if S is None:
-        S = SetExpr(carrier, ALGEBRA[type(carrier)].empty(carrier), _normalized=True)
-        object.__setattr__(carrier, "_empty", S)
-    return S
+    return SetExpr(carrier, ALGEBRA[type(carrier)].empty(carrier), _normalized=True)
 
 
 def whole(carrier: Carrier) -> SetExpr:
-    """The whole carrier as a set, built once per carrier object."""
-    S = carrier._whole
-    if S is None:
-        S = SetExpr(carrier, ALGEBRA[type(carrier)].whole(carrier), _normalized=True)
-        object.__setattr__(carrier, "_whole", S)
-    return S
+    return SetExpr(carrier, _whole_form(carrier), _normalized=True)
+
+
+def _whole_form(carrier: Carrier):
+    """The form of the whole carrier, built once per carrier object and kept
+    there.  A form holds no reference to its own carrier, so keeping it
+    makes no reference cycle, and a carrier dropped is freed at once."""
+    form = carrier._whole
+    if form is None:
+        form = ALGEBRA[type(carrier)].whole(carrier)
+        object.__setattr__(carrier, "_whole", form)
+    return form
 
 
 def atoms(carrier: FiniteEnum, names: Iterable[str]) -> SetExpr:

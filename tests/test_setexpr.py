@@ -313,8 +313,8 @@ def test_product_shortcuts_agree_with_the_splitting_pass(c):
 def test_whole_is_kept_per_carrier_and_is_whole_compares_values():
     for c, twin in zip(_shortcut_carriers(), _shortcut_carriers()):
         assert c == twin and c is not twin
-        assert sx.whole(c) is sx.whole(c) and sx.empty(c) is sx.empty(c)
-        assert sx.whole(twin) == sx.whole(c) and sx.whole(twin) is not sx.whole(c)
+        assert sx.whole(c).form is sx.whole(c).form
+        assert sx.whole(twin) == sx.whole(c) and sx.whole(twin).form is not sx.whole(c).form
         # a whole set on the twin, with factors on c's factors
         built = sx.boxes(twin, [(sx.whole(c.left), sx.whole(c.right))])
         assert built.is_whole() and built == sx.whole(c)
