@@ -433,6 +433,9 @@ def test_sampled_basis_clips_its_streams_to_each_drawn_open(monkeypatch):
         return coverable(B, O)
 
     monkeypatch.setattr(gtskit.props, "_stream_coverable", counted)
+    # the sampled check accepts the balls about 0, though (1,2) is no union
+    # of them: it clips the basis to each drawn open instead of keeping the
+    # members inside it
     balls = FamilyExpr(X.carrier, (), (GrowBalls(1),))
     assert is_basis(X, balls).status == "Checked"
     assert clipped and all(not O.is_empty() for O in clipped)
