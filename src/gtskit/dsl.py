@@ -502,12 +502,19 @@ def _read_affine(cur: _Cursor, t: Token) -> tuple:
 
 
 def _parse_affine_piece(cur: _Cursor):
-    """setlit : rat , rat"""
+    """setlit : rat , rat, both rats finite"""
     piece = _parse_set_in(cur, QLine())
     cur.expect(":")
-    p = _parse_rat(cur)
+    p = _parse_finite_rat(cur)
     cur.expect(",")
-    return piece, p, _parse_rat(cur)
+    return piece, p, _parse_finite_rat(cur)
+
+
+def _parse_finite_rat(cur: _Cursor):
+    t = cur.tok
+    if t.kind == "inf":
+        raise ParseError(t.line, t.col, "infinite coefficient %r" % t.text)
+    return _parse_rat(cur)
 
 
 def _write_affine(r: PiecewiseAffine) -> str:

@@ -110,6 +110,15 @@ def test_parse_error_positions():
     assert ";" in e.value.expected
 
 
+@pytest.mark.parametrize("coefficients, col", [("-inf,0", 34), ("1,+inf", 36)])
+def test_infinite_affine_coefficients_are_reported_at_the_token(coefficients, col):
+    with pytest.raises(ParseError) as e:
+        parse_document("space Q { carrier qline; opens canonical-open; cov essfin }\n"
+                       "map f : Q -> Q = affine{ whole : %s }" % coefficients)
+    assert (e.value.line, e.value.col) == (2, col)
+    assert "infinite coefficient" in str(e.value)
+
+
 def test_duplicate_names_rejected():
     with pytest.raises(ValidationError):
         parse_document(
