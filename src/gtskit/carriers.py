@@ -7,11 +7,16 @@ Four kinds are supported:
 * ``QLine``     -- the real line with the rational-endpoint interval algebra,
 * ``Product``   -- a binary product of two carriers.
 
-A carrier holds no set algebra itself: ``setexpr.ALGEBRA`` maps each
-carrier class to the one object that implements the Boolean algebra of its
-subsets on their canonical forms.  A carrier only keeps the form of its
-whole set once ``setexpr.whole`` has built it; the form takes no part in
-its equality, hash or repr.
+A carrier holds no set algebra itself: ``setexpr`` picks the one object
+that implements the Boolean algebra of its subsets on their canonical
+forms.  A *finite* carrier is a ``FiniteEnum``, or a ``Product`` of two
+finite carriers; its points have a fixed order, the sorted points (the
+atoms, or the pairs of factor points with the left one first), and every
+set on it is a bitmask over that order.  ``NatFC``, ``QLine`` and a product
+with an infinite factor keep symbolic forms: finite/cofinite sets,
+intervals and boxes.  A carrier keeps the form of its whole set once
+``setexpr.whole`` has built it, and a finite carrier the place of each
+point once it is asked; neither takes part in its equality, hash or repr.
 """
 
 from __future__ import annotations
@@ -23,16 +28,29 @@ from dataclasses import dataclass, field
 class Carrier:
     """Abstract base; use one of the concrete subclasses."""
 
+    # whether the carrier has finitely many points
+    finite = False
     # the canonical form of setexpr.whole(self), once it is asked
     _whole: object = field(default=None, init=False, compare=False, repr=False)
+    # point_bits() of a finite carrier, once it is asked
+    _bit: dict = field(default=None, init=False, compare=False, repr=False)
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def point_bits(self) -> dict:
+        """Each point of a finite carrier and its place in the carrier's
+        point order, in that order."""
+        if self._bit is None:
+            object.__setattr__(self, "_bit", {x: k for k, x in enumerate(self._points())})
+        return self._bit
 
 
 @dataclass(frozen=True)
 class FiniteEnum(Carrier):
     elements: tuple[str, ...]
+
+    finite = True
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -42,6 +60,9 @@ class FiniteEnum(Carrier):
 
     def describe(self) -> str:
         return "enum{%s}" % ",".join(self.elements)
+
+    def _points(self):
+        return self.elements
 
 
 @dataclass(frozen=True)
@@ -61,5 +82,11 @@ class Product(Carrier):
     left: Carrier
     right: Carrier
 
+    def __post_init__(self):
+        object.__setattr__(self, "finite", self.left.finite and self.right.finite)
+
     def describe(self) -> str:
         return "product(%s, %s)" % (self.left.describe(), self.right.describe())
+
+    def _points(self):
+        return ((x, y) for x in self.left.point_bits() for y in self.right.point_bits())

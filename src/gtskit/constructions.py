@@ -165,7 +165,7 @@ def _tag_enum_summands(Xs: list) -> list:
     big = FiniteEnum(tuple(atoms))
     out = []
     for i, X in enumerate(Xs):
-        ren = lambda S, i=i: sx.atoms(big, ["%d.%s" % (i, a) for a in S.form])
+        ren = lambda S, i=i: sx.atoms(big, ["%d.%s" % (i, a) for a in S.finite_points()])
         support = ren(X.support)
         if isinstance(X.opens, ExplicitList):
             opens = ExplicitList(tuple(ren(S) for S in X.opens.sets))

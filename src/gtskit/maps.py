@@ -298,7 +298,7 @@ class Projection(Rule):
         return self._pick(x)
 
     def image(self, S, cc):
-        return sx.union_all(cc, map(self._pick, S.form))
+        return sx.project(S, self.side)
 
     def preimage(self, T, dc):
         if self.side == "left":
@@ -340,7 +340,7 @@ class Pairing(Rule):
 
     def preimage(self, T, dc):
         return sx.union_all(dc, [sx.intersect(self.f.preimage(L), self.g.preimage(R))
-                                 for L, R in T.form])
+                                 for L, R in sx.box_view(T)])
 
 
 @dataclass(frozen=True)
@@ -587,17 +587,15 @@ def _probe_pullbacks(f: SpaceMap) -> tuple:
     return None, checked
 
 
-def _listed_probe(X: GtsPresentation) -> list[FamilyExpr]:
-    opens = listed_opens(X)
-    return [] if opens is None else [FamilyExpr(X.carrier, tuple(opens))]
-
-
-# library families likely to separate policies on a codomain, by carrier class
+# library families likely to separate policies on a codomain, by carrier
+# class.  A finite codomain has none: its covers are essentially finite, so
+# the preimages of its listed opens decide, and where they cannot be
+# computed, neither can those of any probe of its opens
 _PROBES = {
     QLine: lambda X: [FamilyExpr(X.carrier, (), (shrink(0, 1, "both", 3),)),
                       FamilyExpr(X.carrier, (), (GrowBalls(1),))],
     NatFC: lambda X: [FamilyExpr(X.carrier, (), (Singletons(),)),
                       FamilyExpr(X.carrier, (sx.whole(X.carrier),))],
-    FiniteEnum: _listed_probe,
+    FiniteEnum: lambda X: [],
     Product: lambda X: [],
 }

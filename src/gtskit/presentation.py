@@ -297,7 +297,7 @@ class ProductOpens(Opens):
 
     def is_open(self, X, S):
         """Cell test: each fiber open, each cell interior to its fiber's shadow."""
-        cells = list(S.form)
+        cells = sx.box_view(S)
         if not all(is_open(self.right, F) for _, F in cells):
             return False
         covered = self._left_cover
@@ -612,7 +612,7 @@ def points_of(S: SetExpr) -> list:
 
 def from_points(c: Carrier, pts) -> SetExpr:
     """The finite set with exactly these points."""
-    return SetExpr(c, sx.ALGEBRA[type(c)].from_points(c, pts), _normalized=True)
+    return SetExpr(c, sx._algebra(c).from_points(c, pts), _normalized=True)
 
 
 def from_mask(c: Carrier, pts, m: int) -> SetExpr:

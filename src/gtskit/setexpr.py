@@ -2,24 +2,33 @@
 
 Every ``SetExpr`` is kept in a canonical form that is unique per extension,
 so set equality, inclusion and emptiness reduce to structural comparison.
-Each carrier class has one algebra object, ``ALGEBRA[type(carrier)]``,
-that alone knows its form: it canonicalizes, builds, combines, tests,
-renders and lists the points of the sets on that carrier.  The functions
-below check carriers, make one call into that algebra and wrap the form
-it returns.  The forms are:
+Each carrier has one algebra object, ``_algebra(carrier)``, that alone
+knows its form: it canonicalizes, builds, combines, tests, renders and
+lists the points of the sets on that carrier.  Every finite carrier (see
+``carriers``) shares the one mask algebra; each other carrier class has its
+own, ``ALGEBRA[type(carrier)]``.  The functions below check carriers, make
+one call into that algebra and wrap the form it returns.  The forms are:
 
-* ``FiniteEnum`` -- an explicit frozenset of atoms;
+* a finite carrier -- an ``int`` bitmask over the carrier's point order
+  (``Carrier.point_bits``): bit k is set iff the set holds the k-th point.
+  So union, meet, complement, inclusion, equality and hashing are integer
+  operations, and a set is built from its points by looking up their bits.
+  A ``FiniteEnum`` set renders as its atoms.  A product's points are the
+  pairs in row-major order, so the fiber of the i-th left point is the
+  mask's i-th run of as many bits as the right factor has points.  Its
+  box view (the boxes below, built from those runs) and its render are
+  built only when asked, and kept on the set;
 * ``NatFC``      -- a finite set of naturals plus a complemented flag;
 * ``QLine``      -- a sorted tuple of maximal, pairwise disjoint, non-adjacent
   intervals (degenerate points allowed).  A finite endpoint is always a
   ``Fraction``; an infinite one is ``NEG_INF`` or ``POS_INF``, two
   sentinels that order below and above every rational, are tested by
   identity and are never floats.  An infinite endpoint is always open.
-* ``Product``    -- a tuple of boxes ``(cell, fiber)`` sorted by the rendered
-  cell: the fiber of a left point is the set of right points paired with it,
-  and each box pairs one non-empty fiber with all left points sharing it.
-  So the cells are pairwise disjoint and the fibers pairwise distinct.  On
-  every left carrier a union (and a random set) is built by adding boxes
+* a ``Product`` with an infinite factor -- a tuple of boxes ``(cell, fiber)``
+  sorted by the rendered cell: the fiber of a left point is the set of right
+  points paired with it, and each box pairs one non-empty fiber with all
+  left points sharing it.  So the cells are pairwise disjoint and the fibers
+  pairwise distinct.  A union (and a random set) is built by adding boxes
   one at a time, each splitting the cells it meets.  The boxes of an
   intersection (the cells of one operand met with the other's), of a
   complement (read off the cells) and of a finite point set (one singleton
@@ -37,7 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import reduce, total_ordering
+from operator import or_
 from typing import Iterable
 
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
@@ -197,12 +207,14 @@ def _intersect_two(a: Interval, b: Interval) -> Interval | None:
 class SetExpr:
     """Immutable canonical subset of a carrier."""
 
-    __slots__ = ("carrier", "form")
+    # _view and _text: the box view and the render of a set on a finite
+    # product, each once it is asked
+    __slots__ = ("carrier", "form", "_view", "_text")
 
     def __init__(self, carrier: Carrier, form, _normalized: bool = False):
         object.__setattr__(self, "carrier", carrier)
         if not _normalized:
-            form = ALGEBRA[type(carrier)].canonicalize(carrier, form)
+            form = _algebra(carrier).canonicalize(carrier, form)
         object.__setattr__(self, "form", form)
 
     def __setattr__(self, *a):
@@ -211,8 +223,8 @@ class SetExpr:
     def __eq__(self, other):
         return self is other or (
             isinstance(other, SetExpr)
-            and self.carrier == other.carrier
             and self.form == other.form
+            and self.carrier == other.carrier
         )
 
     def __hash__(self):
@@ -223,17 +235,17 @@ class SetExpr:
 
     # -- queries ----------------------------------------------------------
     def is_empty(self) -> bool:
-        return ALGEBRA[type(self.carrier)].is_empty(self.form)
+        return _algebra(self.carrier).is_empty(self.form)
 
     def is_whole(self) -> bool:
         return self.form == _whole_form(self.carrier)
 
     def is_finite_pointset(self) -> bool:
-        return ALGEBRA[type(self.carrier)].is_finite(self.form)
+        return _algebra(self.carrier).is_finite(self.form)
 
     def finite_points(self) -> list:
         """Points of a finite point set, in canonical order."""
-        return ALGEBRA[type(self.carrier)].points(self.form)
+        return _algebra(self.carrier).points(self)
 
 
 # -- the algebra of each carrier class ------------------------------------
@@ -245,9 +257,14 @@ class _Algebra:
     forms on it; every set a method returns is a canonical form.  Each
     subclass provides ``canonicalize(c, form)``, ``whole(c)``,
     ``union(c, a, b)``, ``intersect(c, a, b)``, ``complement(c, a)``,
-    ``contains(c, a, x)``, ``render(a)``, ``is_finite(a)``, ``points(a)``
-    (of a finite set, in canonical order), ``from_points(c, pts)`` and
+    ``contains(c, a, x)``, ``is_finite(a)``, ``from_points(c, pts)`` and
     ``random_set(c, rng)``, a set drawn from the audit's seeded grammar.
+    ``render(S)`` and ``points(S)`` (of a finite set, in canonical order)
+    take the set itself, so that a view built from its form can be kept on
+    it.  A product algebra also provides ``from_boxes(c, pairs)``, the union
+    of the boxes (l, r) of factor sets, ``box_view(S)`` and
+    ``project(c, a, side)``, the image of a set under the projection to
+    its "left" or "right" factor.
     """
 
     def empty(self, c):
@@ -263,55 +280,160 @@ class _Algebra:
             out = self.union(c, out, a)
         return out
 
+    def minus(self, c, a, b):
+        return self.intersect(c, a, self.complement(c, b))
+
+    def is_subset(self, c, a, b) -> bool:
+        return self.is_empty(self.minus(c, a, b))
+
     def endpoints(self, a) -> set:
         """The finite endpoint or element values of a set, as rationals."""
         return set()
 
 
-class _EnumAlgebra(_Algebra):
-    """An explicit frozenset of atoms."""
+def _bits(m: int):
+    """The places of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+class _MaskAlgebra(_Algebra):
+    """A bitmask over the point order of a finite carrier."""
 
     def canonicalize(self, c, form):
-        elems = frozenset(form)
-        bad = elems - set(c.elements)
-        if bad:
-            raise ValueError(f"atoms outside carrier: {sorted(bad)}")
-        return elems
+        if not 0 <= form <= _whole_form(c):
+            raise ValueError("mask holds points outside carrier")
+        return form
 
     def empty(self, c):
-        return frozenset()
+        return 0
 
     def whole(self, c):
-        return frozenset(c.elements)
+        return (1 << len(c.point_bits())) - 1
 
     def union(self, c, a, b):
         return a | b
+
+    def union_all(self, c, forms):
+        return reduce(or_, forms, 0)
 
     def intersect(self, c, a, b):
         return a & b
 
     def complement(self, c, a):
-        return frozenset(c.elements) - a
+        return _whole_form(c) ^ a
+
+    def minus(self, c, a, b):
+        return a & ~b
+
+    def is_subset(self, c, a, b):
+        return not a & ~b
 
     def contains(self, c, a, x):
-        if not isinstance(x, str) or x not in c.elements:
-            raise UnrepresentablePoint(f"{x!r} is not an atom of {c.describe()}")
-        return x in a
+        try:
+            return bool(a >> c.point_bits()[x] & 1)
+        except (KeyError, TypeError):  # not a point, or not even hashable
+            raise UnrepresentablePoint(f"{x!r} is not a point of {c.describe()}") from None
 
-    def render(self, a):
-        return "{%s}" % ",".join(sorted(a)) if a else "empty"
+    def render(self, S):
+        if type(S.carrier) is not Product:
+            return self._render(S.carrier, S.form)
+        try:
+            return S._text
+        except AttributeError:
+            text = self._render(S.carrier, S.form)
+            object.__setattr__(S, "_text", text)
+            return text
+
+    def _render(self, c, a):
+        """The render of the set a on c, built from the mask alone."""
+        if not a:
+            return "empty"
+        if type(c) is not Product:
+            return "{%s}" % ",".join(self._atoms(c, a))
+        # the boxes sorted by the rendered cell, as box_view sorts them
+        return " u ".join("box(%s ; %s)" % lr for lr in sorted(
+            (self._render(c.left, l), self._render(c.right, r))
+            for r, l in self._cells(c, a).items()))
 
     def is_finite(self, a):
         return True
 
-    def points(self, a):
-        return sorted(a)
+    def points(self, S):
+        if type(S.carrier) is Product:
+            return _box_points(self.box_view(S))
+        return self._atoms(S.carrier, S.form)
+
+    def _atoms(self, c, a) -> list:
+        """The atoms of the set a on a FiniteEnum c, in their order."""
+        atoms = c.elements
+        return [atoms[k] for k in _bits(a)]
 
     def from_points(self, c, pts):
-        return self.canonicalize(c, pts)
+        bit, m = c.point_bits(), 0
+        for x in pts:
+            k = bit.get(x)
+            if k is None:
+                raise ValueError(f"atoms outside carrier: {x!r}")
+            m |= 1 << k
+        return m
 
     def random_set(self, c, rng):
-        return frozenset(x for x in c.elements if rng.random() < 0.5)
+        if type(c) is Product:
+            return self.from_boxes(c, _random_boxes(c, rng))
+        return sum(1 << k for k in range(len(c.elements)) if rng.random() < 0.5)
+
+    # -- on a product of finite carriers --
+
+    def _fibers(self, c, a):
+        """(i, fiber) for each left place i whose fiber, a mask on the right
+        factor, is not empty."""
+        n = len(c.right.point_bits())
+        row, i = (1 << n) - 1, 0
+        while a:
+            if a & row:
+                yield i, a & row
+            a >>= n
+            i += 1
+
+    def from_boxes(self, c, pairs):
+        n, m = len(c.right.point_bits()), 0
+        for l, r in pairs:
+            if l.is_empty() or r.is_empty():
+                continue
+            if l.carrier != c.left or r.carrier != c.right:
+                raise CarrierMismatch("box components on the wrong carrier")
+            for i in _bits(l.form):
+                m |= r.form << i * n
+        return m
+
+    def project(self, c, a, side):
+        if side == "left":
+            return sum(1 << i for i, _ in self._fibers(c, a))
+        return reduce(or_, (f for _, f in self._fibers(c, a)), 0)
+
+    def _cells(self, c, a) -> dict:
+        """Each fiber of a and its cell, the mask of the left points that
+        have it."""
+        cell_of: dict[int, int] = {}
+        for i, fiber in self._fibers(c, a):
+            cell_of[fiber] = cell_of.get(fiber, 0) | 1 << i
+        return cell_of
+
+    def box_view(self, S):
+        """Built on the first call and kept on S."""
+        try:
+            return S._view
+        except AttributeError:
+            pass
+        c = S.carrier
+        view = tuple(sorted(((SetExpr(c.left, l, True), SetExpr(c.right, r, True))
+                             for r, l in self._cells(c, S.form).items()),
+                            key=lambda b: sort_key(b[0])))
+        object.__setattr__(S, "_view", view)
+        return view
 
 
 class _NatAlgebra(_Algebra):
@@ -364,8 +486,8 @@ class _NatAlgebra(_Algebra):
         elems, co = a
         return (x not in elems) if co else (x in elems)
 
-    def render(self, a):
-        elems, co = a
+    def render(self, S):
+        elems, co = S.form
         body = ",".join(str(x) for x in sorted(elems))
         if co:
             return "whole" if not elems else "co{%s}" % body
@@ -374,8 +496,8 @@ class _NatAlgebra(_Algebra):
     def is_finite(self, a):
         return not a[1]
 
-    def points(self, a):
-        elems, co = a
+    def points(self, S):
+        elems, co = S.form
         if co:
             raise ValueError("cofinite set is not a finite point set")
         return sorted(elems)
@@ -429,16 +551,16 @@ class _LineAlgebra(_Algebra):
             raise UnrepresentablePoint(f"{x!r} is not a rational") from None
         return any(iv.contains(x) for iv in a)
 
-    def render(self, a):
-        return " u ".join(iv.render() for iv in a) if a else "empty"
+    def render(self, S):
+        return " u ".join(iv.render() for iv in S.form) if S.form else "empty"
 
     def is_finite(self, a):
         return all(iv.is_point() for iv in a)
 
-    def points(self, a):
-        if not self.is_finite(a):
+    def points(self, S):
+        if not self.is_finite(S.form):
             raise ValueError("not a finite point set")
-        return [iv.lo for iv in a]
+        return [iv.lo for iv in S.form]
 
     def from_points(self, c, pts):
         return normalize_intervals(Interval(x, x, False, False) for x in map(Fraction, pts))
@@ -454,7 +576,8 @@ class _LineAlgebra(_Algebra):
 
 
 class _ProductAlgebra(_Algebra):
-    """Boxes (cell, fiber) of factor sets, sorted by the rendered cell."""
+    """Boxes (cell, fiber) of factor sets, sorted by the rendered cell: the
+    products with an infinite factor."""
 
     def canonicalize(self, c, boxes):
         """Refine pairwise disjoint left cells box by box, then merge equal fibers.
@@ -524,20 +647,20 @@ class _ProductAlgebra(_Algebra):
             raise UnrepresentablePoint("product points are pairs")
         return any(contains(l, x[0]) and contains(r, x[1]) for l, r in a)
 
-    def render(self, a):
-        return " u ".join("box(%s ; %s)" % (render(l), render(r)) for l, r in a) if a else "empty"
+    def render(self, S):
+        return " u ".join("box(%s ; %s)" % (render(l), render(r)) for l, r in S.form) or "empty"
 
     def is_finite(self, a):
         return all(l.is_finite_pointset() and r.is_finite_pointset() for l, r in a)
 
-    def points(self, a):
-        return [(x, y) for l, r in a for x in l.finite_points() for y in r.finite_points()]
+    def points(self, S):
+        return _box_points(S.form)
 
     def from_points(self, c, pts):
         fibers: dict = {}
         for x, y in pts:
             fibers.setdefault(x, []).append(y)
-        left, right = ALGEBRA[type(c.left)], ALGEBRA[type(c.right)]
+        left, right = _algebra(c.left), _algebra(c.right)
         # one singleton cell per left point: the cells are pairwise disjoint
         return self._merge_fibers([
             (SetExpr(c.left, left.from_points(c.left, [x]), _normalized=True),
@@ -545,20 +668,42 @@ class _ProductAlgebra(_Algebra):
             for x, ys in fibers.items()])
 
     def random_set(self, c, rng):
-        return self.canonicalize(c, [(random_set(c.left, rng), random_set(c.right, rng))
-                                     for _ in range(rng.randint(0, 2))])
+        return self.canonicalize(c, _random_boxes(c, rng))
+
+    from_boxes = canonicalize
+
+    def project(self, c, a, side):
+        return union_all(getattr(c, side), (b[side == "right"] for b in a)).form
+
+    def box_view(self, S):
+        return S.form
 
 
+def _random_boxes(c: Product, rng) -> list:
+    """Up to two boxes of random factor sets, each drawn left then right."""
+    return [(random_set(c.left, rng), random_set(c.right, rng)) for _ in range(rng.randint(0, 2))]
+
+
+def _box_points(boxes) -> list:
+    return [(x, y) for l, r in boxes for x in l.finite_points() for y in r.finite_points()]
+
+
+# the algebras of the infinite carriers, by class; _MASKS is every finite carrier's
 ALGEBRA: dict[type, _Algebra] = {
-    FiniteEnum: _EnumAlgebra(), NatFC: _NatAlgebra(),
-    QLine: _LineAlgebra(), Product: _ProductAlgebra(),
+    NatFC: _NatAlgebra(), QLine: _LineAlgebra(), Product: _ProductAlgebra(),
 }
+_MASKS = _MaskAlgebra()
+
+
+def _algebra(c: Carrier) -> _Algebra:
+    """The algebra of the sets on carrier c."""
+    return _MASKS if c.finite else ALGEBRA[type(c)]
 
 
 # -- constructors ---------------------------------------------------------
 
 def empty(carrier: Carrier) -> SetExpr:
-    return SetExpr(carrier, ALGEBRA[type(carrier)].empty(carrier), _normalized=True)
+    return SetExpr(carrier, _algebra(carrier).empty(carrier), _normalized=True)
 
 
 def whole(carrier: Carrier) -> SetExpr:
@@ -571,13 +716,13 @@ def _whole_form(carrier: Carrier):
     makes no reference cycle, and a carrier dropped is freed at once."""
     form = carrier._whole
     if form is None:
-        form = ALGEBRA[type(carrier)].whole(carrier)
+        form = _algebra(carrier).whole(carrier)
         object.__setattr__(carrier, "_whole", form)
     return form
 
 
 def atoms(carrier: FiniteEnum, names: Iterable[str]) -> SetExpr:
-    return SetExpr(carrier, frozenset(names))
+    return SetExpr(carrier, _algebra(carrier).from_points(carrier, names), _normalized=True)
 
 
 def nat_finite(elems: Iterable[int]) -> SetExpr:
@@ -613,7 +758,7 @@ def qpoint(x) -> SetExpr:
 
 
 def boxes(carrier: Product, pairs: Iterable[tuple[SetExpr, SetExpr]]) -> SetExpr:
-    return SetExpr(carrier, list(pairs))
+    return SetExpr(carrier, _algebra(carrier).from_boxes(carrier, list(pairs)), _normalized=True)
 
 
 def box(l: SetExpr, r: SetExpr) -> SetExpr:
@@ -625,20 +770,20 @@ def random_fraction(rng) -> Fraction:
 
 
 def random_set(carrier: Carrier, rng) -> SetExpr:
-    return SetExpr(carrier, ALGEBRA[type(carrier)].random_set(carrier, rng), _normalized=True)
+    return SetExpr(carrier, _algebra(carrier).random_set(carrier, rng), _normalized=True)
 
 
 # -- boolean operations ---------------------------------------------------
 
 def _check_same_carrier(a: SetExpr, b: SetExpr):
-    if a.carrier != b.carrier:
+    if a.carrier is not b.carrier and a.carrier != b.carrier:
         raise CarrierMismatch(f"{a.carrier!r} vs {b.carrier!r}")
 
 
 def union(a: SetExpr, b: SetExpr) -> SetExpr:
     _check_same_carrier(a, b)
     c = a.carrier
-    return SetExpr(c, ALGEBRA[type(c)].union(c, a.form, b.form), _normalized=True)
+    return SetExpr(c, _algebra(c).union(c, a.form, b.form), _normalized=True)
 
 
 def union_all(carrier: Carrier, sets: Iterable[SetExpr]) -> SetExpr:
@@ -648,44 +793,63 @@ def union_all(carrier: Carrier, sets: Iterable[SetExpr]) -> SetExpr:
         if S.carrier != carrier:
             raise CarrierMismatch(f"{S.carrier!r} vs {carrier!r}")
         forms.append(S.form)
-    return SetExpr(carrier, ALGEBRA[type(carrier)].union_all(carrier, forms), _normalized=True)
+    return SetExpr(carrier, _algebra(carrier).union_all(carrier, forms), _normalized=True)
 
 
 def complement(a: SetExpr) -> SetExpr:
     c = a.carrier
-    return SetExpr(c, ALGEBRA[type(c)].complement(c, a.form), _normalized=True)
+    return SetExpr(c, _algebra(c).complement(c, a.form), _normalized=True)
 
 
 def intersect(a: SetExpr, b: SetExpr) -> SetExpr:
     _check_same_carrier(a, b)
     c = a.carrier
-    return SetExpr(c, ALGEBRA[type(c)].intersect(c, a.form, b.form), _normalized=True)
+    return SetExpr(c, _algebra(c).intersect(c, a.form, b.form), _normalized=True)
 
 
 def minus(a: SetExpr, b: SetExpr) -> SetExpr:
-    return intersect(a, complement(b))
+    _check_same_carrier(a, b)
+    c = a.carrier
+    return SetExpr(c, _algebra(c).minus(c, a.form, b.form), _normalized=True)
 
 
 # -- comparisons ----------------------------------------------------------
 
 def is_subset(a: SetExpr, b: SetExpr) -> bool:
-    return minus(a, b).is_empty()
+    _check_same_carrier(a, b)
+    return _algebra(a.carrier).is_subset(a.carrier, a.form, b.form)
 
 
 # -- membership -----------------------------------------------------------
 
 def contains(S: SetExpr, x) -> bool:
-    return ALGEBRA[type(S.carrier)].contains(S.carrier, S.form, x)
+    return _algebra(S.carrier).contains(S.carrier, S.form, x)
 
 
 # -- rendering ------------------------------------------------------------
 
 def render(S: SetExpr) -> str:
-    return ALGEBRA[type(S.carrier)].render(S.form)
+    return _algebra(S.carrier).render(S)
 
 
 def sort_key(S: SetExpr) -> str:
     return render(S)
+
+
+# -- products -------------------------------------------------------------
+
+def box_view(S: SetExpr) -> tuple:
+    """The boxes (cell, fiber) of a set on a product carrier, one per fiber
+    and sorted by the rendered cell: the form of a product with an infinite
+    factor, built from the mask and kept on a finite product's set."""
+    return _algebra(S.carrier).box_view(S)
+
+
+def project(S: SetExpr, side: str) -> SetExpr:
+    """The image of a product set under the projection to its "left" or
+    "right" factor."""
+    c = S.carrier
+    return SetExpr(getattr(c, side), _algebra(c).project(c, S.form, side), _normalized=True)
 
 
 def interval_closure(S: SetExpr) -> SetExpr:

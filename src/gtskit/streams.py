@@ -282,4 +282,4 @@ def merge_stream(s: Stream, v: SetExpr) -> DerivedStream:
 
 def set_endpoints(S: SetExpr) -> set:
     """Finite endpoint/element values of a QLine or NatFC SetExpr."""
-    return sx.ALGEBRA[type(S.carrier)].endpoints(S.form)
+    return sx._algebra(S.carrier).endpoints(S.form)

@@ -105,7 +105,8 @@ def same_carrier_triples(draw):
 
 
 def sample_points(*sets):
-    """Candidate points, in and around sets on one carrier, read off their forms.
+    """Candidate points, in and around sets on one carrier, read off their
+    forms (the box views of product sets).
 
     The atoms; the naturals 0-13; on the line every finite endpoint, the
     midpoints between neighbouring endpoints and one point past the first
@@ -122,8 +123,8 @@ def sample_points(*sets):
             if e not in (sx.NEG_INF, sx.POS_INF)})
         mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
         return ends + mids + [ends[0] - 1, ends[-1] + 1]
-    lefts = sample_points(sx.empty(c.left), *(L for S in sets for L, _ in S.form))
-    rights = sample_points(sx.empty(c.right), *(R for S in sets for _, R in S.form))
+    lefts = sample_points(sx.empty(c.left), *(L for S in sets for L, _ in sx.box_view(S)))
+    rights = sample_points(sx.empty(c.right), *(R for S in sets for _, R in sx.box_view(S)))
     return [(x, y) for x in lefts for y in rights]
 
 

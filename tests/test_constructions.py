@@ -29,6 +29,7 @@ from gtskit.presentation import (
     EssFin,
     GtsPresentation,
     enumerate_opens,
+    generate_finite_gts,
     is_admissible,
     is_open,
     points_of,
@@ -58,6 +59,16 @@ def test_closed_trace_opens():
     Y = subspace(X, sx.interval(0, 1, False, False))
     assert is_open(Y, sx.interval(0, Fraction(1, 2), False, True))
     assert not is_open(Y, sx.interval(0, Fraction(1, 2), False, False))
+
+
+def test_trace_of_a_trace_is_the_trace_on_both_windows():
+    # the chain a < b < c < d, cut to {b,c,d} and then to {c,d}: its opens
+    # there are the traces of {a,b,c} and {a,b,c,d}
+    c = FiniteEnum(("a", "b", "c", "d"))
+    chain = generate_finite_gts(c, [sx.atoms(c, "a"), sx.atoms(c, "ab"), sx.atoms(c, "abc")])
+    X = subspace(subspace(chain, sx.atoms(c, "bcd")), sx.atoms(c, "cd"))
+    assert [S for S in all_subsets(X.support) if is_open(X, S)] == \
+        [sx.empty(c), sx.atoms(c, "c"), sx.atoms(c, "cd")]
 
 
 def test_bare_topological_subset_unsupported():

@@ -34,6 +34,7 @@ from gtskit.maps import (
     PiecewiseAffine,
     PreimageStream,
     Projection,
+    Rule,
     SpaceMap,
     check_strict_continuity,
     identity_map,
@@ -164,6 +165,20 @@ def test_identity_between_different_traces_is_not_assumed_continuous():
     # no library probe is admissible in the codomain, so nothing was checked
     v = check_strict_continuity(SpaceMap(D, C, Identity()))
     assert v.status == "Unknown" and "no probe family" in v.reason
+
+
+class _PointsOnly(Rule):
+    """A rule that sends points but pulls back no set."""
+
+    def apply(self, x):
+        return "a"
+
+
+def test_finite_codomain_is_decided_before_any_probe():
+    # a finite codomain's opens are listed, so strict continuity is decided
+    # by their preimages; where no preimage is computable, nothing else is
+    v = check_strict_continuity(SpaceMap(lib.sierpinski(), lib.discrete_pair(), _PointsOnly()))
+    assert (v.status, v.reason) == ("Unknown", "no probe family is admissible in the codomain")
 
 
 def test_topological_to_small_direction():

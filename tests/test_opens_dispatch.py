@@ -6,10 +6,11 @@ classes and the five stream classes at most as often as its budgets below
 allow.  The DSL writes each object by looking its class up in the table
 that also parses its word, and tests a carrier only where a set literal
 must fit it.  Each carrier's set algebra, random sets included, is reached
-through ``setexpr.ALGEBRA``; each opens description draws its own opens
-and each map rule says which opens it keeps open; the audit's streams,
-the separation flags and the continuity probes are tables keyed on the
-class.  The other budgets are what is left of the per-description,
+through ``setexpr._algebra``, which gives every finite carrier the one
+mask algebra and every other carrier its class's; each opens description
+draws its own opens and each map rule says which opens it keeps open; the
+audit's streams, the separation flags and the continuity probes are tables
+keyed on the class.  The other budgets are what is left of the per-description,
 per-rule, per-carrier and per-policy branches.
 """
 

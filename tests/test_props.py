@@ -1,5 +1,6 @@
 import pathlib
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product as iproduct
@@ -52,7 +53,7 @@ from gtskit.props import (
     separation_report,
 )
 from gtskit import setexpr as sx
-from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons
+from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons, clip_stream
 from gtskit.verdict import Verdict
 
 from conftest import all_subsets, mask_space, mask_topologies, small_catalog
@@ -418,6 +419,58 @@ def test_singleton_basis_of_discrete_pair():
     assert is_basis(D, B).yes
     whole_only = FamilyExpr(D.carrier, (sx.whole(D.carrier),))
     assert is_basis(D, whole_only).status == "No"
+
+
+def test_finite_basis_reads_the_stages_that_hold_each_point():
+    # the eight clipped singletons are the eight singletons listed; the
+    # first four stages alone do not make up {0,...,7}
+    support = sx.nat_finite(range(8))
+    X = subspace(lib.topological_discrete_nat(), support)
+    clipped = FamilyExpr(X.carrier, (), (clip_stream(Singletons(), support),))
+    listed = FamilyExpr(X.carrier, tuple(sx.nat_finite([n]) for n in range(8)))
+    assert is_basis(X, listed).yes
+    assert is_basis(X, clipped).yes
+    # on four isolated points of the line, the first clipped ball that holds
+    # 0 is {0,1/2}, and every later one holds it: {0} is no member
+    sub = subspace(lib.rational_interval_line(), sx.union_all(
+        QLine(), [sx.qpoint(Fraction(k, 2)) for k in range(4)]))
+    v = is_basis(sub, FamilyExpr(QLine(), (), (clip_stream(GrowBalls(1), sub.support),)))
+    assert (v.status, sx.render(v.witness)) == ("No", "[0,0]")
+
+
+def test_finite_basis_agrees_with_a_listing_of_every_open():
+    """On every third finite space of the least-opens differential, is_basis
+    of the least opens, of all opens and of the least opens less each one
+    agrees with a listing of every open: is each the union of the members
+    inside it?  A missing least open is the witness."""
+    for X in list(finite_spaces())[::3]:
+        pts, least = least_opens(X)
+        sets = [from_mask(X.carrier, pts, m) for m in range(1 << len(pts))]
+        opens = [O for O in sets if is_open(X, O)]
+
+        def listed_verdict(members):
+            return all(sx.union_all(X.carrier, [m for m in members if sx.is_subset(m, O)]) == O
+                       for O in opens)
+
+        minimal = list(dict.fromkeys(from_mask(X.carrier, pts, m) for m in least))
+        assert is_basis(X, FamilyExpr(X.carrier, tuple(minimal))).yes
+        assert is_basis(X, FamilyExpr(X.carrier, tuple(opens))).yes
+        for U in minimal:
+            rest = tuple(m for m in minimal if m != U)
+            v = is_basis(X, FamilyExpr(X.carrier, rest))
+            assert (v.status, v.witness) == ("No", U) and not listed_verdict(rest)
+
+
+def test_finite_basis_lists_no_open(monkeypatch):
+    def refuse(X):
+        raise AssertionError("listed the opens")
+
+    monkeypatch.setattr(gtskit.presentation, "enumerate_opens", refuse)
+    support = sx.nat_finite(range(25))
+    X = GtsPresentation(NatFC(), AllSets(), All(), support)
+    start = time.perf_counter()
+    v = is_basis(X, FamilyExpr(NatFC(), (), (clip_stream(Singletons(), support),)))
+    assert v.yes and time.perf_counter() - start < 1
 
 
 def test_sampled_basis_clips_its_streams_to_each_drawn_open(monkeypatch):

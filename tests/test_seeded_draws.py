@@ -1,13 +1,15 @@
 """Seeded draws stay the same draws: the renders of two consecutive draws
 from ``random.Random(seed)`` for seeds 0 to 19, of the line's canonical
 opens, a product's opens, a direct sum's opens and a random set of the
-line.
+line; and of the opens and a random set of an atom carrier and of a
+product of finite carriers, whose sets are bitmasks.
 
 The audit and the golden fixtures replay these draws, but not every draw
 reaches a fixture, so a change to the order in which a draw consumes its
 generator (say, every fraction before the open/closed flags) could pass
 them.  The renders below were recorded from the hand-written folds that
-drew one piece at a time.
+drew one piece at a time; those of the finite carriers, from the frozensets
+of atoms and the boxes that their sets were before they became bitmasks.
 """
 
 import random
@@ -16,18 +18,28 @@ import pytest
 
 from gtskit import library as lib
 from gtskit import setexpr as sx
-from gtskit.carriers import QLine
+from gtskit.carriers import FiniteEnum, Product, QLine
 from gtskit.constructions import direct_sum, product, subspace
+from gtskit.presentation import All, AllSets, GtsPresentation
 
 LINE = lib.rational_interval_line()
 PRODUCT = product([LINE, lib.discrete_small_nat()])[0]
 SUM = direct_sum([subspace(LINE, sx.interval(-2, 0)), subspace(LINE, sx.interval(1, 3))])
+ENUM5 = FiniteEnum(("a", "b", "c", "d", "e"))
+DISCRETE5 = GtsPresentation(ENUM5, AllSets(), All(), sx.atoms(ENUM5, "abcd"))
+FINITE_PRODUCT = product([lib.sierpinski(), DISCRETE5])[0]
+PAIRS = Product(Product(FiniteEnum(("x", "y")), FiniteEnum(("x", "y"))),
+                FiniteEnum(("p", "q", "r")))
 
 DRAWS = {
     "canonical-open": lambda rng: LINE.opens.draw(LINE, rng),
     "product": lambda rng: PRODUCT.opens.draw(PRODUCT, rng),
     "glued": lambda rng: SUM.opens.draw(SUM, rng),
     "line-random-set": lambda rng: sx.random_set(QLine(), rng),
+    "enum-opens": lambda rng: DISCRETE5.opens.draw(DISCRETE5, rng),
+    "enum-random-set": lambda rng: sx.random_set(ENUM5, rng),
+    "finite-product-opens": lambda rng: FINITE_PRODUCT.opens.draw(FINITE_PRODUCT, rng),
+    "finite-product-random-set": lambda rng: sx.random_set(PAIRS, rng),
 }
 
 RENDERS = {
@@ -128,6 +140,96 @@ RENDERS = {
         ('(-4,1/16] u (4/27,28/31)', '(-4/17,7/2)'),
         ('(-29/16,19/9)', '[-13/14,5/4]'),
         ('(-17/29,5/8)', '(-17/21,-5/8) u [-9/31,1/6) u [14/13,31/14)'),
+        ('empty', 'empty'),
+    ],
+    'enum-opens': [
+        ('{c,d}', '{a,c,d}'),
+        ('{a,d}', '{a,d}'),
+        ('{c,d}', '{c}'),
+        ('{a,c}', '{a,b,d}'),
+        ('{a,b,c,d}', '{a}'),
+        ('empty', '{b,c}'),
+        ('{c,d}', '{b,d}'),
+        ('{a,b,d}', '{a,b,d}'),
+        ('{a,c}', '{a,c}'),
+        ('{a,b,c}', '{c}'),
+        ('{b,d}', '{c}'),
+        ('{a,d}', '{b}'),
+        ('{a,d}', '{a,b}'),
+        ('{a}', '{a,b,c}'),
+        ('{a}', '{a,d}'),
+        ('{b,d}', '{a}'),
+        ('{a,b,c,d}', '{b,d}'),
+        ('{d}', '{c,d}'),
+        ('{a,c,d}', '{a,b,c,d}'),
+        ('empty', '{b,c,d}'),
+    ],
+    'enum-random-set': [
+        ('{c,d}', '{a,c,d}'),
+        ('{a,d,e}', '{a,d,e}'),
+        ('{c,d}', '{c}'),
+        ('{a,c}', '{a,b,d,e}'),
+        ('{a,b,c,d,e}', '{a,e}'),
+        ('empty', '{b,c}'),
+        ('{c,d,e}', '{b,d}'),
+        ('{a,b,d}', '{a,b,d,e}'),
+        ('{a,c,e}', '{a,c,e}'),
+        ('{a,b,c,e}', '{c}'),
+        ('{b,d}', '{c,e}'),
+        ('{a,d}', '{b}'),
+        ('{a,d,e}', '{a,b}'),
+        ('{a,e}', '{a,b,c,e}'),
+        ('{a,e}', '{a,d}'),
+        ('{b,d}', '{a}'),
+        ('{a,b,c,d,e}', '{b,d,e}'),
+        ('{d}', '{c,d,e}'),
+        ('{a,c,d,e}', '{a,b,c,d,e}'),
+        ('{e}', '{b,c,d,e}'),
+    ],
+    'finite-product-opens': [
+        ('box({a} ; {a,c})', 'box({a} ; {d})'),
+        ('empty', 'empty'),
+        ('empty', 'empty'),
+        ('empty', 'box({a} ; {a,b,c,d}) u box({b} ; {a,c})'),
+        ('empty', 'empty'),
+        ('empty', 'box({a} ; {b,c,d})'),
+        ('box({a,b} ; {a,c})', 'box({a,b} ; {b})'),
+        ('empty', 'box({a,b} ; {a,b})'),
+        ('empty', 'box({a} ; {a,c,d})'),
+        ('box({a,b} ; {a,b,d})', 'box({a} ; {b,c,d})'),
+        ('box({a,b} ; {b,c,d})', 'box({a,b} ; {a,b,c,d})'),
+        ('box({a,b} ; {c})', 'box({a,b} ; {c,d})'),
+        ('box({a} ; {c,d})', 'empty'),
+        ('box({a} ; {d})', 'empty'),
+        ('empty', 'box({a,b} ; {c})'),
+        ('empty', 'empty'),
+        ('box({a} ; {a,b,c,d})', 'empty'),
+        ('box({a,b} ; {a,c})', 'box({a} ; {d})'),
+        ('empty', 'empty'),
+        ('box({a} ; {c,d})', 'empty'),
+    ],
+    'finite-product-random-set': [
+        ('box(box({x} ; {x}) ; {r})', 'empty'),
+        ('empty', 'box(box({x,y} ; {x}) ; {p})'),
+        ('empty', 'empty'),
+        ('empty', 'box(box({x} ; {x}) ; {p})'),
+        ('empty', 'empty'),
+        ('empty', 'empty'),
+        ('box(box({x,y} ; {x}) ; {r})', 'box(box({x,y} ; {y}) ; {p,q})'),
+        ('empty', 'empty'),
+        ('empty', 'box(box({x} ; {x,y}) ; {q})'),
+        ('box(box({x,y} ; {y}) ; {q,r})', 'box(box({y} ; {x,y}) ; {p})'),
+        ('empty', 'empty'),
+        ('box(box({x} ; {x}) ; {p,q,r})', 'box(box({x,y} ; {x}) ; {p,q})'),
+        ('empty',
+         'box(box({x} ; {x}) ; {p,q,r}) u box(box({x} ; {y}) ; {q,r}) u '
+         'box(box({y} ; {x}) ; {p})'),
+        ('empty', 'empty'),
+        ('empty', 'box(box({x} ; {x,y}) ; {q,r}) u box(box({y} ; {x,y}) ; {q})'),
+        ('empty', 'empty'),
+        ('box(box({x,y} ; {x,y}) ; {q})', 'empty'),
+        ('empty', 'empty'),
+        ('empty', 'empty'),
         ('empty', 'empty'),
     ],
 }

@@ -265,11 +265,95 @@ def test_product_canonical_form_ignores_build_order(drawn):
     assert sorted(built.finite_points()) == sorted(points)
     # one box per fiber, holding every left point with that fiber
     cells = [(frozenset(l.finite_points()), frozenset(r.finite_points()))
-             for l, r in built.form]
+             for l, r in sx.box_view(built)]
     assert len(cells) == len(set(cells))
     assert set(cells) == _grouped_by_fiber(points)
-    keys = [sx.render(l) for l, _ in built.form]
+    keys = [sx.render(l) for l, _ in sx.box_view(built)]
     assert keys == sorted(keys)
+
+
+# -- finite carriers against a model on sets of points --------------------
+
+def _model_points(c):
+    """Every point of a finite carrier, sorted."""
+    if isinstance(c, FiniteEnum):
+        return sorted(c.elements)
+    return [(x, y) for x in _model_points(c.left) for y in _model_points(c.right)]
+
+
+def _model_boxes(c, P):
+    """(cell, fiber) of each fiber of the product set P: the left points that
+    have it; sorted by the rendered cell."""
+    fiber_of = {}
+    for x, y in P:
+        fiber_of.setdefault(x, set()).add(y)
+    cell_of = {}
+    for x, ys in fiber_of.items():
+        cell_of.setdefault(frozenset(ys), set()).add(x)
+    return sorted(((frozenset(xs), ys) for ys, xs in cell_of.items()),
+                  key=lambda b: _model_render(c.left, b[0]))
+
+
+def _model_render(c, P):
+    if not P:
+        return "empty"
+    if isinstance(c, FiniteEnum):
+        return "{%s}" % ",".join(sorted(P))
+    return " u ".join("box(%s ; %s)" % (_model_render(c.left, l), _model_render(c.right, r))
+                      for l, r in _model_boxes(c, P))
+
+
+def _model_order(c, P):
+    """The points of P in the order points_of lists them."""
+    if isinstance(c, FiniteEnum):
+        return sorted(P)
+    return [(x, y) for l, r in _model_boxes(c, P)
+            for x in _model_order(c.left, l) for y in _model_order(c.right, r)]
+
+
+MASKED = {
+    "e": ENUM3,
+    "ee": ENUM3_ENUM2,
+    "pe": PAIRS_ENUM2,
+    "ep": Product(ENUM2, ENUM2_ENUM2),
+}
+
+
+@pytest.mark.parametrize("name", MASKED)
+def test_finite_sets_agree_with_a_model_on_sets_of_points(name):
+    """On 40 seeded sets of each finite carrier, the renders, sort keys,
+    point lists and inclusions of every operation's result are those of a
+    model that keeps a set of points, and renders a product set by grouping
+    its left points by fiber.  Each set is built from its points in a
+    shuffled order, and every second set as a union of random boxes."""
+    c, rng = MASKED[name], random.Random(name)
+    pts = _model_points(c)
+    assert points_of(sx.whole(c)) == pts
+
+    def built(P):
+        shuffled = list(P)
+        rng.shuffle(shuffled)
+        return from_points(c, shuffled)
+
+    drawn = [frozenset(), frozenset(pts)]
+    while len(drawn) < 40:
+        drawn.append(frozenset(x for x in pts if rng.random() < 0.4))
+        S = sx.random_set(c, rng)
+        drawn.append(frozenset(x for x in pts if sx.contains(S, x)))
+    full = frozenset(pts)
+    for i, A in enumerate(drawn):
+        B = drawn[(i + 1) % len(drawn)]
+        a, b = built(A), built(B)
+        assert sx.is_subset(a, b) == (A <= B) and sx.is_subset(b, a) == (B <= A)
+        assert (a == b) == (A == B)
+        for got, want in ((a, A), (sx.union(a, b), A | B), (sx.intersect(a, b), A & B),
+                          (sx.minus(a, b), A - B), (sx.complement(a), full - A),
+                          (sx.union_all(c, [a, b, sx.empty(c)]), A | B)):
+            assert got == built(want) and hash(got) == hash(built(want))
+            assert sx.render(got) == sx.sort_key(got) == _model_render(c, want)
+            assert points_of(got) == _model_order(c, want)
+            assert [x for x in pts if sx.contains(got, x)] == [x for x in pts if x in want]
+            assert got.is_empty() == (not want) and got.is_whole() == (want == full)
 
 
 # -- products built from disjoint cells -----------------------------------
