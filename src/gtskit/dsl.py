@@ -13,6 +13,7 @@ the emitter looks up the class of an object.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -75,64 +76,55 @@ class ValidationError(_PositionedError):
 
 # -- tokens ---------------------------------------------------------------
 
-# blanks and comments, then one group per token kind, tried in this order;
-# a character no other group takes is unexpected
-_TOKEN_RE = re.compile(
-    r"""(?:[ \t]+|\#[^\n]*)*
-        (?: (\n)
-          | (->)
-          | ([+-]inf)
-          | (-?\d+)
-          | ([A-Za-z_]\w*(?:-[A-Za-z_]\w*)*)
-          | ([{}()\[\],;:|=+/])
-          | (.)
-          | \Z)
-    """,
-    re.VERBOSE,
-)
-_KINDS = (None, "nl", "arrow", "inf", "int", "name", "punct", "bad")
+# each token kind's pattern, tried in this order: at most one of the first
+# five matches at any place, a character none of them takes is bad, and the
+# empty text ends the document
+_KINDS = {"punct": r"[{}()\[\],;:|=/]|\+(?!inf)", "name": r"[A-Za-z_]\w*(?:-[A-Za-z_]\w*)*",
+          "int": r"-?\d+", "arrow": r"->", "inf": r"[+-]inf", "bad": r".", "end": r""}
+# blanks, newlines and comments, then one token's text
+_TOKEN_RE = re.compile(r"[ \t\n]*(?:\#[^\n]*[ \t\n]*)*(%s)" % "|".join(_KINDS.values()))
+_KIND_RE = re.compile("|".join("(?P<%s>%s)" % kp for kp in _KINDS.items()))
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        # kind is name, int, inf, arrow, punct or end
-        self.kind, self.text, self.line, self.col = kind, text, line, col
-
-
-def _tokenize(text: str) -> list:
-    out, line, line_start = [], 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        i = m.lastindex
-        if i is None:  # blanks at the end of the text
-            continue
-        kind = _KINDS[i]
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-            continue
-        col = m.start(i) - line_start + 1
-        if kind == "bad":
-            raise ParseError(line, col, "unexpected character %r" % m.group(i))
-        out.append(Token(kind, m.group(i), line, col))
-    out.append(Token("end", "", line, len(text) - line_start + 1))
-    return out
+def _tokenize(text: str):
+    """The token texts of text, the last one empty, and the kind of each
+    distinct text; a bad character is reported before any parsing."""
+    # after a blank or a comment the end matches twice, so one is added and
+    # one match dropped; the blank is not in the text _position scans
+    toks = _TOKEN_RE.findall(text + " ")[:-1]
+    kinds = {t: _KIND_RE.fullmatch(t).lastgroup for t in set(toks)}
+    if "bad" in kinds.values():
+        i = next(i for i, t in enumerate(toks) if kinds[t] == "bad")
+        raise ParseError(*_position(text, i), "unexpected character %r" % toks[i])
+    return toks, kinds
 
 
-def _unexpected(t: Token, *expected) -> ParseError:
-    return ParseError(t.line, t.col, "found %r" % (t.text or "end of input"), expected)
+def _position(text: str, i: int) -> tuple:
+    """The line and column of the i-th token of text, found by a rescan."""
+    start = next(itertools.islice(_TOKEN_RE.finditer(text), i, None)).start(1)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 class _Cursor:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.i = 0
-        self.tok = tokens[0]  # the next token
+    """The tokens of a document, walked in order.  A token is its text; its
+    line and column are found only for an error."""
 
-    def next(self) -> Token:
+    def __init__(self, text: str):
+        self.text = text
+        self.toks, self.kinds = _tokenize(text)
+        self.i = 0
+        self.tok = self.toks[0]  # the next token
+
+    def at(self, i: int) -> tuple:
+        return _position(self.text, i)
+
+    def unexpected(self, *expected) -> ParseError:
+        return ParseError(*self.at(self.i), "found %r" % (self.tok or "end of input"),
+                          expected)
+
+    def next(self) -> str:
         t = self.tok
-        if t.kind != "end":
+        if t:
             self.i += 1
             self.tok = self.toks[self.i]
         return t
@@ -140,19 +132,19 @@ class _Cursor:
     # a token that expect or expect_kind takes is never the end token, so
     # they advance without next's test
 
-    def expect(self, *texts) -> Token:
-        """The next token, which must have one of these texts."""
+    def expect(self, *texts) -> str:
+        """The next token, which must be one of texts."""
         t = self.tok
-        if t.text not in texts:
-            raise _unexpected(t, *texts)
+        if t not in texts:
+            raise self.unexpected(*texts)
         self.i += 1
         self.tok = self.toks[self.i]
         return t
 
-    def expect_kind(self, kind: str) -> Token:
+    def expect_kind(self, kind: str) -> str:
         t = self.tok
-        if t.kind != kind:
-            raise _unexpected(t, kind)
+        if self.kinds[t] != kind:
+            raise self.unexpected(kind)
         self.i += 1
         self.tok = self.toks[self.i]
         return t
@@ -161,7 +153,7 @@ class _Cursor:
 def _separated(cur: _Cursor, item, sep: str, *args) -> list:
     """item (sep item)*, each item read by item(cur, *args)."""
     items = [item(cur, *args)]
-    while cur.tok.text == sep:
+    while cur.tok == sep:
         cur.next()
         items.append(item(cur, *args))
     return items
@@ -171,9 +163,9 @@ def _until(cur: _Cursor, item, close: str, *args) -> list:
     """item* close, the items read by item(cur, *args) and optionally
     separated by commas."""
     items = []
-    while cur.tok.text != close:
+    while cur.tok != close:
         items.append(item(cur, *args))
-        if cur.tok.text == ",":
+        if cur.tok == ",":
             cur.next()
     cur.next()  # the close
     return items
@@ -192,6 +184,7 @@ class Document:
     presheaves: dict = field(default_factory=dict)
     order: list = field(default_factory=list)  # (kind, name)
     annotations: dict = field(default_factory=dict)  # name -> space annotation
+    names: set = field(default_factory=set, repr=False)  # every declared name
 
     def lookup(self, name: str):
         for kind, _, _ in _DECLARATIONS.values():
@@ -208,9 +201,9 @@ class Document:
         return table[name]
 
     def _declare(self, kind: str, name: str, value):
-        for table, _, _ in _DECLARATIONS.values():
-            if name in getattr(self, table):
-                raise ValidationError("duplicate name: " + name)
+        if name in self.names:
+            raise ValidationError("duplicate name: " + name)
+        self.names.add(name)
         getattr(self, kind)[name] = value
         self.order.append((kind, name))
 
@@ -220,21 +213,21 @@ class Document:
 
 
 def parse_document(text: str) -> Document:
-    cur = _Cursor(_tokenize(text))
+    cur = _Cursor(text)
     doc = Document()
-    while cur.tok.kind != "end":
-        t = cur.expect(*_DECLARATIONS)
-        kind, read, _ = _DECLARATIONS[t.text]
+    while cur.tok:
+        k = cur.i  # the keyword, where an error without a position is reported
+        kind, read, _ = _DECLARATIONS[cur.expect(*_DECLARATIONS)]
         try:
-            name = cur.expect_kind("name").text
+            name = cur.expect_kind("name")
             obj, annotation = read(cur, doc, name)
             doc._declare(kind, name, obj)
         except _PositionedError as e:
             if e.line:
                 raise
-            raise type(e)(str(e), t.line, t.col) from None
+            raise type(e)(str(e), *cur.at(k)) from None
         except ValueError as e:
-            raise ValidationError(str(e), t.line, t.col) from None
+            raise ValidationError(str(e), *cur.at(k)) from None
         if annotation is not None:
             doc.annotations[name] = annotation
     return doc
@@ -243,17 +236,19 @@ def parse_document(text: str) -> Document:
 # -- rationals and set literals ------------------------------------------
 
 def _parse_rat(cur: _Cursor):
-    t = cur.tok
-    if t.kind == "inf":
+    k, t = cur.i, cur.tok
+    if cur.kinds[t] == "inf":
         cur.next()
-        return NEG_INF if t.text == "-inf" else POS_INF
-    num = int(cur.expect_kind("int").text)
-    if cur.tok.text == "/":
+        return NEG_INF if t == "-inf" else POS_INF
+    num = int(cur.expect_kind("int"))
+    if cur.tok == "/":
         cur.next()
-        den = int(cur.expect_kind("int").text)
-        if den == 0:
-            raise ParseError(t.line, t.col, "zero denominator")
-        return Fraction(num, den)
+        den = cur.expect_kind("int")
+        if den[0] == "-":
+            raise ParseError(*cur.at(k), "signed denominator")
+        if int(den) == 0:
+            raise ParseError(*cur.at(k), "zero denominator")
+        return Fraction(num, int(den))
     return Fraction(num)
 
 
@@ -297,34 +292,34 @@ class _SetAst:
 
 def _parse_set_literal(cur: _Cursor) -> _SetAst:
     t = cur.tok
-    if t.text in ("empty", "whole"):
-        return _SetAst(cur.next().text)
-    if t.text in ("co", "{"):
-        if t.text == "co":
+    if t in ("empty", "whole"):
+        return _SetAst(cur.next())
+    if t in ("co", "{"):
+        if t == "co":
             cur.next()
         cur.expect("{")
         parts = _until(cur, _parse_element, "}")
-        return _SetAst("cobrace" if t.text == "co" else "brace", tuple(parts))
-    if t.text in ("(", "["):
+        return _SetAst("cobrace" if t == "co" else "brace", tuple(parts))
+    if t in ("(", "["):
         return _SetAst("intervals", tuple(_separated(cur, _parse_interval, "u")))
-    raise _unexpected(t, "set literal")
+    raise cur.unexpected("set literal")
 
 
 def _parse_element(cur: _Cursor):
-    e = cur.next()
-    if e.kind == "int":
-        return int(e.text)
-    if e.kind == "name":
-        return e.text
-    raise _unexpected(e, "element")
+    kind = cur.kinds[cur.tok]
+    if kind == "int":
+        return int(cur.next())
+    if kind == "name":
+        return cur.next()
+    raise cur.unexpected("element")
 
 
 def _parse_interval(cur: _Cursor):
-    lo_open = cur.expect("(", "[").text == "("
+    lo_open = cur.expect("(", "[") == "("
     lo = _parse_rat(cur)
     cur.expect(",")
     hi = _parse_rat(cur)
-    return (lo, hi, lo_open, cur.expect(")", "]").text == ")")
+    return (lo, hi, lo_open, cur.expect(")", "]") == ")")
 
 
 def _parse_set_in(cur: _Cursor, carrier) -> SetExpr:
@@ -334,14 +329,13 @@ def _parse_set_in(cur: _Cursor, carrier) -> SetExpr:
 # -- words ----------------------------------------------------------------
 
 # A table maps a word to (class, reader, writer).  A reader takes the
-# cursor, the word's token and the shape's context, and returns the class's
+# cursor, the word's index and the shape's context, and returns the class's
 # arguments; a writer takes an instance.
 
 def _parse_word(cur: _Cursor, table: dict, *context):
     """A word of table and the text after it, as the object they describe."""
-    t = cur.expect(*table)
-    cls, read, _ = table[t.text]
-    return cls(*read(cur, t, *context))
+    cls, read, _ = table[cur.expect(*table)]
+    return cls(*read(cur, cur.i - 1, *context))
 
 
 def _emit(obj) -> str:
@@ -352,7 +346,7 @@ def _emit(obj) -> str:
     return word + write(obj)
 
 
-def _nothing(cur: _Cursor, t: Token, *context) -> tuple:
+def _nothing(cur: _Cursor, k: int, *context) -> tuple:
     return ()
 
 
@@ -360,22 +354,22 @@ def _blank(obj) -> str:
     return ""
 
 
-def _read_int_arg(cur: _Cursor, t: Token) -> tuple:
+def _read_int_arg(cur: _Cursor, k: int) -> tuple:
     """( int )"""
     cur.expect("(")
-    n = int(cur.expect_kind("int").text)
+    n = int(cur.expect_kind("int"))
     cur.expect(")")
     return (n,)
 
 
 # -- carriers, opens and policies -----------------------------------------
 
-def _read_enum(cur: _Cursor, t: Token) -> tuple:
+def _read_enum(cur: _Cursor, k: int) -> tuple:
     """( name (, name)* )"""
     cur.expect("(")
     atoms = _separated(cur, _Cursor.expect_kind, ",", "name")
     cur.expect(")")
-    return (tuple(a.text for a in atoms),)
+    return (tuple(atoms),)
 
 
 _CARRIERS = {
@@ -385,7 +379,7 @@ _CARRIERS = {
 }
 
 
-def _read_explicit(cur: _Cursor, t: Token, carrier) -> tuple:
+def _read_explicit(cur: _Cursor, k: int, carrier) -> tuple:
     """{ setlit (, setlit)* }, each set on carrier"""
     cur.expect("{")
     sets = _separated(cur, _parse_set_in, ",", carrier)
@@ -410,13 +404,13 @@ _POLICY_REFS = {"locally": (LocallyEssFin, "family"), "piecewise": (PiecewiseEss
 def _parse_policy(cur: _Cursor, doc: Document):
     """The policy, and (word, name) where it names a declaration, else None."""
     t = cur.expect(*_POLICIES, *_POLICY_REFS)
-    if t.text in _POLICIES:
-        return _POLICIES[t.text], None
+    if t in _POLICIES:
+        return _POLICIES[t], None
     cur.expect("(")
-    ref = cur.expect_kind("name").text
+    ref = cur.expect_kind("name")
     cur.expect(")")
-    policy, keyword = _POLICY_REFS[t.text]
-    return policy(doc._ref(keyword, ref)), (t.text, ref)
+    policy, keyword = _POLICY_REFS[t]
+    return policy(doc._ref(keyword, ref)), (t, ref)
 
 
 def _write_policy(p) -> str:
@@ -431,18 +425,18 @@ def _write_policy(p) -> str:
 _SIDES = {"both": (1, 1), "left": (1, 0), "right": (0, 1), "none": (0, 0)}
 
 
-def _read_shrink(cur: _Cursor, t: Token) -> tuple:
+def _read_shrink(cur: _Cursor, k: int) -> tuple:
     """( rat , rat , side , int ), a bad side reported at the word"""
     cur.expect("(")
     a = _parse_rat(cur)
     cur.expect(",")
     b = _parse_rat(cur)
     cur.expect(",")
-    side = cur.expect_kind("name").text
+    side = cur.expect_kind("name")
     if side not in _SIDES:
-        raise ParseError(t.line, t.col, "bad side %r" % side, expected=tuple(_SIDES))
+        raise ParseError(*cur.at(k), "bad side %r" % side, expected=tuple(_SIDES))
     cur.expect(",")
-    n0 = int(cur.expect_kind("int").text)
+    n0 = int(cur.expect_kind("int"))
     cur.expect(")")
     rl, rr = _SIDES[side]
     return a, b, Fraction(rl), Fraction(rr), n0
@@ -466,12 +460,12 @@ _CHAINS = {"initseg": _STREAMS["initseg"]}
 
 # -- map rules ------------------------------------------------------------
 
-def _read_const(cur: _Cursor, t: Token) -> tuple:
+def _read_const(cur: _Cursor, k: int) -> tuple:
     """( token ), an int token read as a number"""
     cur.expect("(")
     v = cur.next()
     cur.expect(")")
-    return (int(v.text) if v.kind == "int" else v.text,)
+    return (int(v) if cur.kinds[v] == "int" else v,)
 
 
 def _parse_pairs(cur: _Cursor, read) -> tuple:
@@ -484,15 +478,14 @@ def _parse_pair(cur: _Cursor, read):
     """a : b, two tokens of any kind, each text read by read."""
     a = cur.next()
     cur.expect(":")
-    b = cur.next()
-    return read(a.text), read(b.text)
+    return read(a), read(cur.next())
 
 
 def _write_pairs(r) -> str:
     return "{%s}" % ",".join("%s:%s" % ab for ab in sorted(r.table))
 
 
-def _read_affine(cur: _Cursor, t: Token) -> tuple:
+def _read_affine(cur: _Cursor, k: int) -> tuple:
     """{ piece (; piece)* }, the pieces on the line whatever the map's domain,
     so that the map reports a domain off the line"""
     cur.expect("{")
@@ -511,9 +504,8 @@ def _parse_affine_piece(cur: _Cursor):
 
 
 def _parse_finite_rat(cur: _Cursor):
-    t = cur.tok
-    if t.kind == "inf":
-        raise ParseError(t.line, t.col, "infinite coefficient %r" % t.text)
+    if cur.kinds[cur.tok] == "inf":
+        raise ParseError(*cur.at(cur.i), "infinite coefficient %r" % cur.tok)
     return _parse_rat(cur)
 
 
@@ -526,8 +518,8 @@ _RULES = {
     "identity": (Identity, _nothing, _blank),
     "const": (Const, _read_const, lambda r: "(%s)" % r.value),
     "shift": (NatShift, _read_int_arg, lambda r: "(%d)" % r.k),
-    "perm": (NatPerm, lambda cur, t: _parse_pairs(cur, int), _write_pairs),
-    "table": (FiniteTable, lambda cur, t: _parse_pairs(cur, str), _write_pairs),
+    "perm": (NatPerm, lambda cur, k: _parse_pairs(cur, int), _write_pairs),
+    "table": (FiniteTable, lambda cur, k: _parse_pairs(cur, str), _write_pairs),
     "affine": (PiecewiseAffine, _read_affine, _write_affine),
 }
 
@@ -539,20 +531,22 @@ _RULES = {
 # that text back from the two.
 
 def _parse_header(cur: _Cursor):
-    """[: space] =, as the space's name or None, and the =."""
+    """[: space] =, as the space's name or None, and the ='s index."""
     annotation = None
-    if cur.tok.text == ":":
+    if cur.tok == ":":
         cur.next()
-        annotation = cur.expect_kind("name").text
-    return annotation, cur.expect("=")
+        annotation = cur.expect_kind("name")
+    eq = cur.i
+    cur.expect("=")
+    return annotation, eq
 
 
-def _resolve_carrier(doc: Document, annotation, inferred, eq: Token, what: str):
+def _resolve_carrier(cur: _Cursor, doc: Document, annotation, inferred, eq: int, what: str):
     """The annotated space's carrier, else the one the literals imply."""
     if annotation is not None:
         return doc._ref("space", annotation).carrier
     if inferred is None:
-        raise ParseError(eq.line, eq.col,
+        raise ParseError(*cur.at(eq),
                          "carrier of the %s is ambiguous; annotate with : space" % what)
     return inferred
 
@@ -568,7 +562,7 @@ def _parse_space(cur: _Cursor, doc: Document, name: str):
     cur.expect("cov")
     policy, polref = _parse_policy(cur, doc)
     support = None
-    if cur.tok.text == ";":
+    if cur.tok == ";":
         cur.next()
         cur.expect("support")
         support = _parse_set_in(cur, carrier)
@@ -594,7 +588,7 @@ def _parse_family(cur: _Cursor, doc: Document, name: str):
     asts, streams = [], []
 
     def term(cur):
-        if cur.expect("{", "stream").text == "{":
+        if cur.expect("{", "stream") == "{":
             asts.extend(_until(cur, _parse_set_literal, "}"))
         else:
             streams.append(_parse_word(cur, _STREAMS))
@@ -603,7 +597,7 @@ def _parse_family(cur: _Cursor, doc: Document, name: str):
     inferred = streams[0].carrier if streams else None
     for a in asts:
         inferred = inferred or a.infer_carrier()
-    carrier = _resolve_carrier(doc, annotation, inferred, eq, "family")
+    carrier = _resolve_carrier(cur, doc, annotation, inferred, eq, "family")
     members = tuple(a.build(carrier) for a in asts)
     for s in streams:
         if s.carrier != carrier:
@@ -622,15 +616,15 @@ def _write_family(fam: FamilyExpr, annotation) -> str:
 def _parse_set(cur: _Cursor, doc: Document, name: str):
     annotation, eq = _parse_header(cur)
     ast = _parse_set_literal(cur)
-    carrier = _resolve_carrier(doc, annotation, ast.infer_carrier(), eq, "literal")
+    carrier = _resolve_carrier(cur, doc, annotation, ast.infer_carrier(), eq, "literal")
     return ast.build(carrier), annotation
 
 
 def _parse_map(cur: _Cursor, doc: Document, name: str):
     cur.expect(":")
-    dn = cur.expect_kind("name").text
+    dn = cur.expect_kind("name")
     cur.expect_kind("arrow")
-    cn = cur.expect_kind("name").text
+    cn = cur.expect_kind("name")
     cur.expect("=")
     dom, cod = doc._ref("space", dn), doc._ref("space", cn)
     rule = _parse_word(cur, _RULES)
@@ -650,7 +644,7 @@ def _parse_exhaustion(cur: _Cursor, doc: Document, name: str):
 def _parse_site(cur: _Cursor, doc: Document, name: str):
     cur.expect("=")
     cur.expect("of")
-    ref = cur.expect_kind("name").text
+    ref = cur.expect_kind("name")
     X = doc._ref("space", ref)
     try:
         st = gts_to_site(X)
@@ -663,9 +657,9 @@ def _parse_presheaf(cur: _Cursor, doc: Document, name: str):
     cur.expect("=")
     cur.expect("functions")
     cur.expect("(")
-    ref = cur.expect_kind("name").text
+    ref = cur.expect_kind("name")
     cur.expect(",")
-    k = int(cur.expect_kind("int").text)
+    k = int(cur.expect_kind("int"))
     cur.expect(")")
     site = doc._ref("site", ref)
     if k < 1:

@@ -207,22 +207,70 @@ def is_basis(X: GtsPresentation, B) -> Verdict:
         return _finite_basis(X, B)
     union_all = family_union(B)
     opens = listed_opens(X)
-    exact = opens is not None
-    if not exact:
-        opens = _drawn_opens(X, 64, 13)
-    members = B.sample_members(4)
+    if opens is None:
+        return _sampled_basis(X, B, union_all)
+    undecided = None
     for O in opens:
+        if not sx.is_subset(O, union_all):
+            return Verdict("No", "open set not covered by the basis", O)
+        hull, whole = _union_inside(B, O)
+        if hull != O:
+            if whole:
+                return Verdict("No", "open set is not a union of basis members", O)
+            undecided = undecided or O
+    if undecided is not None:
+        return Verdict("Unknown", "the members inside an open are not all found", undecided)
+    return Verdict("Yes", "checked on every open set")
+
+
+def _union_inside(B: FamilyExpr, O: SetExpr):
+    """The union of members of B inside O, and whether it takes every one.
+
+    A monotone stream's members inside O are the stages before the first
+    that is not, which is sought below large_stage; where every stage up to
+    there lies inside O, the stream's union is taken if it does too.  A
+    pointwise stream's members are disjoint, so of those the one index_of
+    names is the only member that can hold a point of O left uncovered."""
+    parts = [m for m in B.finite_part if sx.is_subset(m, O)]
+    whole = True
+    pointwise = []
+    for s in B.streams:
+        if not s.monotone:
+            pointwise.append(s)
+            continue
+        n = first_stage(lambda n: not sx.is_subset(s.member(n), O), s.n0,
+                        large_stage([s], [O]))
+        if n is None and sx.is_subset(s.union(), O):
+            parts.append(s.union())
+        elif n is None:
+            whole = False
+        elif n > s.n0:
+            parts.append(s.member(n - 1))
+    rest = sx.minus(O, sx.union_all(B.carrier, parts))
+    if pointwise and not rest.is_empty():
+        if not rest.is_finite_pointset():
+            return sx.union_all(B.carrier, parts), False
+        for x in points_of(rest):
+            for s in pointwise:
+                n = s.index_of(x)
+                if n is not None and sx.is_subset(s.member(n), O):
+                    parts.append(s.member(n))
+                elif n is None and sx.contains(s.union(), x):
+                    whole = False
+    return sx.union_all(B.carrier, parts), whole
+
+
+def _sampled_basis(X: GtsPresentation, B: FamilyExpr, union_all: SetExpr) -> Verdict:
+    members = B.sample_members(4)
+    for O in _drawn_opens(X, 64, 13):
         if not sx.is_subset(O, union_all):
             return Verdict("No", "open set not covered by the basis", O)
         hull = sx.empty(X.carrier)
         for m in members:
             if sx.is_subset(m, O):
                 hull = sx.union(hull, m)
-        if hull != O:
-            if exact or not _stream_coverable(B, O):
-                return Verdict("No", "open set is not a union of basis members", O)
-    if exact:
-        return Verdict("Yes", "checked on every open set")
+        if hull != O and not _stream_coverable(B, O):
+            return Verdict("No", "open set is not a union of basis members", O)
     return Verdict("Checked", "budgeted sample of opens verified")
 
 

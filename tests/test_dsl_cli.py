@@ -66,6 +66,7 @@ MALFORMED = {
                                           "map, exhaustion, site, presheaf)"),
     "bad-side.gts": (ParseError, 1, 19, "bad side 'diag' (expected both, left, right, none)"),
     "missing-semicolon.gts": (ParseError, 1, 25, "found 'opens' (expected ;)"),
+    "signed-denominator.gts": (ParseError, 2, 10, "signed denominator"),
     "truncated.gts": (ParseError, 2, 1, "found 'end of input' (expected qline, nat, enum)"),
     "unknown-ref.gts": (ResolutionError, 2, 1, "unknown space: B"),
 }
@@ -101,6 +102,44 @@ def test_map_rules_off_their_carriers_are_reported_at_the_declaration(
     doc.write_text(text)
     assert cli.main(["map", str(doc), "f"]) == 2
     assert capsys.readouterr().err == "error: line 2, column 1: %s\n" % message
+
+
+_LINE = "space Q { carrier qline; opens canonical-open; cov essfin }\n"
+
+# each error's class, line, column and message, as the parser gave them
+# when it kept every token's position
+POSITIONS = [
+    ("# a comment\n\n   # another\n\t\n"
+     "space A { carrier qline; opens canonical-open cov essfin }\n",
+     ParseError, 5, 47, "found 'cov' (expected ;)"),
+    ("space A { carrier\n# the carrier is missing",
+     ParseError, 2, 25, "found 'end of input' (expected qline, nat, enum)"),
+    (_LINE + "\n  set S = [1/0, 2]\n", ParseError, 3, 12, "zero denominator"),
+    ("# streams\nfamily F = stream shrink(0, 1, up, 3)",
+     ParseError, 2, 19, "bad side 'up' (expected both, left, right, none)"),
+    (_LINE + "map f : Q -> Q = affine{ [0,1] : 1/2, +inf }",
+     ParseError, 2, 39, "infinite coefficient '+inf'"),
+    ("\n\nfamily F = { empty }",
+     ParseError, 3, 10, "carrier of the family is ambiguous; annotate with : space"),
+    (_LINE + "# again\n  set Q : Q = [0,1]", ValidationError, 3, 3, "duplicate name: Q"),
+    (_LINE + "set S : R = [0,1]", ResolutionError, 2, 1, "unknown space: R"),
+    (_LINE + "\nspace N { carrier nat; opens all-sets; cov all }\n"
+     "  map f : N -> N = affine{ whole : 1,0 }",
+     ValidationError, 4, 3, "map f: affine rules live on the line"),
+    ("space N { carrier enum(a); opens all-sets; cov all }\nsite S = of N\n\n"
+     " presheaf P = functions(S, 0)",
+     ValidationError, 4, 2, "presheaf needs at least one value"),
+    ("# x\n  set S = [0,1] @ # y", ParseError, 2, 17, "unexpected character '@'"),
+]
+
+
+@pytest.mark.parametrize("text, kind, line, col, message", POSITIONS)
+def test_errors_keep_their_positions(text, kind, line, col, message):
+    with pytest.raises(kind) as e:
+        parse_document(text)
+    assert type(e.value) is kind
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value) == "line %d, column %d: %s" % (line, col, message)
 
 
 def test_parse_error_positions():

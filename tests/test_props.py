@@ -473,6 +473,27 @@ def test_finite_basis_lists_no_open(monkeypatch):
     assert v.yes and time.perf_counter() - start < 1
 
 
+def test_listed_basis_reads_the_stages_inside_each_open():
+    # an infinite support with listed opens: the clipped balls are exactly
+    # the five listed intervals, which the first four stages do not reach
+    W = sx.interval(0, 5)
+    ivs = tuple(sx.interval(0, k) for k in range(1, 6))
+    X = GtsPresentation(QLine(), ExplicitList((sx.empty(QLine()),) + ivs), EssFin(), W)
+    assert is_basis(X, FamilyExpr(QLine(), ivs)).yes
+    assert is_basis(X, FamilyExpr(QLine(), (), (clip_stream(GrowBalls(1), W),))).yes
+    v = is_basis(X, FamilyExpr(QLine(), (), (clip_stream(GrowBalls(2), W),)))
+    assert (v.status, sx.render(v.witness)) == ("No", "(0,1)")
+    # a pointwise stream: the member index_of names for each point left over
+    N = NatFC()
+    opens = (sx.whole(N),) + tuple(sx.nat_finite(c) for r in range(7)
+                                   for c in combinations(range(6), r))
+    Y = GtsPresentation(N, ExplicitList(opens), EssFin(), sx.whole(N))
+    singles = [clip_stream(Singletons(), sx.nat_finite(range(k))) for k in (6, 5)]
+    assert is_basis(Y, FamilyExpr(N, (sx.whole(N),), (singles[0],))).yes
+    v = is_basis(Y, FamilyExpr(N, (sx.whole(N),), (singles[1],)))
+    assert (v.status, sx.render(v.witness)) == ("No", "{0,1,2,3,4,5}")
+
+
 def test_sampled_basis_clips_its_streams_to_each_drawn_open(monkeypatch):
     # the line's opens cannot be listed, so 64 drawn opens are checked; where
     # the first stages of the basis do not make up a drawn open, the basis

@@ -58,8 +58,10 @@ def _reference_tokenize(text):
 
 def _outcome(tokenize, text):
     try:
-        return [t if isinstance(t, tuple) else (t.kind, t.text, t.line, t.col)
-                for t in tokenize(text)]
+        if tokenize is _reference_tokenize:
+            return tokenize(text)
+        texts, kinds = tokenize(text)
+        return [(kinds[t], t, *dsl._position(text, i)) for i, t in enumerate(texts)]
     except ParseError as e:
         return ("error", e.line, e.col, str(e))
 
