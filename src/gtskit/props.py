@@ -246,17 +246,19 @@ def _union_inside(B: FamilyExpr, O: SetExpr):
             whole = False
         elif n > s.n0:
             parts.append(s.member(n - 1))
-    rest = sx.minus(O, sx.union_all(B.carrier, parts))
-    if pointwise and not rest.is_empty():
-        if not rest.is_finite_pointset():
-            return sx.union_all(B.carrier, parts), False
-        for x in points_of(rest):
-            for s in pointwise:
-                n = s.index_of(x)
-                if n is not None and sx.is_subset(s.member(n), O):
-                    parts.append(s.member(n))
-                elif n is None and sx.contains(s.union(), x):
-                    whole = False
+    hull = sx.union_all(B.carrier, parts)
+    if not pointwise or hull == O:
+        return hull, whole
+    rest = sx.minus(O, hull)
+    if not rest.is_finite_pointset():
+        return hull, False
+    for x in points_of(rest):
+        for s in pointwise:
+            n = s.index_of(x)
+            if n is not None and sx.is_subset(s.member(n), O):
+                parts.append(s.member(n))
+            elif n is None and sx.contains(s.union(), x):
+                whole = False
     return sx.union_all(B.carrier, parts), whole
 
 
