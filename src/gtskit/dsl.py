@@ -84,6 +84,9 @@ _KINDS = {"punct": r"[{}()\[\],;:|=/]|\+(?!inf)", "name": r"[A-Za-z_]\w*(?:-[A-Z
 # blanks, newlines and comments, then one token's text
 _TOKEN_RE = re.compile(r"[ \t\n]*(?:\#[^\n]*[ \t\n]*)*(%s)" % "|".join(_KINDS.values()))
 _KIND_RE = re.compile("|".join("(?P<%s>%s)" % kp for kp in _KINDS.items()))
+# a token that starts with one of these characters has that character's
+# kind; a sign may start an int, an arrow or an infinity
+_FIRST = {c: _KIND_RE.fullmatch(c).lastgroup for c in map(chr, range(33, 127)) if c not in "+-#"}
 
 
 def _tokenize(text: str):
@@ -92,7 +95,7 @@ def _tokenize(text: str):
     # after a blank or a comment the end matches twice, so one is added and
     # one match dropped; the blank is not in the text _position scans
     toks = _TOKEN_RE.findall(text + " ")[:-1]
-    kinds = {t: _KIND_RE.fullmatch(t).lastgroup for t in set(toks)}
+    kinds = {t: _FIRST.get(t[:1]) or _KIND_RE.fullmatch(t).lastgroup for t in set(toks)}
     if "bad" in kinds.values():
         i = next(i for i, t in enumerate(toks) if kinds[t] == "bad")
         raise ParseError(*_position(text, i), "unexpected character %r" % toks[i])
