@@ -17,6 +17,12 @@ with an infinite factor keep symbolic forms: finite/cofinite sets,
 intervals and boxes.  A carrier keeps the form of its whole set once
 ``setexpr.whole`` has built it, and a finite carrier the place of each
 point once it is asked; neither takes part in its equality, hash or repr.
+
+Two carriers are equal when they are one object, or else of one class with
+equal compared fields (``_key``).  The hash is that of the compared fields'
+tuple, as a generated dataclass hash would be, so sets of carriers and of
+sets iterate in the same order; it is computed once, when the carrier is
+built, and a carrier without compared fields keeps the hash of ``()``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Carrier:
     """Abstract base; use one of the concrete subclasses."""
 
@@ -34,6 +40,22 @@ class Carrier:
     _whole: object = field(default=None, init=False, compare=False, repr=False)
     # point_bits() of a finite carrier, once it is asked
     _bit: dict = field(default=None, init=False, compare=False, repr=False)
+    # hash(self._key()): a subclass with compared fields sets it once they
+    # are final, with _set_hash
+    _hash: int = field(default=hash(()), init=False, compare=False, repr=False)
+
+    def _set_hash(self):
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self) -> tuple:
+        """The compared fields, in declaration order."""
+        return ()
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._key() == other._key())
+
+    def __hash__(self):
+        return self._hash
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -46,7 +68,7 @@ class Carrier:
         return self._bit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteEnum(Carrier):
     elements: tuple[str, ...]
 
@@ -57,6 +79,10 @@ class FiniteEnum(Carrier):
             raise ValueError("FiniteEnum atoms must be pairwise distinct")
         # keep a canonical order so equality of carriers is extensional
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        self._set_hash()
+
+    def _key(self) -> tuple:
+        return (self.elements,)
 
     def describe(self) -> str:
         return "enum{%s}" % ",".join(self.elements)
@@ -65,25 +91,29 @@ class FiniteEnum(Carrier):
         return self.elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NatFC(Carrier):
     def describe(self) -> str:
         return "natfc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QLine(Carrier):
     def describe(self) -> str:
         return "qline"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(Carrier):
     left: Carrier
     right: Carrier
 
     def __post_init__(self):
         object.__setattr__(self, "finite", self.left.finite and self.right.finite)
+        self._set_hash()
+
+    def _key(self) -> tuple:
+        return (self.left, self.right)
 
     def describe(self) -> str:
         return "product(%s, %s)" % (self.left.describe(), self.right.describe())

@@ -81,8 +81,10 @@ class ShrinkIntervals(Stream):
         a, b = sx.endpoint(self.a), sx.endpoint(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rate_left", Fraction(self.rate_left))
-        object.__setattr__(self, "rate_right", Fraction(self.rate_right))
+        for name in ("rate_left", "rate_right"):
+            rate = getattr(self, name)
+            if not isinstance(rate, Fraction):
+                object.__setattr__(self, name, Fraction(rate))
         if self.rate_left < 0 or self.rate_right < 0:
             raise ValueError("rates must be nonnegative")
         if self.rate_left > 0 and not _fin(a):
@@ -91,13 +93,18 @@ class ShrinkIntervals(Stream):
             raise ValueError("cannot shrink an infinite right endpoint")
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
-        if self.member(self.n0).is_empty():
+        lo, hi = self._ends(self.n0)
+        if not lo < hi:
             raise ValueError("first member is empty; raise n0")
 
-    def member(self, n: int) -> SetExpr:
+    def _ends(self, n: int) -> tuple:
+        """The endpoints of member n, an open interval."""
         lo = self.a + self.rate_left / n if self.rate_left else self.a
         hi = self.b - self.rate_right / n if self.rate_right else self.b
-        return sx.interval(lo, hi, True, True)
+        return lo, hi
+
+    def member(self, n: int) -> SetExpr:
+        return sx.interval(*self._ends(n))
 
     def union(self) -> SetExpr:
         return sx.interval(self.a, self.b, True, True)

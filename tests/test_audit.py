@@ -114,22 +114,30 @@ def test_large_all_sets_support_audits_at_random_without_listing_opens(monkeypat
 
 def test_exhaustive_audit_records_only_failures(monkeypatch):
     """Passes are counted in bulk: a clean exhaustive audit records one
-    instance, the empty and whole sets, and counts the rest."""
-    recorded = []
-    record = AuditReport.record
+    instance, the empty and whole sets, and tallies each other axiom's
+    instances at once."""
+    recorded, tallied = [], []
+    record, tally = AuditReport.record, AuditReport.tally
 
     def counted(self, axiom, *args):
         recorded.append(axiom)
         return record(self, axiom, *args)
+
+    def counted_tally(self, axiom, *args):
+        tallied.append(axiom)
+        return tally(self, axiom, *args)
     monkeypatch.setattr(AuditReport, "record", counted)
+    monkeypatch.setattr(AuditReport, "tally", counted_tally)
     for n in range(5):
         for k, T in enumerate(mask_topologies(n)):
             if len(T) > 8:
                 continue
             recorded.clear()
+            tallied.clear()
             rep = audit_axioms(mask_space("p", n, T), budget=60, seed=k)
             assert rep.exhaustive and rep.ok(), T
             assert recorded == ["empty_whole_open"], T
+            assert sorted(tallied) == sorted(set(tallied)), T
             assert rep.used == sum(rep.pass_counts.values()) > 1, T
 
 

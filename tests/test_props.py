@@ -494,31 +494,27 @@ def test_listed_basis_reads_the_stages_inside_each_open():
     assert (v.status, sx.render(v.witness)) == ("No", "{0,1,2,3,4,5}")
 
 
-def test_sampled_basis_clips_its_streams_to_each_drawn_open(monkeypatch):
-    # the line's opens cannot be listed, so 64 drawn opens are checked; where
-    # the first stages of the basis do not make up a drawn open, the basis
-    # clipped to that open must cover it
+def test_sampled_basis_keeps_the_members_inside_each_drawn_open():
+    # the line's opens cannot be listed, so 64 drawn opens are checked, each
+    # against the union of the members found inside it: neither the whole
+    # line nor the balls about 0 make up a drawn open such as (1,2)
     X = lib.rational_interval_line()
-    clipped = []
-    coverable = gtskit.props._stream_coverable
-
-    def counted(B, O):
-        clipped.append(O)
-        return coverable(B, O)
-
-    monkeypatch.setattr(gtskit.props, "_stream_coverable", counted)
-    # the sampled check accepts the balls about 0, though (1,2) is no union
-    # of them: it clips the basis to each drawn open instead of keeping the
-    # members inside it
-    balls = FamilyExpr(X.carrier, (), (GrowBalls(1),))
-    assert is_basis(X, balls).status == "Checked"
-    assert clipped and all(not O.is_empty() for O in clipped)
-    # shrinking intervals leave most drawn opens uncovered, before any clipping
-    clipped.clear()
-    unit = FamilyExpr(X.carrier, (), (ShrinkIntervals(0, 1, 1, 1, 3),))
-    v = is_basis(X, unit)
+    for B in (FamilyExpr(X.carrier, (sx.whole(X.carrier),)),
+              FamilyExpr(X.carrier, (), (GrowBalls(1),))):
+        v = is_basis(X, B)
+        assert (v.status, v.reason) == ("No", "open set is not a union of basis members")
+        assert is_open(X, v.witness) and not v.witness.is_empty() and not v.witness.is_whole()
+    # shrinking intervals leave most drawn opens uncovered
+    v = is_basis(X, FamilyExpr(X.carrier, (), (ShrinkIntervals(0, 1, 1, 1, 3),)))
     assert (v.status, v.reason) == ("No", "open set not covered by the basis")
-    assert not sx.is_subset(v.witness, sx.interval(0, 1)) and clipped == []
+    assert not sx.is_subset(v.witness, sx.interval(0, 1))
+    # drawn naturals: every finite open is a union of singletons, a cofinite
+    # one holds infinitely many, which are not all found
+    N = NatFC()
+    W = lib.weakly_discrete_nat()
+    assert is_basis(W, FamilyExpr(N, (sx.whole(N),), (Singletons(),))).status == "Checked"
+    v = is_basis(W, FamilyExpr(N, (), (Singletons(),)))
+    assert (v.status, v.reason) == ("Unknown", "the members inside an open are not all found")
 
 
 # -- map classification ---------------------------------------------------

@@ -14,6 +14,7 @@ Regenerate the fixture only when a canonical form is meant to change:
     PYTHONPATH=src python tests/test_setexpr.py > tests/golden/set_algebra.json
 """
 
+import dataclasses
 import json
 import pathlib
 import random
@@ -90,6 +91,35 @@ def test_enum_ops():
     assert sx.render(sx.intersect(ab, bc)) == "{b}"
     assert sx.render(sx.union(ab, bc)) == "{a,b,c}"
     assert sx.union(ab, bc).is_whole()
+
+
+def test_carriers_compare_and_hash_by_their_fields():
+    """Equality and hash read the compared fields only, as a generated
+    dataclass's would, whatever each carrier keeps once it is asked."""
+    def built():
+        return [FiniteEnum(("b", "a", "c")), NatFC(), QLine(),
+                Product(FiniteEnum(("y", "x")), QLine()),
+                Product(NatFC(), Product(FiniteEnum(("q", "p")), FiniteEnum(("r",))))]
+
+    def compared(c):
+        return tuple(getattr(c, f.name) for f in dataclasses.fields(c) if f.compare)
+
+    for c, d in zip(built(), built()):
+        sx.whole(c)
+        if c.finite:
+            c.point_bits()
+        assert c is not d and c == d and hash(c) == hash(d) == hash(compared(c)), c
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c._hash = 0
+    assert FiniteEnum(("c", "a", "b")) == FiniteEnum(("a", "b", "c"))
+    assert FiniteEnum(("a", "b")) != FiniteEnum(("a", "c"))
+    assert QLine() != NatFC() and NatFC() != QLine()
+    assert Product(QLine(), NatFC()) != Product(NatFC(), QLine())
+    assert len({QLine(), NatFC(), QLine()}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        FiniteEnum(("a",)).elements = ("b",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Product(QLine(), NatFC()).left = NatFC()
 
 
 def test_mixed_carrier_rejected():

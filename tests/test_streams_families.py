@@ -48,6 +48,29 @@ def test_shrink_one_sided():
     assert sx.render(s.union()) == "(0,1)"
 
 
+def test_shrink_checks_its_parameters():
+    # member n0 = (a + la/n0, b - lb/n0) must hold a point: (1/2,1/2) does not
+    with pytest.raises(ValueError, match="first member is empty; raise n0"):
+        ShrinkIntervals(0, 1, 1, 1, 2)
+    s = ShrinkIntervals(0, 1, 1, 1, 3)
+    assert sx.render(s.member(3)) == "(1/3,2/3)"
+    assert type(s.rate_left) is Fraction and type(s.rate_right) is Fraction
+    half = Fraction(1, 2)
+    assert ShrinkIntervals(0, 1, half, 0, 1).rate_left is half
+    for args, message in (
+        ((0, 1, -1, 1, 3), "rates must be nonnegative"),
+        ((float("-inf"), 1, 1, 0, 3), "cannot shrink an infinite left endpoint"),
+        ((0, float("inf"), 0, 1, 3), "cannot shrink an infinite right endpoint"),
+        ((0, 1, 1, 1, 0), "n0 must be >= 1"),
+        ((1, 0, 0, 0, 1), "first member is empty; raise n0"),
+        ((float("-inf"), float("-inf"), 0, 0, 1), "first member is empty; raise n0"),
+        ((float("inf"), float("inf"), 0, 0, 1), "first member is empty; raise n0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ShrinkIntervals(*args)
+    assert ShrinkIntervals(float("-inf"), float("inf"), 0, 0, 1).union().is_whole()
+
+
 def test_growballs_members():
     s = GrowBalls(1)
     assert sx.render(s.member(2)) == "(-2,2)"
