@@ -23,6 +23,9 @@ equal compared fields (``_key``).  The hash is that of the compared fields'
 tuple, as a generated dataclass hash would be, so sets of carriers and of
 sets iterate in the same order; it is computed once, when the carrier is
 built, and a carrier without compared fields keeps the hash of ``()``.
+``NatFC`` and ``QLine`` have no compared fields, so each class has one
+object: every ``QLine()`` is the same carrier, their equality is an
+identity test, and the whole set's form is built once per class.
 """
 
 from __future__ import annotations
@@ -91,14 +94,29 @@ class FiniteEnum(Carrier):
         return self.elements
 
 
-@dataclass(frozen=True, eq=False)
-class NatFC(Carrier):
+@dataclass(frozen=True, eq=False, init=False)
+class _Fieldless(Carrier):
+    """A carrier class without compared fields has one object, which every
+    call of the class returns.  Its fields read their class defaults until
+    they are set, and no later call resets them."""
+
+    def __new__(cls):
+        if "_one" not in cls.__dict__:
+            cls._one = super().__new__(cls)
+        return cls._one
+
+    def __init__(self):
+        pass
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class NatFC(_Fieldless):
     def describe(self) -> str:
         return "natfc"
 
 
-@dataclass(frozen=True, eq=False)
-class QLine(Carrier):
+@dataclass(frozen=True, eq=False, init=False)
+class QLine(_Fieldless):
     def describe(self) -> str:
         return "qline"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -142,15 +143,19 @@ def large_stage(streams: list[Stream], sets: list[SetExpr]) -> int:
     than every positive gap between relevant endpoints (and the growing
     streams reach past every relevant value), coverage at the returned
     stage equals coverage in the limit.
+
+    The band is half the least gap, at most 1/2, and the reach is one past
+    the largest absolute endpoint.  Both are read over one common
+    denominator, the least common multiple L of the endpoints' denominators:
+    each endpoint v is the integer v*L, so the gaps and the largest absolute
+    value are integers, and only the two results are divided by L.
     """
     pool = _endpoint_pool(sets, streams)
-    vals = sorted(pool)
-    eps = Fraction(1)
-    for p, q in zip(vals, vals[1:]):
-        if q > p:
-            eps = min(eps, q - p)
-    eps = eps / 2
-    radius = max((abs(v) for v in vals), default=Fraction(0)) + 1
+    common = math.lcm(*(v.denominator for v in pool))
+    scaled = sorted(v.numerator * (common // v.denominator) for v in pool)
+    gap = min((q - p for p, q in zip(scaled, scaled[1:])), default=common)
+    eps = Fraction(min(gap, common), 2 * common)
+    radius = Fraction(max(map(abs, scaled), default=0) + common, common)
     stage = 2
     for s in streams:
         stage = max(stage, s.n0, s.stage_sufficient(eps, radius))

@@ -24,6 +24,12 @@ one call into that algebra and wrap the form it returns.  The forms are:
   ``Fraction``; an infinite one is ``NEG_INF`` or ``POS_INF``, two
   sentinels that order below and above every rational, are tested by
   identity and are never floats.  An infinite endpoint is always open.
+  The kernel compares two endpoints with ``_lt`` and ``_eq``, not with
+  ``Fraction``'s operators: a sentinel by identity, and two ``Fraction``
+  values by the cross products of their stored ``_numerator`` and
+  ``_denominator`` (a ``Fraction`` is kept in lowest terms, so equal ones
+  have equal fields).  Outside the kernel an endpoint is an ordinary
+  ``Fraction``.
 * a ``Product`` with an infinite factor -- a tuple of boxes ``(cell, fiber)``
   sorted by the rendered cell: the fiber of a left point is the set of right
   points paired with it, and each box pairs one non-empty fiber with all
@@ -44,11 +50,10 @@ All decision procedures consult only rational endpoint/element arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce, total_ordering
 from operator import or_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .carriers import Carrier, FiniteEnum, NatFC, Product, QLine
 from .errors import CarrierMismatch, UnrepresentablePoint
@@ -108,8 +113,7 @@ def endpoint(x):
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One maximal interval, with at least one point; infinite endpoints are
     always on an open side.  ``intervals`` checks what it is given; the
     kernel builds only intervals that hold these conditions."""
@@ -120,12 +124,12 @@ class Interval:
     hi_open: bool
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return _eq(self.lo, self.hi)
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or (x == self.lo and self.lo_open):
+        if _lt(x, self.lo) or (self.lo_open and _eq(x, self.lo)):
             return False
-        if x > self.hi or (x == self.hi and self.hi_open):
+        if _lt(self.hi, x) or (self.hi_open and _eq(x, self.hi)):
             return False
         return True
 
@@ -135,11 +139,31 @@ class Interval:
         return f"{lb}{rq(self.lo)},{rq(self.hi)}{rb}"
 
 
+def _lt(a, b) -> bool:
+    """a < b for two line endpoints: a sentinel by identity, two Fractions by
+    the cross products of their numerators and denominators."""
+    if a is NEG_INF or b is POS_INF:
+        return a is not b
+    if a is POS_INF or b is NEG_INF:
+        return False
+    return a._numerator * b._denominator < b._numerator * a._denominator
+
+
+def _eq(a, b) -> bool:
+    """a == b for two line endpoints: a sentinel equals only itself, and a
+    Fraction is kept in lowest terms, so two equal ones have equal fields."""
+    if a is b:
+        return True
+    if type(a) is _Infinity or type(b) is _Infinity:
+        return False
+    return a._numerator == b._numerator and a._denominator == b._denominator
+
+
 def _mergeable(a: Interval, b: Interval) -> bool:
     # assumes a.lo-key <= b.lo-key
-    if b.lo < a.hi:
+    if _lt(b.lo, a.hi):
         return True
-    if b.lo == a.hi:
+    if _eq(b.lo, a.hi):
         return (not a.hi_open) or (not b.lo_open)
     return False
 
@@ -155,9 +179,9 @@ def normalize_intervals(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
     for iv in ivs:
         if out and _mergeable(out[-1], iv):
             a = out.pop()
-            if iv.hi > a.hi:
+            if _lt(a.hi, iv.hi):
                 hi, hi_open = iv.hi, iv.hi_open
-            elif iv.hi < a.hi:
+            elif _lt(iv.hi, a.hi):
                 hi, hi_open = a.hi, a.hi_open
             else:
                 hi, hi_open = a.hi, a.hi_open and iv.hi_open
@@ -174,7 +198,7 @@ def _complement_intervals(ivs: tuple[Interval, ...]) -> tuple[Interval, ...]:
     for iv in ivs:
         lo, hi = cursor, iv.lo
         lo_open, hi_open = cursor_open, not iv.lo_open
-        ok = lo < hi or (lo == hi and not lo_open and not hi_open and lo is not NEG_INF)
+        ok = _lt(lo, hi) or (not lo_open and not hi_open and lo is not NEG_INF and _eq(lo, hi))
         if ok:
             gaps.append(Interval(lo, hi, lo_open, hi_open))
         cursor = iv.hi
@@ -185,21 +209,21 @@ def _complement_intervals(ivs: tuple[Interval, ...]) -> tuple[Interval, ...]:
 
 
 def _intersect_two(a: Interval, b: Interval) -> Interval | None:
-    if a.lo > b.lo:
+    if _lt(b.lo, a.lo):
         lo, lo_open = a.lo, a.lo_open
-    elif b.lo > a.lo:
+    elif _lt(a.lo, b.lo):
         lo, lo_open = b.lo, b.lo_open
     else:
         lo, lo_open = a.lo, a.lo_open or b.lo_open
-    if a.hi < b.hi:
+    if _lt(a.hi, b.hi):
         hi, hi_open = a.hi, a.hi_open
-    elif a.hi > b.hi:
+    elif _lt(b.hi, a.hi):
         hi, hi_open = b.hi, b.hi_open
     else:
         hi, hi_open = a.hi, a.hi_open or b.hi_open
-    if lo > hi:
+    if _lt(hi, lo):
         return None
-    if lo == hi and (lo_open or hi_open):
+    if (lo_open or hi_open) and _eq(lo, hi):
         return None
     return Interval(lo, hi, lo_open, hi_open)
 
@@ -739,7 +763,7 @@ def intervals(parts: Iterable[tuple]) -> SetExpr:
     ivs = []
     for lo, hi, lo_open, hi_open in parts:
         lo, hi = endpoint(lo), endpoint(hi)
-        if lo < hi or (lo == hi and not (lo_open or hi_open)):
+        if _lt(lo, hi) or (not (lo_open or hi_open) and _eq(lo, hi)):
             if lo is NEG_INF and not lo_open:
                 raise ValueError("-inf endpoint must be open")
             if hi is POS_INF and not hi_open:

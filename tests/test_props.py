@@ -473,6 +473,43 @@ def test_finite_basis_lists_no_open(monkeypatch):
     assert v.yes and time.perf_counter() - start < 1
 
 
+def test_finite_open_and_closed_maps_list_no_open(monkeypatch):
+    # the identity of all-sets over 25 naturals, which has 2**25 opens: the
+    # images of the 25 least opens and of the 25 points' closures decide
+    def refuse(X):
+        raise AssertionError("listed the opens")
+
+    monkeypatch.setattr(gtskit.presentation, "enumerate_opens", refuse)
+    f = identity_map(GtsPresentation(NatFC(), AllSets(), All(), sx.nat_finite(range(25))))
+    start = time.perf_counter()
+    flags = [gtskit.props._image_preserves(f, closed, 64, 19) for closed in (False, True)]
+    assert flags == [Verdict("Yes")] * 2 and time.perf_counter() - start < 1
+
+
+def _listed_image_verdict(f, closed):
+    """The open (closed) map flag from every open of a finite domain."""
+    for O in enumerate_opens(f.domain):
+        S = sx.minus(f.domain.support, O) if closed else O
+        img = f.image(S)
+        if not is_open(f.codomain, sx.minus(f.codomain.support, img) if closed else img):
+            return Verdict("No", witness=S)
+    return Verdict("Yes")
+
+
+def test_finite_open_and_closed_maps_agree_with_a_listing_of_every_open():
+    # a seeded table between every two spaces of the catalog up to 3 points
+    rng = random.Random(24)
+    spaces = small_catalog("m", 3)
+    for X in spaces:
+        for Y in spaces:
+            targets = points_of(Y.support)
+            f = SpaceMap(X, Y, FiniteTable(tuple((x, rng.choice(targets))
+                                                 for x in points_of(X.support))))
+            for closed in (False, True):
+                assert gtskit.props._image_preserves(f, closed, 64, 19) \
+                    == _listed_image_verdict(f, closed), (X, Y, f.rule, closed)
+
+
 def test_listed_basis_reads_the_stages_inside_each_open():
     # an infinite support with listed opens: the clipped balls are exactly
     # the five listed intervals, which the first four stages do not reach
@@ -574,7 +611,13 @@ def test_enumeration_faults_are_not_fallbacks(monkeypatch):
         check_strict_continuity(f)
     with pytest.raises(RuntimeError):
         classify_map(f)
-    # a one-point codomain is continuous without a listing, so here the
-    # open and closed map flags are what list the opens
-    with pytest.raises(RuntimeError):
-        classify_map(SpaceMap(lib.sierpinski(), lib.point_space(), Const("p")))
+    # a one-point codomain is continuous without a listing, and the images
+    # of the least opens show this map open and closed without one too
+    cls = classify_map(SpaceMap(lib.sierpinski(), lib.point_space(), Const("p")))
+    assert cls["open_map"].yes and cls["closed_map"].yes
+    # where the image of a least open (of a point's closure) is not open
+    # (closed), the open (closed) map flag lists the opens for its witness
+    g = SpaceMap(lib.discrete_pair(), lib.sierpinski(), FiniteTable((("a", "a"), ("b", "b"))))
+    for closed in (False, True):
+        with pytest.raises(RuntimeError):
+            gtskit.props._image_preserves(g, closed, 64, 19)

@@ -1,4 +1,5 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,14 @@ from gtskit.families import (
     refines,
     union_families,
 )
+from gtskit.presentation import LocallyEssFin
 from gtskit import setexpr as sx
 from gtskit.streams import (
     GrowBalls,
     InitialSegments,
     ShrinkIntervals,
     Singletons,
+    Stream,
     clip_stream,
     merge_stream,
     shrink,
@@ -297,6 +300,137 @@ def test_large_stage_bounds_monotone_streams():
     # from that stage on the member already contains (1/4,3/4)
     assert sx.is_subset(
         sx.interval(Fraction(1, 4), Fraction(3, 4)), s.member(stage))
+
+
+class _AskedStream(Stream):
+    """A monotone stream on the line that keeps the eps and radius it is
+    asked about, with the given critical endpoints and no others."""
+
+    carrier = QLine()
+    n0 = 1
+
+    def __init__(self, ends):
+        self.ends = set(ends)
+        self.asked = []
+
+    def critical_endpoints(self):
+        return self.ends
+
+    def union(self):
+        return sx.whole(QLine())
+
+    def stage_sufficient(self, eps, radius):
+        self.asked.append((eps, radius))
+        return self.n0
+
+    def render(self):
+        return "asked"
+
+
+def _sorted_eps_radius(streams, sets):
+    """The eps and radius of large_stage as it was first written: the pool
+    sorted, its gaps subtracted and scanned in Fraction arithmetic."""
+    pool = {e for S in sets for e in sx._algebra(S.carrier).endpoints(S.form)}
+    for s in streams:
+        pool |= set(s.critical_endpoints())
+        pool |= sx._algebra(s.union().carrier).endpoints(s.union().form)
+    vals = sorted(pool)
+    eps = Fraction(1)
+    for p, q in zip(vals, vals[1:]):
+        if q > p:
+            eps = min(eps, q - p)
+    return eps / 2, max((abs(v) for v in vals), default=Fraction(0)) + 1
+
+
+def _seeded_pool(rng):
+    """A few rationals, some of them equal, some with numerators and
+    denominators past 2**64."""
+    big = 2 ** 64 + rng.randrange(1000)
+    out = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if kind < 0.2:
+            out.append(Fraction(rng.randint(-3 * big, 3 * big), big + rng.randrange(7)))
+        elif kind < 0.3 and out:
+            out.append(rng.choice(out))
+        else:
+            out.append(sx.random_fraction(rng))
+    return out
+
+
+def test_large_stage_keeps_the_sorted_eps_radius_and_stage():
+    rng = random.Random(24)
+    for _ in range(300):
+        ends = _seeded_pool(rng)
+        sets = [sx.random_set(QLine(), rng) for _ in range(rng.randint(0, 2))]
+        probe = _AskedStream(ends)
+        large_stage([probe], sets)
+        assert probe.asked == [_sorted_eps_radius([probe], sets)], (ends, sets)
+        a = sx.random_fraction(rng)
+        streams = [ShrinkIntervals(a, a + rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2), 5),
+                   GrowBalls(rng.randint(1, 3), sx.random_fraction(rng), Fraction(rng.randint(1, 5), 3))]
+        eps, radius = _sorted_eps_radius(streams, sets)
+        expect = max([2] + [max(s.n0, s.stage_sufficient(eps, radius)) for s in streams]) + 1
+        assert large_stage(streams, sets) == expect, (streams, sets)
+
+
+def test_stream_probes_decide_every_stage_up_to_ten_caps():
+    """LocallyEssFin decides a monotone base stream s from its members cap
+    and cap + 7 (presentation._stream_probes).  Against every family F of
+    the grid on s's carrier, that answer must be the answer of every stage
+    of s from n0 to 10 * cap, each decided by essentially_finite_on."""
+    families = sorted({F for F, _ in _refines_grid()}, key=FamilyExpr.render)
+    bases = sorted({s for F in families for s in F.streams if s.monotone}, key=lambda s: s.render())
+    assert len(bases) == 18
+    wrong = []
+    for s in bases:
+        probes = LocallyEssFin(FamilyExpr(s.carrier, (), (s,)))
+        for F in families:
+            if F.carrier != s.carrier:
+                continue
+            cap = large_stage(list(F.streams) + [s], list(F.finite_part))
+            scanned = all(essentially_finite_on(F, s.member(n)).yes
+                          for n in range(s.n0, 10 * cap + 1))
+            if probes.admits(F).yes != scanned:
+                wrong.append((s.render(), F.render()))
+    assert wrong == []
+
+
+def _seeded_fraction(rng):
+    d = rng.randint(1, 6)
+    return Fraction(rng.randint(-2 * d, 2 * d), d)
+
+
+def _seeded_shrink(rng):
+    while True:
+        a, b = sorted((_seeded_fraction(rng), _seeded_fraction(rng)))
+        rl, rr = (Fraction(rng.randint(0, 2), rng.randint(1, 3)) for _ in "lr")
+        if a < b:
+            return ShrinkIntervals(a, b, rl, rr, int((rl + rr) / (b - a)) + 1)
+
+
+def test_stream_probes_decide_every_stage_on_seeded_line_families():
+    """As above, on 100 seeded pairs (seed 24): a base that shrinks to or
+    grows from small rational endpoints, and a family of one shrinking
+    stream and at most one interval.  Here the answer moves along the
+    base stream in some pairs, so probing too early is caught."""
+    rng = random.Random(24)
+    moved, wrong = 0, []
+    for _ in range(100):
+        if rng.random() < 0.7:
+            s = _seeded_shrink(rng)
+        else:
+            s = GrowBalls(rng.randint(1, 3), _seeded_fraction(rng),
+                          Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+        finite = tuple(sx.interval(*sorted((_seeded_fraction(rng), _seeded_fraction(rng))))
+                       for _ in range(rng.randint(0, 1)))
+        F = FamilyExpr(QLine(), finite, (_seeded_shrink(rng),))
+        cap = large_stage(list(F.streams) + [s], list(F.finite_part))
+        answers = [essentially_finite_on(F, s.member(n)).yes for n in range(s.n0, 10 * cap + 1)]
+        moved += answers[0] != answers[-1]
+        if LocallyEssFin(FamilyExpr(QLine(), (), (s,))).admits(F).yes != all(answers):
+            wrong.append((s.render(), F.render()))
+    assert wrong == [] and moved >= 5
 
 
 def test_clip_and_merge_families():
