@@ -10,7 +10,7 @@ from .carriers import Carrier
 from .errors import CarrierMismatch
 from . import setexpr as sx
 from .setexpr import SetExpr
-from .streams import Stream, clip_stream, merge_stream, set_endpoints
+from .streams import Stream, clip_stream, endpoint_pairs, merge_stream
 from .verdict import Verdict
 
 
@@ -125,13 +125,16 @@ class WitnessMember:
     set: SetExpr
 
 
-def _endpoint_pool(sets: list[SetExpr], streams: list[Stream]) -> set[Fraction]:
-    pool: set[Fraction] = set()
+def _endpoint_pool(sets: list[SetExpr], streams: list[Stream]) -> set[tuple[int, int]]:
+    """The finite endpoints of the sets and of each stream's union, and the
+    streams' critical endpoints, as pairs (numerator, denominator) in lowest
+    terms: one pair per value."""
+    pool: set[tuple[int, int]] = set()
     for S in sets:
-        pool |= set_endpoints(S)
+        pool |= endpoint_pairs(S)
     for s in streams:
-        pool |= set(s.critical_endpoints())
-        pool |= set_endpoints(s.union())
+        pool.update((v._numerator, v._denominator) for v in s.critical_endpoints())
+        pool |= endpoint_pairs(s.union())
     return pool
 
 
@@ -151,8 +154,8 @@ def large_stage(streams: list[Stream], sets: list[SetExpr]) -> int:
     value are integers, and only the two results are divided by L.
     """
     pool = _endpoint_pool(sets, streams)
-    common = math.lcm(*(v.denominator for v in pool))
-    scaled = sorted(v.numerator * (common // v.denominator) for v in pool)
+    common = math.lcm(*(d for _, d in pool))
+    scaled = sorted(n * (common // d) for n, d in pool)
     gap = min((q - p for p, q in zip(scaled, scaled[1:])), default=common)
     eps = Fraction(min(gap, common), 2 * common)
     radius = Fraction(max(map(abs, scaled), default=0) + common, common)
@@ -213,11 +216,14 @@ def essentially_finite_on(F: FamilyExpr, K: SetExpr) -> Verdict:
         stage = first_stage(lambda n: absorbable(leftover(n)), 1, cap)
         if stage is None:
             return Verdict("No", "residual approaches a stream limit")
-        covered_part = sx.intersect(residual, _coverage_at(F.carrier, monotone, stage))
-        for j, s in enumerate(F.streams):
-            if s.monotone and not sx.intersect(s.member(max(stage, s.n0)), covered_part).is_empty():
-                witness.append(WitnessMember(s.render(), j, max(stage, s.n0), s.member(max(stage, s.n0))))
-        residual = leftover(stage)
+        # each monotone member at the stage, built once: a member meets the
+        # covered part of the residual iff it meets the residual
+        members = [(j, s, s.member(max(stage, s.n0)))
+                   for j, s in enumerate(F.streams) if s.monotone]
+        for j, s, m in members:
+            if not sx.intersect(m, residual).is_empty():
+                witness.append(WitnessMember(s.render(), j, max(stage, s.n0), m))
+        residual = sx.minus(residual, sx.union_all(F.carrier, [m for _, _, m in members]))
     elif not absorbable(residual):
         if pointwise:
             return Verdict("No", "infinite residual against pointwise streams")

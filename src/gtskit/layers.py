@@ -160,7 +160,11 @@ def _annuli_refinement_ok(X: GtsPresentation, chain):
 
     The witness family {(-n-1,-n+1), (n-1,n+1) : n >= 0} is locally finite
     (members two steps apart are disjoint) and locally essentially finite
-    over the chain; both facts are brute-forced out to depth 6.
+    over the chain; both facts are brute-forced out to depth 6, each
+    against a running union.  Annulus i is disjoint from every annulus two
+    or more steps on iff it is disjoint from their union, built from the
+    last annulus back; the chain's m-th ball lies in the first m+2 annuli
+    iff it lies in their union, built from the first annulus on.
     """
     depth = 6
     def annulus(n):
@@ -172,13 +176,15 @@ def _annuli_refinement_ok(X: GtsPresentation, chain):
     for m in members:
         if not is_open(X, m):
             return False, ""
-    for i in range(len(members)):
-        for j in range(i + 2, len(members)):
-            if not sx.intersect(members[i], members[j]).is_empty():
-                return False, ""
+    later = sx.empty(X.carrier)  # the union of the annuli past i + 1
+    for i in range(len(members) - 3, -1, -1):
+        later = sx.union(later, members[i + 2])
+        if not sx.intersect(members[i], later).is_empty():
+            return False, ""
+    first = sx.union(members[0], members[1])  # the union of the first m + 2 annuli
     for m in range(1, depth):
-        ball = chain.member(max(chain.n0, m))
-        if not sx.is_subset(ball, sx.union_all(X.carrier, members[:m + 2])):
+        first = sx.union(first, members[m + 1])
+        if not sx.is_subset(chain.member(max(chain.n0, m)), first):
             return False, ""
     return True, "{(-n-1,-n+1) u (n-1,n+1) : n >= 0}"
 

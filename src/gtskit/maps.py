@@ -17,9 +17,11 @@ from .presentation import (
     AllCanonicalOpen,
     AllSets,
     GtsPresentation,
+    from_mask,
     from_points,
     is_admissible,
     is_open,
+    least_opens,
     listed_opens,
     points_of,
 )
@@ -517,9 +519,12 @@ def preimage_family(m: SpaceMap, F: FamilyExpr) -> FamilyExpr:
 def preimages_of_opens_open(f: SpaceMap) -> bool | None:
     """Exact where the codomain opens are enumerable or structure decides it.
 
-    Returns None when no decision procedure applies.
+    A finite codomain support is decided from its least opens, without
+    listing: every open is a union of least opens, preimages keep unions,
+    and a finite union of domain opens is open.  Returns None when no
+    decision procedure applies.
     """
-    opens = listed_opens(f.codomain)
+    opens = _least_opens_or_listed(f.codomain)
     if opens is not None:
         try:
             return all(is_open(f.domain, f.preimage(O)) for O in opens)
@@ -529,6 +534,19 @@ def preimages_of_opens_open(f: SpaceMap) -> bool | None:
     if f.domain.opens == AllSets() or f.rule.keeps_opens(f, "preimage") is not None:
         return True
     return None
+
+
+def _least_opens_or_listed(Y: GtsPresentation) -> list[SetExpr] | None:
+    """The distinct least opens of Y's finite support, else (or where they
+    cannot be computed) the listed opens of Y, or None."""
+    if Y.support.is_finite_pointset():
+        try:
+            pts, least = least_opens(Y)
+        except (NonFiniteCarrier, UnsupportedPresentation):
+            pass  # no least opens: list, as an infinite support does
+        else:
+            return [from_mask(Y.carrier, pts, m) for m in dict.fromkeys(least)]
+    return listed_opens(Y)
 
 
 def check_strict_continuity(f: SpaceMap) -> Verdict:

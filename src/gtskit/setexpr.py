@@ -168,15 +168,28 @@ def _mergeable(a: Interval, b: Interval) -> bool:
     return False
 
 
-def _lo_key(iv: Interval):
-    # closed endpoint starts "earlier" than open one at the same value
-    return (iv.lo, 1 if iv.lo_open else 0)
+def _sorted_by_lo(ivs: list[Interval]) -> list[Interval]:
+    """ivs sorted by low end, stably, a closed low before an open one at the
+    same value.  The key is an integer: each finite low v is v*L for L the
+    least common multiple of the lows' denominators, doubled, plus 1 where
+    the low is open; NEG_INF, always open, keys below every finite low."""
+    common = math.lcm(*(iv.lo._denominator for iv in ivs if iv.lo is not NEG_INF))
+
+    def key(iv):
+        lo = iv.lo
+        if lo is NEG_INF:
+            return -math.inf
+        return 2 * lo._numerator * (common // lo._denominator) + (1 if iv.lo_open else 0)
+
+    return sorted(ivs, key=key)
 
 
 def normalize_intervals(ivs: Iterable[Interval]) -> tuple[Interval, ...]:
-    ivs = sorted(ivs, key=_lo_key)
+    ivs = list(ivs)
+    if len(ivs) < 2:
+        return tuple(ivs)
     out: list[Interval] = []
-    for iv in ivs:
+    for iv in _sorted_by_lo(ivs):
         if out and _mergeable(out[-1], iv):
             a = out.pop()
             if _lt(a.hi, iv.hi):
@@ -310,9 +323,14 @@ class _Algebra:
     def is_subset(self, c, a, b) -> bool:
         return self.is_empty(self.minus(c, a, b))
 
+    def endpoint_pairs(self, a) -> set:
+        """The finite endpoint or element values of a set, as integer pairs
+        (numerator, denominator) in lowest terms."""
+        return set()
+
     def endpoints(self, a) -> set:
         """The finite endpoint or element values of a set, as rationals."""
-        return set()
+        return {Fraction(n, d) for n, d in self.endpoint_pairs(a)}
 
 
 def _bits(m: int):
@@ -533,8 +551,8 @@ class _NatAlgebra(_Algebra):
         body = frozenset(rng.sample(range(24), rng.randint(0, 5)))
         return (body, rng.random() < 0.3)
 
-    def endpoints(self, a):
-        return {Fraction(x) for x in a[0]}
+    def endpoint_pairs(self, a):
+        return {(x, 1) for x in a[0]}
 
 
 class _LineAlgebra(_Algebra):
@@ -595,8 +613,9 @@ class _LineAlgebra(_Algebra):
                 for _ in range(rng.randint(0, 3)))
         return intervals((a, b, rng.random() < 0.5, rng.random() < 0.5) for a, b in ends).form
 
-    def endpoints(self, a):
-        return {e for iv in a for e in (iv.lo, iv.hi) if e is not NEG_INF and e is not POS_INF}
+    def endpoint_pairs(self, a):
+        return {(e._numerator, e._denominator) for iv in a for e in (iv.lo, iv.hi)
+                if e is not NEG_INF and e is not POS_INF}
 
 
 class _ProductAlgebra(_Algebra):

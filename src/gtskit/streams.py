@@ -6,6 +6,13 @@ pairwise disjoint finite sets).  Both shapes make essential-finiteness and
 refinement questions exactly decidable via a large-enough-stage argument:
 all residual phenomena happen within a computable distance of finitely many
 critical endpoints.
+
+The line streams compute each member from integers.  An endpoint such as
+a + rate/n is one ``Fraction(num, den)`` built from the stored
+``_numerator`` and ``_denominator`` of a and the rate, with no
+``Fraction`` operator, and the member is its canonical form written out:
+one open interval where lo < hi, else the empty set.  ``stage_sufficient``
+takes its floors over the same integers.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from fractions import Fraction
 
 from .carriers import NatFC, QLine
 from . import setexpr as sx
-from .setexpr import NEG_INF, POS_INF, SetExpr
+from .setexpr import NEG_INF, POS_INF, Interval, SetExpr
 
 
 class Stream:
@@ -60,6 +67,13 @@ def _fin(x):
     return x is not NEG_INF and x is not POS_INF
 
 
+def _open_interval(lo, hi) -> SetExpr:
+    """The open interval (lo, hi) in canonical form: one interval, or the
+    empty set where lo >= hi."""
+    form = (Interval(lo, hi, True, True),) if sx._lt(lo, hi) else ()
+    return SetExpr(QLine(), form, _normalized=True)
+
+
 @dataclass(frozen=True, eq=False)
 class ShrinkIntervals(Stream):
     """Open intervals (a + la/n, b - lb/n) increasing to (a, b).
@@ -94,17 +108,23 @@ class ShrinkIntervals(Stream):
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
         lo, hi = self._ends(self.n0)
-        if not lo < hi:
+        if not sx._lt(lo, hi):
             raise ValueError("first member is empty; raise n0")
 
     def _ends(self, n: int) -> tuple:
-        """The endpoints of member n, an open interval."""
-        lo = self.a + self.rate_left / n if self.rate_left else self.a
-        hi = self.b - self.rate_right / n if self.rate_right else self.b
-        return lo, hi
+        """The endpoints a + rate_left/n and b - rate_right/n of member n, an
+        open interval."""
+        a, b, rl, rr = self.a, self.b, self.rate_left, self.rate_right
+        if rl:
+            a = Fraction(a._numerator * rl._denominator * n + rl._numerator * a._denominator,
+                         a._denominator * rl._denominator * n)
+        if rr:
+            b = Fraction(b._numerator * rr._denominator * n - rr._numerator * b._denominator,
+                         b._denominator * rr._denominator * n)
+        return a, b
 
     def member(self, n: int) -> SetExpr:
-        return sx.interval(*self._ends(n))
+        return _open_interval(*self._ends(n))
 
     def union(self) -> SetExpr:
         return sx.interval(self.a, self.b, True, True)
@@ -118,10 +138,13 @@ class ShrinkIntervals(Stream):
         return out
 
     def stage_sufficient(self, eps: Fraction, radius: Fraction) -> int:
+        # past rate/eps for the larger rate: the floor of each rate/eps + 1
         n = self.n0
-        top = max(self.rate_left, self.rate_right)
-        if top > 0 and eps > 0:
-            n = max(n, int(top / eps) + 1)
+        if eps._numerator > 0:
+            for r in (self.rate_left, self.rate_right):
+                if r:
+                    n = max(n, r._numerator * eps._denominator
+                            // (r._denominator * eps._numerator) + 1)
         return n
 
     def render(self) -> str:
@@ -158,13 +181,22 @@ class GrowBalls(Stream):
             raise ValueError("n0 must be >= 1")
 
     def member(self, n: int) -> SetExpr:
-        return sx.interval(self.center - self.rate * n, self.center + self.rate * n)
+        # center -+ rate*n over the denominator of center times that of rate
+        c, r = self.center, self.rate
+        mid = c._numerator * r._denominator
+        half = r._numerator * c._denominator * n
+        den = c._denominator * r._denominator
+        return _open_interval(Fraction(mid - half, den), Fraction(mid + half, den))
 
     def union(self) -> SetExpr:
         return sx.whole(QLine())
 
     def stage_sufficient(self, eps: Fraction, radius: Fraction) -> int:
-        return max(self.n0, int((radius + abs(self.center)) / self.rate) + 1)
+        # the floor of (radius + |center|) / rate, + 1; radius is not negative
+        R, c, r = radius, self.center, self.rate
+        reach = R._numerator * c._denominator + abs(c._numerator) * R._denominator
+        return max(self.n0, reach * r._denominator
+                   // (R._denominator * c._denominator * r._numerator) + 1)
 
     def render(self) -> str:
         if self.center == 0 and self.rate == 1:
@@ -285,6 +317,12 @@ def clip_stream(s: Stream, v: SetExpr) -> DerivedStream:
 
 def merge_stream(s: Stream, v: SetExpr) -> DerivedStream:
     return DerivedStream(s, "merge", v)
+
+
+def endpoint_pairs(S: SetExpr) -> set:
+    """Finite endpoint/element values of a QLine or NatFC SetExpr, as integer
+    pairs (numerator, denominator) in lowest terms."""
+    return sx._algebra(S.carrier).endpoint_pairs(S.form)
 
 
 def set_endpoints(S: SetExpr) -> set:

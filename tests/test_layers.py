@@ -16,6 +16,7 @@ from gtskit.errors import (
 from gtskit.exhaustions import Exhaustion, FinitePoset, nat_chain
 from gtskit.families import FamilyExpr
 from gtskit.layers import (
+    _annuli_refinement_ok,
     classify_subset,
     index_function,
     piece_capture,
@@ -36,7 +37,7 @@ from gtskit.presentation import (
     smallness,
 )
 from gtskit import setexpr as sx
-from gtskit.streams import Singletons
+from gtskit.streams import GrowBalls, ShrinkIntervals, Singletons
 
 
 # -- weak opens and closures ---------------------------------------------
@@ -76,6 +77,37 @@ def test_localized_line_locally_small():
     assert rep.flags["locally_small"].yes
     assert rep.flags["lindelof"].yes
     assert rep.flags["paracompact"].yes
+
+
+def _pairwise_annuli_ok(X, chain):
+    """_annuli_refinement_ok as first written: every two annuli two or more
+    steps apart met pairwise, and each ball against a fresh union."""
+    members = [sx.union(sx.interval(-n - 1, -n + 1), sx.interval(n - 1, n + 1))
+               for n in range(8)]
+    if not all(is_open(X, m) for m in members):
+        return False
+    if any(not sx.intersect(members[i], members[j]).is_empty()
+           for i in range(8) for j in range(i + 2, 8)):
+        return False
+    return all(sx.is_subset(chain.member(max(chain.n0, m)), sx.union_all(X.carrier, members[:m + 2]))
+               for m in range(1, 6))
+
+
+def test_annuli_witness_agrees_with_the_pairwise_check():
+    # the localized line's balls pass; balls of rate 3 outgrow the annuli
+    X = lib.qline_localized()
+    chains = [GrowBalls(1), GrowBalls(1, 0, 3), GrowBalls(2, 0, Fraction(7, 5))]
+    rng = random.Random(25)
+    chains += [GrowBalls(rng.randint(1, 3), Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                         Fraction(rng.randint(1, 9), rng.randint(1, 5))) for _ in range(40)]
+    chains += [ShrinkIntervals(-rng.randint(1, 9), rng.randint(1, 9), 1, 1, 3) for _ in range(10)]
+    verdicts = []
+    for chain in chains:
+        ok, witness = _annuli_refinement_ok(X, chain)
+        assert ok == _pairwise_annuli_ok(X, chain), chain
+        assert witness == ("{(-n-1,-n+1) u (n-1,n+1) : n >= 0}" if ok else "")
+        verdicts.append(ok)
+    assert verdicts[:3] == [True, False, True] and 5 < sum(verdicts) < len(chains) - 5
 
 
 def test_nat_top_with_singleton_base():

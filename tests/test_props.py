@@ -26,6 +26,7 @@ from gtskit.maps import (
     SpaceMap,
     check_strict_continuity,
     identity_map,
+    preimages_of_opens_open,
 )
 from gtskit.presentation import (
     All,
@@ -510,6 +511,33 @@ def test_finite_open_and_closed_maps_agree_with_a_listing_of_every_open():
                     == _listed_image_verdict(f, closed), (X, Y, f.rule, closed)
 
 
+def test_finite_strict_continuity_lists_no_open(monkeypatch):
+    # the identity of all-sets over 25 naturals, which has 2**25 opens: the
+    # preimages of the 25 least opens decide, for the map and its inverse
+    def refuse(X):
+        raise AssertionError("listed the opens")
+
+    monkeypatch.setattr(gtskit.presentation, "enumerate_opens", refuse)
+    f = identity_map(GtsPresentation(NatFC(), AllSets(), All(), sx.nat_finite(range(25))))
+    start = time.perf_counter()
+    assert check_strict_continuity(f).yes
+    assert classify_map(f).ok()
+    assert time.perf_counter() - start < 1
+
+
+def test_finite_strict_continuity_agrees_with_a_listing_of_every_open():
+    # a seeded table between every two spaces of the catalog up to 3 points
+    rng = random.Random(25)
+    spaces = small_catalog("m", 3)
+    for X in spaces:
+        for Y in spaces:
+            targets = points_of(Y.support)
+            f = SpaceMap(X, Y, FiniteTable(tuple((x, rng.choice(targets))
+                                                 for x in points_of(X.support))))
+            listed = all(is_open(X, f.preimage(O)) for O in enumerate_opens(Y))
+            assert preimages_of_opens_open(f) is listed, (X, Y, f.rule)
+
+
 def test_listed_basis_reads_the_stages_inside_each_open():
     # an infinite support with listed opens: the clipped balls are exactly
     # the five listed intervals, which the first four stages do not reach
@@ -603,9 +631,11 @@ def test_enumeration_faults_are_not_fallbacks(monkeypatch):
     def broken(X):
         raise RuntimeError("enumeration bug")
 
-    f = SpaceMap(lib.sierpinski(), lib.discrete_pair(),
-                 FiniteTable((("a", "a"), ("b", "b"))))
-    # maps and props list opens through presentation.listed_opens
+    # maps and props list opens through presentation.listed_opens; strict
+    # continuity lists the opens of a codomain with an infinite support
+    X = GtsPresentation(QLine(), ExplicitList((sx.empty(QLine()), sx.interval(0, 1),
+                                               sx.whole(QLine()))), EssFin())
+    f = identity_map(X)
     monkeypatch.setattr(gtskit.presentation, "enumerate_opens", broken)
     with pytest.raises(RuntimeError):
         check_strict_continuity(f)

@@ -144,6 +144,65 @@ def test_endpoint_comparisons_agree_with_the_operators():
             assert sx._eq(a, b) == (a == b), (a, b)
 
 
+def _fraction_lo_key(iv):
+    # the sort key of normalize_intervals as first written: the low itself,
+    # then closed before open, compared by Fraction's and the sentinels' own
+    # operators
+    return (iv.lo, 1 if iv.lo_open else 0)
+
+
+def _fraction_normalized(ivs):
+    """normalize_intervals as first written, in Fraction comparisons."""
+    out = []
+    for iv in sorted(ivs, key=_fraction_lo_key):
+        a = out[-1] if out else None
+        if a is not None and (iv.lo < a.hi or (iv.lo == a.hi and not (a.hi_open and iv.lo_open))):
+            out.pop()
+            if a.hi < iv.hi:
+                hi, hi_open = iv.hi, iv.hi_open
+            elif iv.hi < a.hi:
+                hi, hi_open = a.hi, a.hi_open
+            else:
+                hi, hi_open = a.hi, a.hi_open and iv.hi_open
+            out.append(sx.Interval(a.lo, hi, a.lo_open, hi_open))
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def _seeded_intervals(rng):
+    """Up to six intervals over a few values, so that lows repeat open and
+    closed; some start at -inf, end at +inf or are points."""
+    values = sorted({Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)})
+    out = []
+    for _ in range(rng.randint(0, 6)):
+        k = rng.randrange(len(values))
+        lo, hi = values[k], values[rng.randrange(k, len(values))]
+        lo_open, hi_open = rng.random() < 0.5, rng.random() < 0.5
+        if rng.random() < 0.15:
+            lo, lo_open = sx.NEG_INF, True
+        if rng.random() < 0.15:
+            hi, hi_open = sx.POS_INF, True
+        if lo == hi:
+            lo_open = hi_open = False
+        out.append(sx.Interval(lo, hi, lo_open, hi_open))
+    return out
+
+
+def test_interval_sort_and_normalization_agree_with_fraction_comparisons():
+    rng = random.Random(25)
+    repeated = 0
+    for _ in range(2000):
+        ivs = _seeded_intervals(rng)
+        lows = [_fraction_lo_key(iv) for iv in ivs]
+        repeated += len(set(lows)) < len(lows)
+        # the same order, stable among equal lows, and the same form
+        assert sx._sorted_by_lo(ivs) == sorted(ivs, key=_fraction_lo_key), ivs
+        assert sx.normalize_intervals(ivs) == _fraction_normalized(ivs), ivs
+        assert sx.normalize_intervals(iter(ivs)) == _fraction_normalized(ivs), ivs
+    assert repeated > 200
+
+
 def test_intervals_hash_and_print_as_their_fields():
     for lo, hi in ((sx.NEG_INF, Fraction(1, 3)), (Fraction(-1), sx.POS_INF),
                    (Fraction(2, 6), Fraction(2 ** 64 + 1, 2 ** 64)), (sx.NEG_INF, sx.POS_INF)):

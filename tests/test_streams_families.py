@@ -17,7 +17,8 @@ from gtskit.families import (
     refines,
     union_families,
 )
-from gtskit.presentation import LocallyEssFin
+from gtskit.exhaustions import Exhaustion
+from gtskit.presentation import LocallyEssFin, PiecewiseEssFin
 from gtskit import setexpr as sx
 from gtskit.streams import (
     GrowBalls,
@@ -78,6 +79,49 @@ def test_growballs_members():
     s = GrowBalls(1)
     assert sx.render(s.member(2)) == "(-2,2)"
     assert s.union().is_whole()
+
+
+def test_line_members_and_stages_agree_with_the_fraction_formulas():
+    """Members and stages are computed from integers; on seeded parameters
+    they equal the formulas in Fraction arithmetic, an empty member (n below
+    n0) included."""
+    rng = random.Random(25)
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    empty = 0
+    for _ in range(60):
+        a = rat()
+        b = a + Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        rl, rr = (Fraction(rng.randint(0, 5), rng.randint(1, 3)) for _ in "lr")
+        if rng.random() < 0.2:
+            a, rl = sx.NEG_INF, Fraction(0)
+        if rng.random() < 0.2:
+            b, rr = sx.POS_INF, Fraction(0)
+
+        def ends(n):
+            return a + rl / n if rl else a, b - rr / n if rr else b
+
+        n0 = next(n for n in range(1, 99) if ends(n)[0] < ends(n)[1])
+        shrinking = ShrinkIntervals(a, b, rl, rr, n0)
+        c, rate = rat(), Fraction(rng.randint(1, 7), rng.randint(1, 3))
+        balls = GrowBalls(rng.randint(1, 3), c, rate)
+        for n in range(1, 41):
+            member = shrinking.member(n)
+            assert member == sx.interval(*ends(n)), (shrinking, n)
+            assert all(type(e) is Fraction for iv in member.form for e in (iv.lo, iv.hi)
+                       if e is not sx.NEG_INF and e is not sx.POS_INF)
+            empty += member.is_empty()
+            assert balls.member(n) == sx.interval(c - rate * n, c + rate * n), (balls, n)
+        eps = Fraction(rng.randint(0, 5), rng.randint(1, 40))
+        radius = Fraction(rng.randint(1, 400), rng.randint(1, 9))
+        top = max(rl, rr)
+        assert shrinking.stage_sufficient(eps, radius) == \
+            (max(n0, int(top / eps) + 1) if top > 0 and eps > 0 else n0)
+        assert balls.stage_sufficient(eps, radius) == \
+            max(balls.n0, int((radius + abs(c)) / rate) + 1)
+    assert empty > 0
 
 
 def test_initial_segments():
@@ -430,6 +474,73 @@ def test_stream_probes_decide_every_stage_on_seeded_line_families():
         moved += answers[0] != answers[-1]
         if LocallyEssFin(FamilyExpr(QLine(), (), (s,))).admits(F).yes != all(answers):
             wrong.append((s.render(), F.render()))
+    assert wrong == [] and moved >= 5
+
+
+def _chain_probe_misses(pairs):
+    """The pairs (s, F) where PiecewiseEssFin over the chain exhaustion of s
+    answers F otherwise than essentially_finite_on at every stage of s from
+    n0 to 10 * cap; and how many pairs' answers move along s."""
+    wrong, moved = [], 0
+    for s, F in pairs:
+        cap = large_stage(list(F.streams) + [s], list(F.finite_part))
+        answers = [essentially_finite_on(F, s.member(n)).yes for n in range(s.n0, 10 * cap + 1)]
+        moved += answers[0] != answers[-1]
+        if PiecewiseEssFin(Exhaustion(chain=s)).admits(F).yes != all(answers):
+            wrong.append((s.render(), F.render()))
+    return wrong, moved
+
+
+def test_chain_probes_decide_every_stage_on_the_grid():
+    """PiecewiseEssFin decides a chain exhaustion from the same two members
+    as LocallyEssFin.  Each monotone nat stream of the grid, as a chain,
+    against every nat family of the grid."""
+    families = sorted({F for F, _ in _refines_grid() if F.carrier == NatFC()},
+                      key=FamilyExpr.render)
+    chains = sorted({s for F in families for s in F.streams if s.monotone}, key=lambda s: s.render())
+    assert len(chains) == 6
+    wrong, _ = _chain_probe_misses([(s, F) for s in chains for F in families])
+    assert wrong == []
+
+
+def _seeded_nat_chain_pair(rng):
+    """A chain of initial segments, clipped to or merged with a finite or
+    cofinite set, and a family of at most two such sets and one stream."""
+    def nat_set():
+        pts = rng.sample(range(8), rng.randint(0, 3))
+        return sx.nat_cofinite(pts) if rng.random() < 0.4 else sx.nat_finite(pts)
+
+    n0 = rng.randint(0, 3)
+    s = InitialSegments(n0, rng.randint(-n0, 2))
+    if rng.random() < 0.5:
+        s = (clip_stream if rng.random() < 0.5 else merge_stream)(s, nat_set())
+    stream = rng.choice([InitialSegments(rng.randint(0, 4)), Singletons(),
+                         clip_stream(Singletons(), nat_set())])
+    return s, FamilyExpr(NatFC(), tuple(nat_set() for _ in range(rng.randint(0, 2))), (stream,))
+
+
+def _seeded_line_chain_pair(rng):
+    """As in the LocallyEssFin test: a chain that shrinks to or grows from
+    small rational endpoints, and one shrinking stream with at most one
+    interval."""
+    if rng.random() < 0.7:
+        s = _seeded_shrink(rng)
+    else:
+        s = GrowBalls(rng.randint(1, 3), _seeded_fraction(rng),
+                      Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+    finite = tuple(sx.interval(*sorted((_seeded_fraction(rng), _seeded_fraction(rng))))
+                   for _ in range(rng.randint(0, 1)))
+    return s, FamilyExpr(QLine(), finite, (_seeded_shrink(rng),))
+
+
+def test_chain_probes_decide_every_stage_on_seeded_families():
+    """60 seeded nat pairs and 100 seeded line pairs (seed 25).  On the
+    naturals the answer never moves along a chain; on the line it moves in
+    some pairs, so probing too early is caught."""
+    rng = random.Random(25)
+    wrong, moved = _chain_probe_misses([_seeded_nat_chain_pair(rng) for _ in range(60)])
+    assert wrong == [] and moved == 0
+    wrong, moved = _chain_probe_misses([_seeded_line_chain_pair(rng) for _ in range(100)])
     assert wrong == [] and moved >= 5
 
 
