@@ -453,6 +453,20 @@ def _seeded_shrink(rng):
             return ShrinkIntervals(a, b, rl, rr, int((rl + rr) / (b - a)) + 1)
 
 
+def _seeded_line_pair(rng):
+    """A base (or chain) that shrinks to or grows from small rational
+    endpoints, and a family of one shrinking stream and at most one
+    interval."""
+    if rng.random() < 0.7:
+        s = _seeded_shrink(rng)
+    else:
+        s = GrowBalls(rng.randint(1, 3), _seeded_fraction(rng),
+                      Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+    finite = tuple(sx.interval(*sorted((_seeded_fraction(rng), _seeded_fraction(rng))))
+                   for _ in range(rng.randint(0, 1)))
+    return s, FamilyExpr(QLine(), finite, (_seeded_shrink(rng),))
+
+
 def test_stream_probes_decide_every_stage_on_seeded_line_families():
     """As above, on 100 seeded pairs (seed 24): a base that shrinks to or
     grows from small rational endpoints, and a family of one shrinking
@@ -461,14 +475,7 @@ def test_stream_probes_decide_every_stage_on_seeded_line_families():
     rng = random.Random(24)
     moved, wrong = 0, []
     for _ in range(100):
-        if rng.random() < 0.7:
-            s = _seeded_shrink(rng)
-        else:
-            s = GrowBalls(rng.randint(1, 3), _seeded_fraction(rng),
-                          Fraction(rng.randint(1, 4), rng.randint(1, 4)))
-        finite = tuple(sx.interval(*sorted((_seeded_fraction(rng), _seeded_fraction(rng))))
-                       for _ in range(rng.randint(0, 1)))
-        F = FamilyExpr(QLine(), finite, (_seeded_shrink(rng),))
+        s, F = _seeded_line_pair(rng)
         cap = large_stage(list(F.streams) + [s], list(F.finite_part))
         answers = [essentially_finite_on(F, s.member(n)).yes for n in range(s.n0, 10 * cap + 1)]
         moved += answers[0] != answers[-1]
@@ -519,20 +526,6 @@ def _seeded_nat_chain_pair(rng):
     return s, FamilyExpr(NatFC(), tuple(nat_set() for _ in range(rng.randint(0, 2))), (stream,))
 
 
-def _seeded_line_chain_pair(rng):
-    """As in the LocallyEssFin test: a chain that shrinks to or grows from
-    small rational endpoints, and one shrinking stream with at most one
-    interval."""
-    if rng.random() < 0.7:
-        s = _seeded_shrink(rng)
-    else:
-        s = GrowBalls(rng.randint(1, 3), _seeded_fraction(rng),
-                      Fraction(rng.randint(1, 4), rng.randint(1, 4)))
-    finite = tuple(sx.interval(*sorted((_seeded_fraction(rng), _seeded_fraction(rng))))
-                   for _ in range(rng.randint(0, 1)))
-    return s, FamilyExpr(QLine(), finite, (_seeded_shrink(rng),))
-
-
 def test_chain_probes_decide_every_stage_on_seeded_families():
     """60 seeded nat pairs and 100 seeded line pairs (seed 25).  On the
     naturals the answer never moves along a chain; on the line it moves in
@@ -540,7 +533,7 @@ def test_chain_probes_decide_every_stage_on_seeded_families():
     rng = random.Random(25)
     wrong, moved = _chain_probe_misses([_seeded_nat_chain_pair(rng) for _ in range(60)])
     assert wrong == [] and moved == 0
-    wrong, moved = _chain_probe_misses([_seeded_line_chain_pair(rng) for _ in range(100)])
+    wrong, moved = _chain_probe_misses([_seeded_line_pair(rng) for _ in range(100)])
     assert wrong == [] and moved >= 5
 
 
